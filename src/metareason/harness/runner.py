@@ -12,7 +12,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from ..demos import Demonstration, load_demonstrations, select_demos
-from ..resolution import Task, TaskInstance, load_instances, task_from_string
+from ..resolution import TSO_TASKS, Task, TaskInstance, load_instances, task_from_string
 from .backends import BackendSpec, ConfigError, backend_from_config, complete
 from .extraction import extract_answer, is_correct
 from .prompts import Paradigm, assemble_prompt, paradigm_from_string
@@ -211,7 +211,7 @@ class EvalReport:
     def tso_average(self, paradigm: Paradigm) -> float | None:
         """Arithmetic mean of the three tracking-task accuracies."""
         cells = self.task_cells(paradigm)
-        values = [cells[t].accuracy for t in (Task.TSO3, Task.TSO5, Task.TSO7) if t in cells]
+        values = [cells[t].accuracy for t in TSO_TASKS if t in cells]
         if not values:
             return None
         return sum(values) / len(values)

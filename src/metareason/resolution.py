@@ -14,9 +14,9 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import templates
 from .meta_lang import (
     ConcatOf,
     Flip,
@@ -25,6 +25,7 @@ from .meta_lang import (
     MetaProgram,
     OptionOf,
     Says,
+    Statement,
     Swap,
     Trace,
     ValueOf,
@@ -91,17 +92,6 @@ class ValueOutOfOptionRangeError(ResolutionError):
 
 class TooManyEntitiesError(ResolutionError):
     """More than 702 distinct entities (A..Z then AA..ZZ) in one instance."""
-
-
-# Operation vocabulary accepted by the reducers. Kept as data so template
-# variants stay a table edit, not a code change.
-SWAP_VERBS = ("switch", "swap", "trade")
-ASSIGN_PHRASES = ("is dancing with", "has", "is playing", "is holding")
-TRUTH_WORDS = {"tells the truth": True, "lies": False}
-FLIP_PHRASES = ("flips the coin", "reverses the coin")
-NON_FLIP_PHRASES = ("does not flip the coin", "doesn't flip the coin")
-ADD_VERBS = ("buys", "finds", "gets")
-SUB_VERBS = ("loses", "eats", "gives away")
 
 
 @dataclass(frozen=True)
@@ -245,53 +235,40 @@ def _sentences_with_offsets(text: str) -> list[Span]:
     return spans
 
 
-def _entity_entries(question: str, names: Sequence[str]) -> tuple[tuple[Span, str], ...]:
-    entries = []
-    for index, name in enumerate(names):
-        start = question.find(name)
-        span = Span(text=name, start=start, end=start + len(name) if start >= 0 else -1)
-        entries.append((span, symbol_name(index)))
-    return tuple(entries)
+def _slot_span(match: re.Match, slot: str, base: int) -> Span:
+    """The span of one matched slot; ``base`` is the offset of the matched text."""
+    start = base + match.start(slot)
+    return Span(text=match[slot], start=start, end=start + len(match[slot]))
 
 
-_WORD = r"[A-Za-z][\w'-]*"
+def _meta_question(
+    inits, steps: list[tuple[Span, Statement]], query, query_span: Span, entries, option_map=None
+) -> MetaQuestion:
+    """Assemble a resolved instance; ``steps`` pairs each statement with its surface span."""
+    stmts = tuple(stmt for _, stmt in steps)
+    op_spans = tuple((span, index) for index, (span, _) in enumerate(steps))
+    return MetaQuestion(
+        program=MetaProgram(inits=tuple(inits), stmts=stmts, query=query),
+        table=EntityTable(entries=tuple(entries), op_spans=op_spans + ((query_span, len(stmts)),)),
+        option_map=option_map,
+    )
 
-_TSO_SWAP = re.compile(
-    rf"^(?:(?:First|Then|Next|Finally|Later|After that),\s+)?"
-    rf"(?P<a>{_WORD}) and (?P<b>{_WORD}) (?:{'|'.join(SWAP_VERBS)})\b.*$"
-)
-_TSO_QUERY = re.compile(rf"^At the end of [^,]+, (?P<person>{_WORD})\b.*$")
-_TSO_SKIP = re.compile(r"^(?:Throughout|As the|During)\b")
 
-_WOL_FIRST = re.compile(rf"^(?P<person>{_WORD}) (?P<claim>tells the truth|lies)\.$")
-_WOL_SAYS = re.compile(
-    rf"^(?P<speaker>{_WORD}) says (?P<target>{_WORD}) (?P<claim>tells the truth|lies)\.$"
-)
-_WOL_QUERY = re.compile(rf"^Does (?P<person>{_WORD}) tell the truth\?$")
-
-_CF_FIRST = re.compile(r"^A coin is heads up\.$")
-_CF_FLIP = re.compile(rf"^(?P<person>{_WORD}) (?:{'|'.join(FLIP_PHRASES)})\.$")
-_CF_NON_FLIP = re.compile(rf"^(?P<person>{_WORD}) (?:{'|'.join(NON_FLIP_PHRASES)})\.$")
-_CF_QUERY = re.compile(r"^Is the coin still heads up\?$")
-
-_LLC_QUESTION = re.compile(
-    r'^Take the last letters of the words in "(?P<name>[^"]+)" and concatenate them\.?$'
-)
-
-_ARITH_INTRO = re.compile(rf"^(?P<name>{_WORD}) has (?P<value>\d+) (?P<noun>{_WORD})\.$")
-_ARITH_ADD = re.compile(
-    rf"^(?P<name>{_WORD}) (?:{'|'.join(ADD_VERBS)}) (?P<amount>\d+) more (?P<noun>{_WORD})\.$"
-)
-_ARITH_SUB = re.compile(
-    rf"^(?P<name>{_WORD}) (?:{'|'.join(SUB_VERBS)}) (?P<amount>\d+) (?P<noun>{_WORD})\.$"
-)
-_ARITH_MUL = re.compile(
-    rf"^The number of (?P<noun>{_WORD}) (?P<name>{_WORD}) has is multiplied by (?P<factor>\d+)\.$"
-)
-_ARITH_DIV = re.compile(
-    rf"^The number of (?P<noun>{_WORD}) (?P<name>{_WORD}) has is divided by (?P<divisor>\d+)\.$"
-)
-_ARITH_QUERY = re.compile(rf"^How many (?P<noun>{_WORD}) does (?P<name>{_WORD}) have now\?$")
+def _read_chain(
+    question: str, opening: templates.Form, query: templates.Form, min_sentences: int = 2
+) -> tuple[list[Span], re.Match, re.Match]:
+    """Split a question and read its first and last sentences against the
+    family's opening and query forms."""
+    sentences = _sentences_with_offsets(question)
+    if len(sentences) < min_sentences:
+        raise TemplateMismatchError("too few sentences", question)
+    first = opening.match(sentences[0].text)
+    if not first:
+        raise TemplateMismatchError("bad opening sentence", sentences[0].text)
+    last = query.match(sentences[-1].text)
+    if not last:
+        raise TemplateMismatchError("bad query sentence", sentences[-1].text)
+    return sentences, first, last
 
 
 def _resolve_tso(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
@@ -300,52 +277,42 @@ def _resolve_tso(question: str, options: tuple[str, ...] | None) -> MetaQuestion
     sentences = _sentences_with_offsets(question)
     if len(sentences) < 3:
         raise TemplateMismatchError("too few sentences", question)
-    assignment = next((s for s in sentences if ": " in s.text), None)
-    if assignment is None:
+    for assignment in sentences:
+        assigned = templates.TSO_ASSIGNMENT.match(assignment.text)
+        if assigned:
+            break
+    else:
         raise TemplateMismatchError("no initial-assignment sentence", sentences[0].text)
 
-    pairs_text = assignment.text.split(": ", 1)[1].rstrip(".")
-    persons: list[str] = []
+    entries: list[tuple[Span, str]] = []
     objects: list[str] = []
-    for chunk in pairs_text.split(", "):
-        chunk = chunk.strip()
-        if chunk.startswith("and "):
-            chunk = chunk[4:]
-        for phrase in ASSIGN_PHRASES:
-            marker = f" {phrase} "
-            if marker in chunk:
-                person, obj = chunk.split(marker, 1)
-                persons.append(person.strip())
-                objects.append(obj.strip())
-                break
-        else:
+    base = assignment.start + assigned.start("pairs")
+    for offset, chunk in templates.split_series(assigned["pairs"]):
+        pair = templates.TSO_PAIR.match(chunk)
+        if not pair:
             raise TemplateMismatchError("bad assignment pair", chunk)
-    if len(persons) != len(set(persons)) or len(objects) != len(set(objects)):
-        raise TemplateMismatchError("repeated person or object in assignment", pairs_text)
-
-    entries = _entity_entries(question, persons)
+        entries.append((_slot_span(pair, "person", base + offset), symbol_name(len(entries))))
+        objects.append(pair["obj"])
     table = {span.text: sym for span, sym in entries}
+    if len(table) != len(entries) or len(set(objects)) != len(objects):
+        raise TemplateMismatchError("repeated person or object in assignment", assigned["pairs"])
 
-    swap_stmts: list[Swap] = []
-    op_spans: list[tuple[Span, int]] = []
+    steps: list[tuple[Span, Statement]] = []
     query_span: Span | None = None
     for sentence in sentences:
-        if sentence is assignment or _TSO_SKIP.match(sentence.text):
+        if sentence is assignment or templates.TSO_ACTION.match(sentence.text):
             continue
-        swap = _TSO_SWAP.match(sentence.text)
+        swap = templates.TSO_SWAP.match(sentence.text)
         if swap:
-            a, b = swap.group("a"), swap.group("b")
-            if a not in table or b not in table:
+            if swap["a"] not in table or swap["b"] not in table:
                 raise TemplateMismatchError("swap names an unknown person", sentence.text)
-            op_spans.append((sentence, len(swap_stmts)))
-            swap_stmts.append(Swap(left=table[a], right=table[b]))
+            steps.append((sentence, Swap(left=table[swap["a"]], right=table[swap["b"]])))
             continue
-        query = _TSO_QUERY.match(sentence.text)
-        if query:
-            query_span = sentence
-            queried = query.group("person")
-            if queried not in table:
+        queried = templates.TSO_QUERY.match(sentence.text)
+        if queried:
+            if queried["person"] not in table:
                 raise TemplateMismatchError("query names an unknown person", sentence.text)
+            query_span, query = sentence, OptionOf(sym=table[queried["person"]])
             continue
         if sentence is sentences[0]:
             continue  # scene-setting intro
@@ -353,195 +320,110 @@ def _resolve_tso(question: str, options: tuple[str, ...] | None) -> MetaQuestion
     if query_span is None:
         raise TemplateMismatchError("no query clause", sentences[-1].text)
 
-    queried = _TSO_QUERY.match(query_span.text).group("person")
     option_map = []
     for position, obj in enumerate(objects, start=1):
-        try:
-            letter = chr(ord("A") + options.index(obj))
-        except ValueError:
-            # options may carry truncated text; fall back to position
-            letter = chr(ord("A") + position - 1)
-        option_map.append((position, letter))
+        # options may carry truncated text; fall back to position
+        index = options.index(obj) if obj in options else position - 1
+        option_map.append((position, chr(ord("A") + index)))
 
-    program = MetaProgram(
-        inits=tuple((table[p], value) for p, value in zip(persons, range(1, len(persons) + 1))),
-        stmts=tuple(swap_stmts),
-        query=OptionOf(sym=table[queried]),
-    )
-    full_table = EntityTable(
-        entries=entries, op_spans=tuple(op_spans) + ((query_span, len(swap_stmts)),)
-    )
-    return MetaQuestion(program=program, table=full_table, option_map=tuple(option_map))
+    inits = [(sym, value) for value, (_, sym) in enumerate(entries, start=1)]
+    return _meta_question(inits, steps, query, query_span, entries, tuple(option_map))
 
 
 def _resolve_wol(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
     del options
-    sentences = _sentences_with_offsets(question)
-    if len(sentences) < 3:
-        raise TemplateMismatchError("too few sentences", question)
-    first = _WOL_FIRST.match(sentences[0].text)
-    if not first:
-        raise TemplateMismatchError("bad opening sentence", sentences[0].text)
-    last = _WOL_QUERY.match(sentences[-1].text)
-    if not last:
-        raise TemplateMismatchError("bad query sentence", sentences[-1].text)
+    sentences, first, last = _read_chain(question, templates.WOL_OPENING, templates.WOL_QUERY, 3)
 
-    order: list[str] = [first.group("person")]
-    table: dict[str, str] = {first.group("person"): symbol_name(0)}
-    stmts: list[Says] = []
-    op_spans: list[tuple[Span, int]] = []
+    entries = [(_slot_span(first, "person", sentences[0].start), symbol_name(0))]
+    table: dict[str, str] = {first["person"]: symbol_name(0)}
+    steps: list[tuple[Span, Statement]] = []
     for sentence in sentences[1:-1]:
-        says = _WOL_SAYS.match(sentence.text)
+        says = templates.WOL_SAYS.match(sentence.text)
         if not says:
             raise TemplateMismatchError("bad chain sentence", sentence.text)
-        speaker, target = says.group("speaker"), says.group("target")
+        speaker, target = says["speaker"], says["target"]
         if target not in table:
             raise TemplateMismatchError("claim about an unknown person", sentence.text)
         if speaker in table:
             raise TemplateMismatchError("speaker already introduced", sentence.text)
-        table[speaker] = symbol_name(len(order))
-        order.append(speaker)
-        op_spans.append((sentence, len(stmts)))
-        stmts.append(
-            Says(speaker=table[speaker], target=table[target], claimed=TRUTH_WORDS[says.group("claim")])
-        )
-    queried = last.group("person")
-    if queried not in table:
+        table[speaker] = symbol_name(len(table))
+        entries.append((_slot_span(says, "speaker", sentence.start), table[speaker]))
+        claimed = says["claim"] == templates.TRUTH
+        stmt = Says(speaker=table[speaker], target=table[target], claimed=claimed)
+        steps.append((sentence, stmt))
+    if last["person"] not in table:
         raise TemplateMismatchError("query names an unknown person", sentences[-1].text)
 
-    program = MetaProgram(
-        inits=((table[order[0]], TRUTH_WORDS[first.group("claim")]),),
-        stmts=tuple(stmts),
-        query=IsEqual(sym=table[queried], value=True),
-    )
-    full_table = EntityTable(
-        entries=_entity_entries(question, order),
-        op_spans=tuple(op_spans) + ((sentences[-1], len(stmts)),),
-    )
-    return MetaQuestion(program=program, table=full_table)
+    inits = [(symbol_name(0), first["claim"] == templates.TRUTH)]
+    query = IsEqual(sym=table[last["person"]], value=True)
+    return _meta_question(inits, steps, query, sentences[-1], entries)
 
 
 def _resolve_cf(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
     del options
-    sentences = _sentences_with_offsets(question)
-    if len(sentences) < 2 or not _CF_FIRST.match(sentences[0].text):
-        raise TemplateMismatchError("bad opening sentence", sentences[0].text if sentences else question)
-    if not _CF_QUERY.match(sentences[-1].text):
-        raise TemplateMismatchError("bad query sentence", sentences[-1].text)
+    sentences, opening, _ = _read_chain(question, templates.CF_OPENING, templates.CF_QUERY)
 
-    coin_start = question.find("coin")
-    coin_span = Span(text="coin", start=coin_start, end=coin_start + 4)
     sym = symbol_name(0)
-    stmts: list[Flip] = []
-    op_spans: list[tuple[Span, int]] = []
+    steps: list[tuple[Span, Statement]] = []
     for sentence in sentences[1:-1]:
-        if _CF_FLIP.match(sentence.text):
-            op_spans.append((sentence, len(stmts)))
-            stmts.append(Flip(sym=sym))
-        elif _CF_NON_FLIP.match(sentence.text):
+        if templates.CF_FLIP.match(sentence.text):
+            steps.append((sentence, Flip(sym=sym)))
+        elif templates.CF_NON_FLIP.match(sentence.text):
             continue  # non-flips change nothing and emit no statement
         else:
             raise TemplateMismatchError("bad flip sentence", sentence.text)
 
-    program = MetaProgram(
-        inits=((sym, True),),
-        stmts=tuple(stmts),
-        query=IsEqual(sym=sym, value=True),
-    )
-    table = EntityTable(
-        entries=((coin_span, sym),),
-        op_spans=tuple(op_spans) + ((sentences[-1], len(stmts)),),
-    )
-    return MetaQuestion(program=program, table=table)
+    entries = [(_slot_span(opening, "coin", sentences[0].start), sym)]
+    query = IsEqual(sym=sym, value=True)
+    return _meta_question([(sym, True)], steps, query, sentences[-1], entries)
 
 
 def _resolve_llc(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
     del options
-    m = _LLC_QUESTION.match(question.strip())
+    stripped = question.strip()
+    m = templates.LLC_QUESTION.match(stripped)
     if not m:
         raise TemplateMismatchError("not a last-letter question", question)
-    name = m.group("name")
-    words = name.split()
-    if not words:
+    base = len(question) - len(question.lstrip()) + m.start("words")
+    spans = [_slot_span(word, 0, base) for word in re.finditer(r"\S+", m["words"])]
+    if not spans:
         raise TemplateMismatchError("empty name", question)
 
-    name_start = question.find('"') + 1
-    spans: list[Span] = []
-    cursor = 0
-    for word in words:
-        offset = name.find(word, cursor)
-        spans.append(Span(text=word, start=name_start + offset, end=name_start + offset + len(word)))
-        cursor = offset + len(word)
+    symbols = allocate_symbols(spans)
+    steps = [(span, LastOf(sym=sym, literal=span.text)) for span, sym in symbols.entries]
+    query = ConcatOf(syms=tuple(symbols.symbol_for(span.text) for span in spans))
+    question_span = Span(text=stripped, start=0, end=len(stripped))
+    return _meta_question([], steps, query, question_span, symbols.entries)
 
-    table: dict[str, str] = {}
-    entries: list[tuple[Span, str]] = []
-    stmts: list[LastOf] = []
-    op_spans: list[tuple[Span, int]] = []
-    for span in spans:
-        if span.text in table:
-            continue
-        sym = symbol_name(len(table))
-        table[span.text] = sym
-        entries.append((span, sym))
-        op_spans.append((span, len(stmts)))
-        stmts.append(LastOf(sym=sym, literal=span.text))
 
-    question_span = Span(text=question.strip(), start=0, end=len(question.strip()))
-    program = MetaProgram(
-        inits=(),
-        stmts=tuple(stmts),
-        query=ConcatOf(syms=tuple(table[w] for w in words)),
-    )
-    full_table = EntityTable(
-        entries=tuple(entries),
-        op_spans=tuple(op_spans) + ((question_span, len(stmts)),),
-    )
-    return MetaQuestion(program=program, table=full_table)
+_ARITH_OPS = (
+    (templates.ARITH_ADD, Add),
+    (templates.ARITH_SUB, Sub),
+    (templates.ARITH_MUL, Mul),
+    (templates.ARITH_DIV, Div),
+)
 
 
 def _resolve_arith(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
     del options
-    sentences = _sentences_with_offsets(question)
-    if len(sentences) < 2:
-        raise TemplateMismatchError("too few sentences", question)
-    intro = _ARITH_INTRO.match(sentences[0].text)
-    if not intro:
-        raise TemplateMismatchError("bad opening sentence", sentences[0].text)
-    query = _ARITH_QUERY.match(sentences[-1].text)
-    if not query or query.group("name") != intro.group("name"):
-        raise TemplateMismatchError("bad query sentence", sentences[-1].text)
+    sentences, first, last = _read_chain(question, templates.ARITH_OPENING, templates.ARITH_QUERY)
+    if last["name"] != first["name"]:
+        raise TemplateMismatchError("query names another person", sentences[-1].text)
 
     sym = symbol_name(0)
-    stmts = []
-    op_spans: list[tuple[Span, int]] = []
+    steps: list[tuple[Span, Statement]] = []
     for sentence in sentences[1:-1]:
-        add = _ARITH_ADD.match(sentence.text)
-        sub = _ARITH_SUB.match(sentence.text)
-        mul = _ARITH_MUL.match(sentence.text)
-        div = _ARITH_DIV.match(sentence.text)
-        if add:
-            stmt = Add(sym=sym, amount=int(add.group("amount")))
-        elif sub:
-            stmt = Sub(sym=sym, amount=int(sub.group("amount")))
-        elif mul:
-            stmt = Mul(sym=sym, factor=int(mul.group("factor")))
-        elif div:
-            stmt = Div(sym=sym, divisor=int(div.group("divisor")))
+        for form, op in _ARITH_OPS:
+            m = form.match(sentence.text)
+            if m:
+                break
         else:
             raise TemplateMismatchError("bad operation sentence", sentence.text)
-        op_spans.append((sentence, len(stmts)))
-        stmts.append(stmt)
+        steps.append((sentence, op(sym, int(m["amount"]))))
 
-    program = MetaProgram(
-        inits=((sym, int(intro.group("value"))),),
-        stmts=tuple(stmts),
-        query=ValueOf(sym=sym),
-    )
-    table = EntityTable(
-        entries=_entity_entries(question, [intro.group("name")]),
-        op_spans=tuple(op_spans) + ((sentences[-1], len(stmts)),),
-    )
-    return MetaQuestion(program=program, table=table)
+    inits = [(sym, int(first["amount"]))]
+    entries = [(_slot_span(first, "name", sentences[0].start), sym)]
+    return _meta_question(inits, steps, ValueOf(sym=sym), sentences[-1], entries)
 
 
 def _from_attached_meta(inst: TaskInstance) -> MetaQuestion:
@@ -556,9 +438,7 @@ def _from_attached_meta(inst: TaskInstance) -> MetaQuestion:
 
 
 _RESOLVERS = {
-    Task.TSO3: _resolve_tso,
-    Task.TSO5: _resolve_tso,
-    Task.TSO7: _resolve_tso,
+    **dict.fromkeys(TSO_TASKS, _resolve_tso),
     Task.WOL: _resolve_wol,
     Task.CF: _resolve_cf,
     Task.LLC: _resolve_llc,
@@ -594,30 +474,31 @@ def resolve(inst: TaskInstance) -> MetaQuestion:
     return mq
 
 
+# resolve_any picks the family whose opening sentence starts the question.
+# Tracking questions open with free scene-setting text, so they are the rest.
+_OPENINGS = (
+    (templates.CF_OPENING, Task.CF),
+    (templates.WOL_OPENING, Task.WOL),
+    (templates.LLC_QUESTION, Task.LLC),
+    (templates.ARITH_OPENING, Task.MA),
+)
+
+
 def resolve_any(question: str, options: tuple[str, ...] | None = None) -> tuple[Task, MetaQuestion]:
-    """Resolve a bare question by trying each family template in turn."""
-    candidates: list[tuple[Task, object]] = [
-        (Task.CF, _resolve_cf),
-        (Task.WOL, _resolve_wol),
-        (Task.LLC, _resolve_llc),
-        (Task.MA, _resolve_arith),
-    ]
-    for task, resolver in candidates:
-        try:
-            return task, resolver(question, options)
-        except TemplateMismatchError:
-            continue
+    """Resolve a bare question with the family its opening sentence names."""
+    opening = question.lstrip()
+    for form, task in _OPENINGS:
+        if form.regex.match(opening):
+            return task, _RESOLVERS[task](question, options)
     try:
         mq = _resolve_tso(question, options)
     except TemplateMismatchError:
-        pass
-    else:
-        count = len(mq.program.inits)
-        for task in TSO_TASKS:
-            if tso_object_count(task) == count:
-                return task, mq
-        return Task.TSO3, mq
-    raise TemplateMismatchError("no family template matches", question)
+        raise TemplateMismatchError("no family template matches", question) from None
+    count = len(mq.program.inits)
+    for task in TSO_TASKS:
+        if tso_object_count(task) == count:
+            return task, mq
+    raise TemplateMismatchError(f"no tracking family has {count} objects", question)
 
 
 def surface_answer(mq: MetaQuestion, trace: Trace) -> str:
@@ -637,8 +518,6 @@ def surface_answer(mq: MetaQuestion, trace: Trace) -> str:
     value = trace.answer
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
     return str(value)
 
 

@@ -15,7 +15,8 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .resolution import Task, TaskInstance, TemplateMismatchError
+from . import templates
+from .resolution import TSO_TASKS, Task, TaskInstance, TemplateMismatchError, tso_object_count
 
 
 class GenerationError(Exception):
@@ -106,7 +107,7 @@ class GenConfig:
 def _validate(cfg: GenConfig) -> None:
     if cfg.count < 1:
         raise InvalidParamsError("count must be >= 1")
-    if cfg.task in (Task.TSO3, Task.TSO5, Task.TSO7):
+    if cfg.task in TSO_TASKS:
         if cfg.n_swaps is not None and cfg.n_swaps < 0:
             raise InvalidParamsError("n_swaps must be >= 0")
     elif cfg.task is Task.WOL:
@@ -139,125 +140,64 @@ def _sample(rng: random.Random, pool: tuple[str, ...], k: int, what: str) -> lis
     return rng.sample(list(pool), k)
 
 
-def _people_list(names: list[str]) -> str:
-    if len(names) == 2:
-        return f"{names[0]} and {names[1]}"
-    return ", ".join(names[:-1]) + f", and {names[-1]}"
-
-
-@dataclass(frozen=True)
-class _TsoScenario:
-    intro: str
-    assign_lead: str
-    assign: str
-    action: str
-    swap: str
-    query: str
-    object_pool: str  # Lexicon attribute name
-
-
-_TSO_SCENARIOS = (
-    _TsoScenario(
-        intro="{people} are dancers at a square dance.",
-        assign_lead="At the start of a song, they each have a partner: ",
-        assign="{person} is dancing with {obj}",
-        action="Throughout the song, the dancers often trade partners.",
-        swap="{a} and {b} switch partners.",
-        query="At the end of the dance, {person} is dancing with",
-        object_pool="partner_names",
-    ),
-    _TsoScenario(
-        intro="{people} are friends and have just finished reading different books.",
-        assign_lead="At the start of the semester, they each have a book: ",
-        assign="{person} has {obj}",
-        action="As the semester proceeds, they start trading books.",
-        swap="{a} and {b} swap books.",
-        query="At the end of the semester, {person} has",
-        object_pool="book_titles",
-    ),
-    _TsoScenario(
-        intro="{people} are on the same team in a soccer match.",
-        assign_lead="At the start of the match, they are each assigned to a position: ",
-        assign="{person} is playing {obj}",
-        action="As the match progresses, pairs of players occasionally swap positions.",
-        swap="{a} and {b} trade positions.",
-        query="At the end of the match, {person} is playing",
-        object_pool="positions",
-    ),
-)
-
-
-def _ordinal_word(index: int, total: int) -> str:
-    if index == 0:
-        return "First"
-    if index == total - 1:
-        return "Finally"
-    return "Then"
-
-
 def _build_tso(cfg: GenConfig, rng: random.Random) -> tuple[str, tuple[str, ...] | None]:
-    n = {Task.TSO3: 3, Task.TSO5: 5, Task.TSO7: 7}[cfg.task]
+    n = tso_object_count(cfg.task)
     n_swaps = cfg.n_swaps if cfg.n_swaps is not None else n
-    scenario = rng.choice(_TSO_SCENARIOS)
+    scenario = rng.choice(templates.SCENARIOS)
     persons = _sample(rng, cfg.lexicon.person_names, n, "person names")
-    objects = _sample(rng, getattr(cfg.lexicon, scenario.object_pool), n, "objects")
-
-    assignment = scenario.assign_lead + ", ".join(
-        scenario.assign.format(person=p, obj=o) for p, o in zip(persons[:-1], objects[:-1])
-    )
-    if n > 1:
-        assignment += ", and " + scenario.assign.format(person=persons[-1], obj=objects[-1])
-    assignment += "."
-
-    sentences = [scenario.intro.format(people=_people_list(persons)), assignment, scenario.action]
+    objects = _sample(rng, getattr(cfg.lexicon, scenario.objects), n, "objects")
+    pairs = [
+        templates.TSO_PAIR.render(person=p, holds=scenario.holds, obj=o)
+        for p, o in zip(persons, objects)
+    ]
+    sentences = [
+        templates.TSO_INTRO.render(people=templates.series(persons), scene=scenario.scene),
+        templates.TSO_ASSIGNMENT.render(lead=scenario.lead, pairs=templates.series(pairs)),
+        templates.TSO_ACTION.render(opener=scenario.opener, rest=scenario.rest),
+    ]
+    first, then, last = templates.ORDINALS[:3]
     for k in range(n_swaps):
         i, j = rng.sample(range(n), 2)
+        step = first if k == 0 else last if k == n_swaps - 1 else then
         sentences.append(
-            f"{_ordinal_word(k, n_swaps)}, "
-            + scenario.swap.format(a=persons[i], b=persons[j])
+            templates.TSO_SWAP.render(ordinal=step, a=persons[i], b=persons[j], swap=scenario.swap)
         )
     queried = rng.choice(persons)
-    sentences.append(scenario.query.format(person=queried))
-    return " ".join(sentences), tuple(objects)
+    query = templates.TSO_QUERY.render(end=scenario.end, person=queried, holds=scenario.holds)
+    return " ".join(sentences + [query]), tuple(objects)
 
 
 def _build_wol(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
     persons = _sample(rng, cfg.lexicon.person_names, cfg.chain_len, "person names")
-    sentences = [f"{persons[0]} {'tells the truth' if rng.random() < 0.5 else 'lies'}."]
-    for speaker, target in zip(persons[1:], persons):
-        claim = "tells the truth" if rng.random() < 0.5 else "lies"
-        sentences.append(f"{speaker} says {target} {claim}.")
-    sentences.append(f"Does {persons[-1]} tell the truth?")
+    claims = [templates.TRUTH if rng.random() < 0.5 else templates.LIE for _ in persons]
+    sentences = [templates.WOL_OPENING.render(person=persons[0], claim=claims[0])]
+    for speaker, target, claim in zip(persons[1:], persons, claims[1:]):
+        sentences.append(templates.WOL_SAYS.render(speaker=speaker, target=target, claim=claim))
+    sentences.append(templates.WOL_QUERY.render(person=persons[-1]))
     return " ".join(sentences), None
 
 
 def _build_cf(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
     persons = _sample(rng, cfg.lexicon.person_names, cfg.n_people, "person names")
-    sentences = ["A coin is heads up."]
+    sentences = [templates.CF_OPENING.render()]
     for person in persons:
-        if rng.random() < 0.5:
-            sentences.append(f"{person} flips the coin.")
-        else:
-            sentences.append(f"{person} does not flip the coin.")
-    sentences.append("Is the coin still heads up?")
+        form = templates.CF_FLIP if rng.random() < 0.5 else templates.CF_NON_FLIP
+        sentences.append(form.render(person=person))
+    sentences.append(templates.CF_QUERY.render())
     return " ".join(sentences), None
 
 
 def _build_llc(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
     words = _sample(rng, cfg.lexicon.llc_words, cfg.n_words, "name words")
-    name = " ".join(words)
-    return f'Take the last letters of the words in "{name}" and concatenate them.', None
-
-
-_ARITH_ADD_VERBS = ("buys", "finds", "gets")
-_ARITH_SUB_VERBS = ("loses", "eats", "gives away")
+    return templates.LLC_QUESTION.render(words=" ".join(words)), None
 
 
 def _build_arith(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
     name = rng.choice(list(cfg.lexicon.person_names))
     noun = rng.choice(list(cfg.lexicon.object_nouns))
     value = Fraction(rng.randint(*cfg.value_range))
-    sentences = [f"{name} has {value} {noun}."]
+    slots = {"name": name, "noun": noun}
+    sentences = [templates.ARITH_OPENING.render(**slots, amount=value)]
     kinds = ("add", "sub") if cfg.task is Task.AS else ("add", "sub", "mul", "div")
     for _ in range(cfg.n_ops):
         kind = rng.choice(kinds)
@@ -265,28 +205,28 @@ def _build_arith(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
             kind = "add"
         if kind == "add":
             amount = rng.randint(1, 12)
-            sentences.append(f"{name} {rng.choice(_ARITH_ADD_VERBS)} {amount} more {noun}.")
+            verb = rng.choice(templates.ADD_VERBS)
+            sentences.append(templates.ARITH_ADD.render(**slots, verb=verb, amount=amount))
             value += amount
         elif kind == "sub":
             amount = rng.randint(1, min(12, int(value)))
-            sentences.append(f"{name} {rng.choice(_ARITH_SUB_VERBS)} {amount} {noun}.")
+            verb = rng.choice(templates.SUB_VERBS)
+            sentences.append(templates.ARITH_SUB.render(**slots, verb=verb, amount=amount))
             value -= amount
         elif kind == "mul":
             factor = rng.randint(2, 5)
-            sentences.append(f"The number of {noun} {name} has is multiplied by {factor}.")
+            sentences.append(templates.ARITH_MUL.render(**slots, amount=factor))
             value *= factor
         else:
             divisor = rng.randint(2, 5)
-            sentences.append(f"The number of {noun} {name} has is divided by {divisor}.")
+            sentences.append(templates.ARITH_DIV.render(**slots, amount=divisor))
             value /= divisor
-    sentences.append(f"How many {noun} does {name} have now?")
+    sentences.append(templates.ARITH_QUERY.render(**slots))
     return " ".join(sentences), None
 
 
 _BUILDERS = {
-    Task.TSO3: _build_tso,
-    Task.TSO5: _build_tso,
-    Task.TSO7: _build_tso,
+    **dict.fromkeys(TSO_TASKS, _build_tso),
     Task.WOL: _build_wol,
     Task.CF: _build_cf,
     Task.LLC: _build_llc,
@@ -414,7 +354,7 @@ def _oracle_arith(question: str) -> str:
 
 def oracle_answer(inst: TaskInstance) -> str:
     """Ground truth by direct simulation of the surface text."""
-    if inst.task in (Task.TSO3, Task.TSO5, Task.TSO7):
+    if inst.task in TSO_TASKS:
         return _oracle_tso(inst.question, inst.options)
     if inst.task is Task.WOL:
         return _oracle_wol(inst.question)

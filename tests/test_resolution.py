@@ -30,7 +30,71 @@ from metareason.resolution import (
 )
 from metareason.taskgen import GenConfig, generate
 
-from conftest import COIN_QUESTION, TRUTH_CHAIN_QUESTION
+from conftest import COIN_QUESTION, SQUARE_DANCE_QUESTION, TRUTH_CHAIN_QUESTION
+
+_BALLS_INTRO = (
+    "Alice, Bob, and Claire are friends. At the start of the game, they each hold a "
+    "ball: Alice is holding a red ball, Bob is holding a blue ball, and Claire is "
+    "holding a green ball. "
+)
+_BALLS = ("a red ball", "a blue ball", "a green ball")
+_ONE_SWAP = "It is known that A = 1, B = 2, C = 3. A and B swap. Which option equals A?"
+
+
+# Phrasings the resolver accepts although the generator never writes them.
+@pytest.mark.parametrize(
+    "task, question, options, meta",
+    [
+        (
+            Task.TSO3,
+            _BALLS_INTRO + "Throughout the game, they trade balls. First, Alice and Bob "
+            "trade balls. At the end of the game, Alice is holding",
+            _BALLS,
+            _ONE_SWAP,
+        ),
+        (
+            Task.TSO3,
+            _BALLS_INTRO + "Alice and Bob trade balls. At the end of the game, Alice is holding",
+            _BALLS,
+            _ONE_SWAP,
+        ),
+        (
+            Task.TSO3,
+            _BALLS_INTRO + "Next, Alice and Bob trade balls. Later, Claire and Alice trade "
+            "balls. After that, Bob and Claire trade balls. At the end of the game, Alice is holding",
+            _BALLS,
+            "It is known that A = 1, B = 2, C = 3. A and B swap. C and A swap. B and C swap. "
+            "Which option equals A?",
+        ),
+        (
+            Task.TSO3,
+            _BALLS_INTRO + "During the game, they trade balls. Finally, Claire and Bob trade "
+            "balls. At the end of the game, Bob is holding",
+            _BALLS,
+            "It is known that A = 1, B = 2, C = 3. C and B swap. Which option equals B?",
+        ),
+        (
+            Task.CF,
+            "A coin is heads up. Ka reverses the coin. Bo doesn't flip the coin. "
+            "Is the coin still heads up?",
+            None,
+            "It is known that A = 1. Flip A. Is A = 1?",
+        ),
+    ],
+    ids=["is-holding", "no-ordinal", "next-later-after-that", "during", "reverses-doesnt"],
+)
+def test_resolver_leniency(task, question, options, meta):
+    inst = TaskInstance(id="lenient", task=task, question=question, options=options, gold="")
+    assert render_meta(resolve(inst).program) == meta
+
+
+def _assert_whole_word_entity_spans(question, mq):
+    for span, _ in mq.table.entries:
+        assert question[span.start : span.end] == span.text
+        before = question[span.start - 1 : span.start]
+        after = question[span.end : span.end + 1]
+        assert not (before.isalnum() or before == "_"), (span, question)
+        assert not (after.isalnum() or after == "_"), (span, question)
 
 
 class TestTrackingGolden:
@@ -45,8 +109,15 @@ class TestTrackingGolden:
         assert mq.program.query == OptionOf(sym="A")
 
     def test_entity_table_first_mention_order(self, dance_instance):
+        from dataclasses import replace
+
         mq = resolve(dance_instance)
         assert mq.table.as_dict() == {"Alice": "A", "Bob": "B", "Claire": "C"}
+        # "Al" also occurs inside "Alice"; its span must be a mention of Al.
+        inst = replace(dance_instance, question=SQUARE_DANCE_QUESTION.replace("Claire", "Al"))
+        mq = resolve(inst)
+        assert mq.table.as_dict() == {"Alice": "A", "Bob": "B", "Al": "C"}
+        _assert_whole_word_entity_spans(inst.question, mq)
 
     def test_final_value_and_surface_answer(self, dance_instance):
         mq = resolve(dance_instance)
@@ -226,6 +297,17 @@ class TestResolveAny:
         with pytest.raises(TemplateMismatchError):
             resolve_any("What is the airspeed velocity of an unladen swallow?")
 
+    def test_tracking_with_an_unsupported_object_count_raises(self):
+        question = (
+            "Alice, Bob, Claire, and Dave are dancers at a square dance. At the start of "
+            "a song, they each have a partner: Alice is dancing with Lola, Bob is dancing "
+            "with Rodrigo, Claire is dancing with Patrick, and Dave is dancing with "
+            "Melissa. Throughout the song, the dancers often trade partners. First, Alice "
+            "and Bob switch partners. At the end of the dance, Alice is dancing with"
+        )
+        with pytest.raises(TemplateMismatchError):
+            resolve_any(question, ("Lola", "Rodrigo", "Patrick", "Melissa"))
+
 
 class TestProperties:
     def test_many_to_one_across_instances_injective_within(self):
@@ -236,6 +318,11 @@ class TestProperties:
             assert len(set(table.values())) == len(table)  # injective within
             first_symbols.add(next(iter(table.values())))
         assert first_symbols == {"A"}  # reused across instances
+
+    def test_entity_spans_are_whole_word_mentions(self):
+        for task in Task:
+            for inst in generate(GenConfig(task=task, count=20, seed=16)):
+                _assert_whole_word_entity_spans(inst.question, resolve(inst))
 
     def test_resolution_is_deterministic(self, dance_instance):
         assert resolve(dance_instance) == resolve(dance_instance)

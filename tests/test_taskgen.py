@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 
-from metareason.resolution import Task, resolve, solve_surface
+from metareason.cli import DEFAULT_COUNTS
+from metareason.resolution import Task, resolve, save_instances, solve_surface
 from metareason.taskgen import (
     GenConfig,
     InvalidParamsError,
@@ -19,6 +21,27 @@ from metareason.taskgen import (
     oracle_answer,
 )
 
+
+# SHA-256 of each family's dataset at seed 42 with the CLI default counts,
+# as written by save_instances. A change to a sentence form or to the order
+# of the generator's rng calls changes these.
+DATASET_DIGESTS = {
+    Task.MA: "8875425479ad96ad866b49394905d1cd7673294a83e927e28bb0f01b946f66b5",
+    Task.AS: "755f9a88ccea537249278158dccaa05c9198f9e171fbf1525fccc7e4889d5c15",
+    Task.LLC: "a8147937354807fbfc3c06816aff353625c5ee3ae07cff9a57017d6b04a1ea1b",
+    Task.CF: "f4cef735a932399bca3637fd3bb241e39c51e31b932ed379b8f59d4bb4562eb7",
+    Task.WOL: "a7a5dfe4a55284e93f059c6d121172c13169de5a61b87720411dea374f1283e6",
+    Task.TSO3: "a8accc4438903ae4f3f43e379dade99da7459bd3b73fb7557d83f50bf4b0f738",
+    Task.TSO5: "e4ca8d56aae68f77a5a113e62a8c8e50584e4c9a2881e920575158f930c5cea0",
+    Task.TSO7: "b396d6b0b13a100653b0ecb88dda1dbf7dff8a2c9071c320a2f5727edddb3015",
+}
+
+
+@pytest.mark.parametrize("task", list(DATASET_DIGESTS))
+def test_datasets_are_byte_identical(task, tmp_path):
+    path = tmp_path / f"{task.value}.jsonl"
+    save_instances(path, generate(GenConfig(task=task, count=DEFAULT_COUNTS[task], seed=42)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DATASET_DIGESTS[task]
 
 
 class TestDeterminism:
