@@ -4,13 +4,19 @@ replay fixtures, and a template-solving oracle."""
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import logging
 import os
+import select
+import threading
 import time
+import urllib.parse
+import urllib.request
+import weakref
 from dataclasses import dataclass
 
-import requests
-
+from .. import __version__
 from ..demos import FusionMode, build_completely_serial, build_cross_serial, default_mode
 from ..meta_lang import eval_program
 from ..resolution import TaskInstance, TemplateMismatchError, resolve_any, surface_answer
@@ -135,8 +141,81 @@ def _replay_complete(backend: ReplayBackend, prompt: str) -> str:
 _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
 
+_USER_AGENT = f"metareason/{__version__}"
+
+log = logging.getLogger(__name__)
+
+
+class _ThreadConnection:
+    """The calling thread's keep-alive connection to one endpoint.
+
+    The runner bounds concurrency with its worker threads, so one connection
+    per thread keeps at most ``parallelism`` connections open per endpoint.
+    """
+
+    def __init__(self, backend: HttpBackend):
+        url = urllib.parse.urlsplit(backend.endpoint_url)
+        try:
+            port = url.port or (443 if url.scheme == "https" else 80)
+        except ValueError:  # a port that is not a number in range
+            port = None
+        if url.scheme not in ("http", "https") or not url.hostname or port is None:
+            raise TransportError(f"unsupported endpoint URL {backend.endpoint_url!r}")
+        self.key = (backend.endpoint_url, backend.timeout)
+        # The request target is the path, or the absolute URI when an
+        # http proxy forwards it; https goes through a CONNECT tunnel.
+        self.target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.hostname):
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            self.conn = connection_class(
+                proxy_url.hostname, proxy_url.port or 80, timeout=backend.timeout
+            )
+            if url.scheme == "https":
+                self.conn.set_tunnel(url.hostname, port)
+            else:
+                self.target = urllib.parse.urlunsplit(url._replace(fragment=""))
+        else:
+            self.conn = connection_class(url.hostname, port, timeout=backend.timeout)
+        # Close the socket when the owning thread ends or moves to another
+        # endpoint, and at interpreter exit.
+        weakref.finalize(self, self.conn.close)
+
+    def post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """Send one request and read the whole response; any exception
+        closes the connection so that the next attempt dials afresh."""
+        sock = self.conn.sock
+        # An idle socket that reads as ready has been closed by the peer
+        # (or holds data nobody asked for): dial afresh rather than fail.
+        if sock is not None and select.select([sock], [], [], 0)[0]:
+            self.conn.close()
+        try:
+            self.conn.request("POST", self.target, body=body, headers=headers)
+            response = self.conn.getresponse()
+            data = response.read()
+        except BaseException:
+            self.conn.close()
+            raise
+        if response.will_close:
+            self.conn.close()
+        return response.status, data
+
+
+_local = threading.local()
+
+
+def _thread_connection(backend: HttpBackend) -> _ThreadConnection:
+    current = getattr(_local, "connection", None)
+    if current is None or current.key != (backend.endpoint_url, backend.timeout):
+        current = _local.connection = _ThreadConnection(backend)
+    return current
+
+
 def _http_complete(backend: HttpBackend, prompt: str) -> str:
-    headers = {"Content-Type": "application/json"}
+    headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
     if backend.auth_token_env_var:
         token = os.environ.get(backend.auth_token_env_var, "")
         if token:
@@ -147,29 +226,37 @@ def _http_complete(backend: HttpBackend, prompt: str) -> str:
         "temperature": backend.temperature,
         "max_tokens": backend.max_tokens,
     }
+    body = json.dumps(payload).encode("utf-8")
+    connection = _thread_connection(backend)
     attempts = backend.max_retries + 1
     last_error: str = "no attempts made"
     for attempt in range(attempts):
         try:
-            response = requests.post(
-                backend.endpoint_url, json=payload, headers=headers, timeout=backend.timeout
-            )
-        except requests.RequestException as exc:
-            last_error = str(exc)
+            status, data = connection.post(body, headers)
+        except (OSError, http.client.HTTPException) as exc:
+            last_error = str(exc) or type(exc).__name__
+            failure = {"error": last_error}
         else:
-            if response.status_code == 200:
-                return _completion_text(response)
-            last_error = f"HTTP {response.status_code}"
-            if response.status_code not in _RETRYABLE_STATUS:
+            if status == 200:
+                return _completion_text(data)
+            last_error = f"HTTP {status}"
+            if status not in _RETRYABLE_STATUS:
                 raise TransportError(f"completion failed: {last_error}")
+            failure = {"status": status}
         if attempt + 1 < attempts:
-            time.sleep(min(8.0, 0.5 * (2**attempt)))
+            backoff_s = min(8.0, 0.5 * (2**attempt))
+            log.warning(
+                "completion attempt %d/%d failed (%s); retrying in %gs",
+                attempt + 1, attempts, last_error, backoff_s,
+                extra={"attempt": attempt + 1, **failure, "backoff_s": backoff_s},
+            )
+            time.sleep(backoff_s)
     raise TransportError(f"completion failed after {attempts} attempts: {last_error}")
 
 
-def _completion_text(response) -> str:
+def _completion_text(data: bytes) -> str:
     try:
-        body = response.json()
+        body = json.loads(data)
     except ValueError as exc:
         raise TransportError(f"non-JSON completion response: {exc}") from exc
     try:

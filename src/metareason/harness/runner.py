@@ -5,6 +5,7 @@ parallelism, persists one record per item (resumable), and scores reports.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 import time
@@ -16,6 +17,8 @@ from ..resolution import TSO_TASKS, Task, TaskInstance, load_instances, task_fro
 from .backends import BackendSpec, ConfigError, backend_from_config, complete
 from .extraction import extract_answer, is_correct
 from .prompts import Paradigm, assemble_prompt, paradigm_from_string
+
+log = logging.getLogger(__name__)
 
 
 class EmptyDatasetError(ConfigError):
@@ -71,14 +74,40 @@ class EvalRecord:
         )
 
 
-def load_records(path) -> list[EvalRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
+def _read_records(path) -> tuple[list[EvalRecord], int]:
+    """The records of a JSONL file and the byte length of the lines they
+    came from. A torn last line (no final newline, or JSON that does not
+    parse), left by an interrupted append, is skipped with a warning; a
+    malformed line before the last raises."""
+    records: list[EvalRecord] = []
+    complete_bytes = 0
+    torn: ValueError | None = None
+    with open(path, "rb") as handle:
         for line in handle:
-            line = line.strip()
-            if line:
-                records.append(EvalRecord.from_json_dict(json.loads(line)))
-    return records
+            if torn is not None:
+                raise torn
+            if not line.endswith(b"\n"):
+                torn = ValueError("no final newline")
+                continue
+            if line.strip():
+                try:
+                    fields = json.loads(line)
+                except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                    torn = exc
+                    continue
+                records.append(EvalRecord.from_json_dict(fields))
+            complete_bytes += len(line)
+    if torn is not None:
+        log.warning(
+            "%s: the last line is torn (%s); reading %d records before it",
+            path, torn, len(records),
+            extra={"path": str(path), "records": len(records), "torn_at_byte": complete_bytes},
+        )
+    return records, complete_bytes
+
+
+def load_records(path) -> list[EvalRecord]:
+    return _read_records(path)[0]
 
 
 class RecordStore:
@@ -91,9 +120,11 @@ class RecordStore:
         self._records: list[EvalRecord] = []
         self._keys: set[tuple[str, str, str]] = set()
         if os.path.exists(path):
-            for record in load_records(path):
-                self._records.append(record)
-                self._keys.add(record.key())
+            self._records, complete_bytes = _read_records(path)
+            self._keys = {record.key() for record in self._records}
+            if complete_bytes < os.path.getsize(path):
+                # Appending after a torn line would fuse it with the next record.
+                os.truncate(path, complete_bytes)
 
     def __contains__(self, key: tuple[str, str, str]) -> bool:
         return key in self._keys

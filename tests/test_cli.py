@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import metareason
 from metareason.cli import main
 from metareason.demos import load_demonstrations
 from metareason.resolution import Task, load_instances
@@ -161,3 +166,22 @@ class TestLogging:
         main(["--log-json", "generate", "--task", "CF", "--count", "2", "--seed", "0", "--out", str(out)])
         err_lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
         assert err_lines and all(json.loads(line)["level"] for line in err_lines)
+
+
+class TestDependencies:
+    def test_cli_imports_only_the_standard_library(self):
+        script = (
+            "import sys; before = set(sys.modules); import metareason.cli; "
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+        )
+        src = str(Path(metareason.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "metareason" in loaded
+        assert not loaded & {"requests", "urllib3"}
+        assert loaded - set(sys.stdlib_module_names) == {"metareason"}

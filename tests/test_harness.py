@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
-import requests
 
+import metareason
 from metareason.demos import build_demonstration, save_demonstrations
 from metareason.harness import (
     COT_TRIGGER,
@@ -26,6 +30,7 @@ from metareason.harness import (
     backend_from_config,
     complete,
     format_pct,
+    load_records,
     prompt_sha256,
     render_table,
     report_csv,
@@ -128,72 +133,182 @@ class TestReplayBackend:
         assert len(record["prompt_sha256"]) == 64
 
 
+class _CompletionServer(ThreadingHTTPServer):
+    """A loopback HTTP/1.1 keep-alive server that counts the connections it
+    accepts and records each request's line, headers and JSON body.
+
+    ``status`` is the reply status for every request; a server with
+    ``requests_per_connection`` closes each connection, unannounced, after
+    serving that many requests and then sets ``closed``.
+    """
+
+    def __init__(self, status=200, text=" the answer is 4", requests_per_connection=None):
+        super().__init__(("127.0.0.1", 0), _CompletionHandler)
+        self.status = status
+        self.text = text
+        self.requests_per_connection = requests_per_connection
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.requests = []
+        self.closed = threading.Event()
+        self.thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_port}/v1/completions"
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+        self.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.set()
+
+
+class _CompletionHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    timeout = 10  # an idle kept-alive connection ends instead of pinning a thread
+
+    def handle(self):
+        with self.server.lock:
+            self.server.connections += 1
+        served = 0
+        self.close_connection = False
+        while not self.close_connection and served != self.server.requests_per_connection:
+            self.handle_one_request()
+            served += 1
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with self.server.lock:
+            self.server.requests.append((self.requestline, self.headers, body))
+        reply = json.dumps({"choices": [{"text": self.server.text}]}).encode()
+        self.send_response(self.server.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "HTTP_PROXY", "HTTPS_PROXY", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Backoff sleeps, recorded instead of slept."""
+    calls = []
+    monkeypatch.setattr("time.sleep", calls.append)
+    return calls
+
+
 class TestHttpBackend:
-    def test_retries_then_transport_error(self, monkeypatch):
-        calls = []
+    def test_retries_then_transport_error(self, no_proxy_env, sleeps):
+        dials = []
+        create_connection = socket.create_connection
 
-        def failing_post(*args, **kwargs):
-            calls.append(1)
-            raise requests.ConnectionError("refused")
+        def counting_create_connection(*args, **kwargs):
+            dials.append(args[0])
+            return create_connection(*args, **kwargs)
 
-        monkeypatch.setattr(requests, "post", failing_post)
-        monkeypatch.setattr("time.sleep", lambda _: None)
-        backend = HttpBackend(
-            endpoint_url="http://localhost:1/v1/completions",
-            model_name="m",
-            max_retries=2,
-        )
-        with pytest.raises(TransportError):
-            complete(backend, "prompt")
-        assert len(calls) == 3  # initial attempt + two retries
+        no_proxy_env.setattr(socket, "create_connection", counting_create_connection)
+        with socket.socket() as unbound:  # bound but not listening: connections are refused
+            unbound.bind(("127.0.0.1", 0))
+            port = unbound.getsockname()[1]
+            backend = HttpBackend(
+                endpoint_url=f"http://127.0.0.1:{port}/v1/completions",
+                model_name="m",
+                max_retries=2,
+            )
+            with pytest.raises(TransportError, match="after 3 attempts"):
+                complete(backend, "prompt")
+        assert dials == [("127.0.0.1", port)] * 3  # initial attempt + two retries
+        assert sleeps == [0.5, 1.0]
 
-    def test_success_parses_completion_text(self, monkeypatch):
-        class FakeResponse:
-            status_code = 200
+    def test_success_parses_completion_text(self, no_proxy_env):
+        no_proxy_env.setenv("FAKE_TOKEN", "secret")
+        with _CompletionServer() as server:
+            backend = HttpBackend(
+                endpoint_url=server.url, model_name="m", auth_token_env_var="FAKE_TOKEN"
+            )
+            assert complete(backend, "2+2?") == " the answer is 4"
+        [(request_line, headers, payload)] = server.requests
+        assert request_line == "POST /v1/completions HTTP/1.1"
+        assert payload["prompt"] == "2+2?"
+        assert payload["temperature"] == 0.0
+        assert headers["Authorization"] == "Bearer secret"
+        assert headers["Content-Type"] == "application/json"
 
-            @staticmethod
-            def json():
-                return {"choices": [{"text": " the answer is 4"}]}
+    def test_non_retryable_status_fails_fast(self, no_proxy_env, sleeps):
+        with _CompletionServer(status=401) as server:
+            backend = HttpBackend(endpoint_url=server.url, model_name="m", max_retries=5)
+            with pytest.raises(TransportError, match="HTTP 401"):
+                complete(backend, "p")
+        assert len(server.requests) == 1
+        assert sleeps == []
 
-        seen = {}
+    def test_parallel_run_keeps_one_connection_per_worker(self, tmp_path, no_proxy_env):
+        with _CompletionServer(text="So the answer is Yes.") as server:
+            config, _ = _write_eval_setup(
+                tmp_path,
+                count=40,
+                backend={"kind": "http", "endpoint_url": server.url, "model_name": "m",
+                         "parallelism": 2},
+            )
+            config["paradigms"] = ["zero-shot"]
+            config["demos"] = {}
+            report = run_eval(EvalConfig.from_json_dict(config))
+        assert report.cells[("cf", Paradigm.ZERO_SHOT)].total == 40
+        assert len(server.requests) == 40
+        assert 1 <= server.connections <= 2
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen["payload"] = json
-            seen["headers"] = headers
-            return FakeResponse()
+    def test_connection_closed_while_idle_is_redialed(self, no_proxy_env, sleeps):
+        with _CompletionServer(requests_per_connection=2) as server:
+            backend = HttpBackend(endpoint_url=server.url, model_name="m")
+            assert complete(backend, "one") == " the answer is 4"
+            assert complete(backend, "two") == " the answer is 4"
+            assert server.connections == 1
+            assert server.closed.wait(timeout=5)
+            assert complete(backend, "three") == " the answer is 4"
+        assert server.connections == 2
+        assert [payload["prompt"] for _, _, payload in server.requests] == ["one", "two", "three"]
+        assert sleeps == []  # the dropped connection cost no retry
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        monkeypatch.setenv("FAKE_TOKEN", "secret")
-        backend = HttpBackend(
-            endpoint_url="http://example/v1/completions",
-            model_name="m",
-            auth_token_env_var="FAKE_TOKEN",
-        )
-        assert complete(backend, "2+2?") == " the answer is 4"
-        assert seen["payload"]["prompt"] == "2+2?"
-        assert seen["payload"]["temperature"] == 0.0
-        assert seen["headers"]["Authorization"] == "Bearer secret"
+    def test_http_proxy_gets_the_absolute_uri(self, no_proxy_env):
+        endpoint = "http://completions.example:8080/v1/completions?x=1"
+        with _CompletionServer() as proxy:
+            no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_port}")
+            backend = HttpBackend(endpoint_url=endpoint, model_name="m")
+            assert complete(backend, "p") == " the answer is 4"
+        [(request_line, headers, _)] = proxy.requests
+        assert request_line == f"POST {endpoint} HTTP/1.1"
+        assert headers["Host"] == "completions.example:8080"
+        assert headers["User-Agent"] == f"metareason/{metareason.__version__}"
 
-    def test_non_retryable_status_fails_fast(self, monkeypatch):
-        class Denied:
-            status_code = 401
+    def test_no_proxy_host_goes_direct(self, no_proxy_env):
+        with _CompletionServer() as proxy, _CompletionServer() as server:
+            no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_port}")
+            no_proxy_env.setenv("NO_PROXY", "localhost,127.0.0.1")
+            backend = HttpBackend(endpoint_url=server.url, model_name="m")
+            assert complete(backend, "p") == " the answer is 4"
+        assert proxy.requests == []
+        [(request_line, _, _)] = server.requests
+        assert request_line == "POST /v1/completions HTTP/1.1"
 
-        calls = []
-
-        def fake_post(*args, **kwargs):
-            calls.append(1)
-            return Denied()
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        backend = HttpBackend(endpoint_url="http://x", model_name="m", max_retries=5)
-        with pytest.raises(TransportError):
-            complete(backend, "p")
-        assert len(calls) == 1
-
-    def test_against_live_local_server(self):
-        import threading
-        from http.server import BaseHTTPRequestHandler, HTTPServer
-
+    def test_against_live_local_server(self, no_proxy_env, caplog):
         class Handler(BaseHTTPRequestHandler):
             hits = 0
 
@@ -227,12 +342,18 @@ class TestHttpBackend:
                 max_retries=2,
                 timeout=5.0,
             )
-            completion = complete(backend, "Q: 3+4?\nA:")
+            with caplog.at_level(logging.WARNING, logger="metareason.harness.backends"):
+                completion = complete(backend, "Q: 3+4?\nA:")
             assert completion == "echo:test-model:the answer is 7"
             assert Handler.hits == 2
         finally:
             server.shutdown()
+            server.server_close()
             thread.join(timeout=5)
+        [retry] = [r for r in caplog.records if r.name == "metareason.harness.backends"]
+        assert retry.levelno == logging.WARNING
+        assert (retry.attempt, retry.status, retry.backoff_s) == (1, 503, 0.5)
+        assert not hasattr(retry, "error")
 
 
 class TestBackendConfig:
@@ -363,6 +484,42 @@ class TestRunEval:
         shutil.rmtree(out_dir)
         run_eval(EvalConfig.from_json_dict(config))
         assert (out_dir / "report.json").read_bytes() == resumed_report
+
+    def test_resume_after_a_torn_record_line(self, tmp_path, caplog):
+        import shutil
+
+        config, _ = _write_eval_setup(tmp_path)
+        out_dir = tmp_path / "out"
+        records_path = out_dir / "records.jsonl"
+        run_eval(EvalConfig.from_json_dict(config))
+        uninterrupted = (out_dir / "report.json").read_bytes()
+
+        shutil.rmtree(out_dir)
+        run_eval(EvalConfig.from_json_dict(config), max_records=5)
+        complete_lines = records_path.read_bytes()
+        torn = complete_lines.splitlines(keepends=True)[0][:200]
+        records_path.write_bytes(complete_lines + torn)
+        with caplog.at_level(logging.WARNING, logger="metareason.harness.runner"):
+            run_eval(EvalConfig.from_json_dict(config))
+        assert (out_dir / "report.json").read_bytes() == uninterrupted
+        assert records_path.read_bytes().startswith(complete_lines)
+        assert len(records_path.read_bytes().splitlines()) == 12
+        [warning] = [r for r in caplog.records if r.name == "metareason.harness.runner"]
+        assert (warning.records, warning.torn_at_byte) == (5, len(complete_lines))
+
+    def test_unparseable_last_line_is_dropped_but_a_middle_one_raises(self, tmp_path):
+        config, _ = _write_eval_setup(tmp_path)
+        run_eval(EvalConfig.from_json_dict(config), max_records=3)
+        records_path = tmp_path / "out" / "records.jsonl"
+        lines = records_path.read_bytes().splitlines(keepends=True)
+        records_path.write_bytes(b"".join(lines) + b'{"instance_id": \n')
+        assert len(load_records(records_path)) == 3
+        assert len(records_path.read_bytes().splitlines()) == 4  # reading leaves the file
+        records_path.write_bytes(lines[0] + b"{not json}\n" + b"".join(lines[1:]))
+        with pytest.raises(json.JSONDecodeError):
+            load_records(records_path)
+        with pytest.raises(json.JSONDecodeError):
+            run_eval(EvalConfig.from_json_dict(config))
 
     def test_missing_demo_spec_is_config_error(self, tmp_path):
         config, _ = _write_eval_setup(tmp_path)
