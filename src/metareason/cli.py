@@ -237,11 +237,21 @@ def _cmd_report(args) -> None:
         sys.stdout.write(text)
 
 
+# Attributes every LogRecord has; anything else on a record came from ``extra=``.
+_STANDARD_LOG_ATTRS = frozenset(vars(logging.makeLogRecord({}))) | {"message", "asctime"}
+
+
 class _JsonLogFormatter(logging.Formatter):
     def format(self, record):
-        return json.dumps(
-            {"level": record.levelname.lower(), "name": record.name, "message": record.getMessage()}
-        )
+        fields = {
+            "level": record.levelname.lower(),
+            "name": record.name,
+            "message": record.getMessage(),
+        }
+        for key, value in vars(record).items():
+            if key not in _STANDARD_LOG_ATTRS:
+                fields.setdefault(key, value)
+        return json.dumps(fields, default=str)
 
 
 def _configure_logging(quiet: bool, log_json: bool) -> None:

@@ -132,7 +132,7 @@ def render_question(question: str, options: Sequence[str] | None) -> str:
 
 
 def _check_trace(mq: MetaQuestion, trace: Trace) -> None:
-    if eval_program(mq.program) != trace:
+    if trace.program != mq.program:
         raise TraceMismatchError("trace was not produced by this program")
 
 

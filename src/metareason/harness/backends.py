@@ -7,6 +7,7 @@ import hashlib
 import http.client
 import json
 import logging
+import math
 import os
 import select
 import threading
@@ -95,8 +96,16 @@ def backend_from_config(config: dict) -> BackendSpec:
         raise ConfigError(f"unknown backend kind {kind!r}")
     if spec.parallelism < 1:
         raise ConfigError("parallelism must be >= 1")
-    if isinstance(spec, HttpBackend) and spec.temperature < 0:
-        raise ConfigError("temperature must be >= 0")
+    if isinstance(spec, HttpBackend):
+        # Chained comparisons are false for NaN, so these reject it too.
+        if not 0 <= spec.temperature < math.inf:
+            raise ConfigError("temperature must be finite and >= 0")
+        if not 0 < spec.timeout < math.inf:
+            raise ConfigError("timeout must be finite and > 0")
+        if spec.max_tokens < 1:
+            raise ConfigError("max_tokens must be >= 1")
+        if spec.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
     return spec
 
 

@@ -97,4 +97,5 @@ def normalize_answer(task: Task, text: str) -> str:
 
 
 def is_correct(task: Task, extracted: str, gold: str) -> bool:
-    return normalize_answer(task, extracted) == normalize_answer(task, gold)
+    # Equal texts normalize alike; only differing ones need normalizing.
+    return extracted == gold or normalize_answer(task, extracted) == normalize_answer(task, gold)

@@ -38,12 +38,14 @@ COT_TRIGGER = "Let's think step by step."
 _DEMO_PARADIGMS = (Paradigm.FEW_SHOT, Paradigm.FEW_SHOT_COT, Paradigm.META_REASONING)
 
 
+_PARADIGMS_BY_VALUE = {paradigm.value: paradigm for paradigm in Paradigm}
+
+
 def paradigm_from_string(text: str) -> Paradigm:
-    key = text.strip().lower().replace("_", "-")
-    for paradigm in Paradigm:
-        if paradigm.value == key:
-            return paradigm
-    raise ValueError(f"unknown paradigm {text!r}")
+    try:
+        return _PARADIGMS_BY_VALUE[text.strip().lower().replace("_", "-")]
+    except KeyError:
+        raise ValueError(f"unknown paradigm {text!r}") from None
 
 
 def assemble_prompt(

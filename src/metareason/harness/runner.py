@@ -11,6 +11,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from ..demos import Demonstration, load_demonstrations, select_demos
 from ..resolution import TSO_TASKS, Task, TaskInstance, load_instances, task_from_string
@@ -27,8 +28,9 @@ class EmptyDatasetError(ConfigError):
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """One scored item. ``correct`` is recomputed from extracted/gold at
-    scoring time, so aggregation is order-independent."""
+    """One scored item. ``correct`` is the verdict on extracted/gold, made
+    once: when the item is run, or when its stored record is loaded (the
+    stored copy is not trusted)."""
 
     instance_id: str
     dataset: str
@@ -60,16 +62,19 @@ class EvalRecord:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "EvalRecord":
+        task = task_from_string(record["task"])
+        extracted = record.get("extracted", "")
+        gold = str(record.get("gold", ""))
         return cls(
             instance_id=str(record["instance_id"]),
             dataset=record["dataset"],
-            task=task_from_string(record["task"]),
+            task=task,
             paradigm=paradigm_from_string(record["paradigm"]),
             prompt=record.get("prompt", ""),
             completion=record.get("completion", ""),
-            extracted=record.get("extracted", ""),
-            gold=str(record.get("gold", "")),
-            correct=bool(record.get("correct", False)),
+            extracted=extracted,
+            gold=gold,
+            correct=is_correct(task, extracted, gold),
             latency_ms=float(record.get("latency_ms", 0.0)),
         )
 
@@ -112,11 +117,15 @@ def load_records(path) -> list[EvalRecord]:
 
 class RecordStore:
     """Append-only JSONL persistence; one complete line per record, flushed
-    immediately, so an interrupted run resumes from what reached disk."""
+    immediately, so an interrupted run resumes from what reached disk.
+
+    The file is opened for append once, at the first new record, and kept
+    open until ``close`` (or the end of a ``with`` block)."""
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
+        self._handle: TextIO | None = None
         self._records: list[EvalRecord] = []
         self._keys: set[tuple[str, str, str]] = set()
         if os.path.exists(path):
@@ -126,6 +135,18 @@ class RecordStore:
                 # Appending after a torn line would fuse it with the next record.
                 os.truncate(path, complete_bytes)
 
+    def __enter__(self) -> "RecordStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+
     def __contains__(self, key: tuple[str, str, str]) -> bool:
         return key in self._keys
 
@@ -134,9 +155,10 @@ class RecordStore:
         with self._lock:
             if record.key() in self._keys:
                 return
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle.write(line)
+            self._handle.flush()
             self._records.append(record)
             self._keys.add(record.key())
 
@@ -256,18 +278,19 @@ class EvalReport:
 
 
 def score(records: list[EvalRecord], config: dict | None = None) -> EvalReport:
-    """Aggregate records into a report; correctness is recomputed."""
+    """Aggregate records into a report, counting each record's verdict."""
     if not records:
         raise EmptyDatasetError("no records to score")
+    ordered = sorted(records, key=EvalRecord.key)
     cells: dict[tuple[str, Paradigm], list[int]] = {}
     dataset_tasks: dict[str, Task] = {}
-    for record in sorted(records, key=lambda r: r.key()):
+    for record in ordered:
         dataset_tasks[record.dataset] = record.task
         bucket = cells.setdefault((record.dataset, record.paradigm), [0, 0])
-        bucket[0] += int(is_correct(record.task, record.extracted, record.gold))
+        bucket[0] += record.correct
         bucket[1] += 1
     return EvalReport(
-        records=sorted(records, key=lambda r: r.key()),
+        records=ordered,
         cells={key: CellStats(c, t) for key, (c, t) in cells.items()},
         dataset_tasks=dataset_tasks,
         config=config,
@@ -348,25 +371,26 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
 
     budget = len(jobs) if max_records is None else min(max_records, len(jobs))
     parallelism = getattr(config.backend, "parallelism", 1)
-    if parallelism <= 1:
-        for dataset, paradigm, demos, inst in jobs[:budget]:
-            store.append(_run_one(config.backend, dataset, paradigm, demos, inst))
-    else:
-        submitted = 0
-        pending = set()
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            while submitted < budget or pending:
-                while submitted < budget and len(pending) < parallelism:
-                    dataset, paradigm, demos, inst = jobs[submitted]
-                    pending.add(
-                        pool.submit(_run_one, config.backend, dataset, paradigm, demos, inst)
-                    )
-                    submitted += 1
-                if not pending:
-                    break
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    store.append(future.result())
+    with store:
+        if parallelism <= 1:
+            for dataset, paradigm, demos, inst in jobs[:budget]:
+                store.append(_run_one(config.backend, dataset, paradigm, demos, inst))
+        else:
+            submitted = 0
+            pending = set()
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                while submitted < budget or pending:
+                    while submitted < budget and len(pending) < parallelism:
+                        dataset, paradigm, demos, inst = jobs[submitted]
+                        pending.add(
+                            pool.submit(_run_one, config.backend, dataset, paradigm, demos, inst)
+                        )
+                        submitted += 1
+                    if not pending:
+                        break
+                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        store.append(future.result())
 
     report = score(store.records(), config=config.snapshot)
     _write_reports(report, config.output_dir)

@@ -138,11 +138,13 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class Trace:
-    """Step-by-step execution record: one environment snapshot per statement."""
+    """Step-by-step execution record: one environment snapshot per statement,
+    and the program that was run."""
 
     steps: tuple[TraceStep, ...]
     final_env: tuple[tuple[str, Value], ...]
     answer: Value
+    program: MetaProgram
 
     def final(self) -> dict[str, Value]:
         return dict(self.final_env)

@@ -41,7 +41,9 @@ def eval_program(program: MetaProgram) -> Trace:
         _apply(stmt, env)
         steps.append(TraceStep(stmt=stmt, env=tuple(env.items())))
     answer = _answer(program.query, env)
-    return Trace(steps=tuple(steps), final_env=tuple(env.items()), answer=answer)
+    return Trace(
+        steps=tuple(steps), final_env=tuple(env.items()), answer=answer, program=program
+    )
 
 
 def _numeric(value: Value, context: str) -> int | Fraction:

@@ -52,12 +52,14 @@ YES_NO_TASKS = frozenset({Task.CF, Task.WOL})
 NUMERIC_TASKS = frozenset({Task.MA, Task.AS})
 
 
+_TASKS_BY_KEY = {task.value.upper(): task for task in Task}
+
+
 def task_from_string(text: str) -> Task:
-    key = text.strip().upper()
-    for task in Task:
-        if task.value.upper() == key:
-            return task
-    raise ValueError(f"unknown task {text!r}")
+    try:
+        return _TASKS_BY_KEY[text.strip().upper()]
+    except KeyError:
+        raise ValueError(f"unknown task {text!r}") from None
 
 
 def tso_object_count(task: Task) -> int:

@@ -130,6 +130,25 @@ class TestEvalReport:
                      "--out", str(tmp_path / "r.json")]) == 0
         assert json.loads((tmp_path / "r.json").read_text())["summary"]
 
+    def test_report_verdicts_agree_with_the_cell_counts(self, tmp_path):
+        config_path = self._setup(tmp_path)
+        assert main(["eval", "--config", str(config_path)]) == 0
+        records = tmp_path / "out" / "records.jsonl"
+        stored = [json.loads(line) for line in records.read_text().splitlines()]
+        for record in stored:
+            record["correct"] = not record["correct"]  # every stored verdict is now false
+        stored[0]["extracted"] = "Z"  # and one answer is now wrong
+        records.write_text("".join(json.dumps(record) + "\n" for record in stored))
+        out = tmp_path / "r.json"
+        assert main(["report", "--records", str(records), "--format", "json",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        [cell] = report["cells"]
+        assert (cell["correct"], cell["total"]) == (9, 10)
+        verdicts = [record["correct"] for record in report["records"]]
+        assert verdicts == [record["extracted"] == record["gold"] for record in report["records"]]
+        assert sum(verdicts) == cell["correct"]
+
     def test_bad_config_is_validation_error(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"datasets": [], "paradigms": [], "backend": {"kind": "oracle"}}))

@@ -79,6 +79,22 @@ class TestCompletelySerial:
         with pytest.raises(TraceMismatchError):
             build_completely_serial(eggs_instance, mq, wrong_trace)
 
+    def test_builders_check_the_trace_without_running_the_program(
+        self, monkeypatch, eggs_instance, dance_instance
+    ):
+        cases = []
+        for inst in (eggs_instance, dance_instance):
+            mq, trace = _resolved(inst)
+            for build in (build_completely_serial, build_cross_serial):
+                cases.append((build, inst, mq, trace, build(inst, mq, trace)))
+
+        def no_eval(program):
+            raise AssertionError("a demo build ran the program")
+
+        monkeypatch.setattr("metareason.demos.eval_program", no_eval)
+        for build, inst, mq, trace, demo in cases:
+            assert build(inst, mq, trace) == demo
+
 
 class TestCrossSerial:
     def test_tracking_subblocks(self, dance_instance):

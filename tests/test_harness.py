@@ -12,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 import pytest
 
 import metareason
+from metareason.cli import _configure_logging
 from metareason.demos import build_demonstration, save_demonstrations
 from metareason.harness import (
     COT_TRIGGER,
@@ -31,6 +32,7 @@ from metareason.harness import (
     complete,
     format_pct,
     load_records,
+    paradigm_from_string,
     prompt_sha256,
     render_table,
     report_csv,
@@ -39,7 +41,7 @@ from metareason.harness import (
     save_fixtures,
     score,
 )
-from metareason.resolution import Task, save_instances
+from metareason.resolution import Task, save_instances, task_from_string
 from metareason.taskgen import GenConfig, generate
 
 
@@ -92,6 +94,18 @@ class TestPrompts:
             assemble_prompt(Paradigm.ZERO_SHOT, [demo], dance_instance)
         with pytest.raises(IncompatibleDemosError):
             assemble_prompt(Paradigm.META_REASONING, [], dance_instance)
+
+
+class TestNames:
+    def test_task_and_paradigm_names_fold_case_and_underscores(self):
+        assert task_from_string("wol") is Task.WOL
+        assert task_from_string(" TSO7 ") is Task.TSO7
+        assert paradigm_from_string("few_shot_cot") is Paradigm.FEW_SHOT_COT
+        assert paradigm_from_string(" Meta-Reasoning ") is Paradigm.META_REASONING
+        with pytest.raises(ValueError, match="unknown task 'TSO4'"):
+            task_from_string("TSO4")
+        with pytest.raises(ValueError, match="unknown paradigm 'one-shot'"):
+            paradigm_from_string("one-shot")
 
 
 class TestOracleBackend:
@@ -374,6 +388,20 @@ class TestBackendConfig:
             backend_from_config({"kind": "http", "endpoint_url": "u"})
         with pytest.raises(ConfigError):
             backend_from_config({"kind": "oracle", "parallelism": 0})
+        http = {"kind": "http", "endpoint_url": "u", "model_name": "m"}
+        for key, value in (
+            ("temperature", "nan"),
+            ("temperature", "inf"),
+            ("temperature", -0.5),
+            ("timeout", -1),
+            ("timeout", 0),
+            ("timeout", "nan"),
+            ("max_tokens", 0),
+            ("max_retries", -1),
+        ):
+            with pytest.raises(ConfigError, match=key):
+                backend_from_config({**http, key: value})
+        assert backend_from_config({**http, "max_retries": 0}).max_retries == 0
 
 
 class TestScore:
@@ -521,6 +549,43 @@ class TestRunEval:
         with pytest.raises(json.JSONDecodeError):
             run_eval(EvalConfig.from_json_dict(config))
 
+    def test_a_run_opens_its_records_file_for_append_once(self, tmp_path, monkeypatch):
+        import builtins
+
+        config, _ = _write_eval_setup(tmp_path, count=40)
+        records_path = str(tmp_path / "out" / "records.jsonl")
+        appends = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if str(file) == records_path and "a" in mode:
+                appends.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        report = run_eval(EvalConfig.from_json_dict(config))
+        assert report.cells[("cf", Paradigm.META_REASONING)].total == 40
+        assert appends == ["a"]
+
+    def test_each_record_is_on_disk_before_the_next_item_runs(self, tmp_path, monkeypatch):
+        from metareason.harness import runner
+
+        config, _ = _write_eval_setup(tmp_path)
+        records_path = tmp_path / "out" / "records.jsonl"
+        seen = []
+        real_complete = runner.complete
+
+        def reading_complete(backend, prompt):
+            data = records_path.read_bytes() if records_path.exists() else b""
+            lines = data.splitlines(keepends=True)
+            assert all(line.endswith(b"\n") for line in lines)
+            seen.append(len([json.loads(line) for line in lines]))
+            return real_complete(backend, prompt)
+
+        monkeypatch.setattr(runner, "complete", reading_complete)
+        run_eval(EvalConfig.from_json_dict(config))
+        assert seen == list(range(12))
+
     def test_missing_demo_spec_is_config_error(self, tmp_path):
         config, _ = _write_eval_setup(tmp_path)
         config["demos"] = {}
@@ -548,3 +613,42 @@ class TestRunEval:
         config["demos"] = {}
         report = run_eval(EvalConfig.from_json_dict(config))
         assert report.cells[("cf", Paradigm.ZERO_SHOT)].accuracy == 1.0
+
+
+@pytest.fixture
+def restore_logging():
+    """Put the ``metareason`` logger back as it was before the test configured it."""
+    logger = logging.getLogger("metareason")
+    handlers, level = logger.handlers[:], logger.level
+    yield
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
+
+
+class TestJsonLogs:
+    """``--log-json`` prints the ``extra=`` fields of library warnings."""
+
+    def test_http_retry_prints_its_fields(self, no_proxy_env, sleeps, capsys, restore_logging):
+        _configure_logging(False, True)
+        with _CompletionServer(status=503) as server:
+            backend = HttpBackend(endpoint_url=server.url, model_name="m", max_retries=1)
+            with pytest.raises(TransportError, match="after 2 attempts"):
+                complete(backend, "p")
+        [retry] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert (retry["level"], retry["name"]) == ("warning", "metareason.harness.backends")
+        assert (retry["attempt"], retry["status"], retry["backoff_s"]) == (1, 503, 0.5)
+
+    def test_torn_record_prints_its_fields(self, tmp_path, capsys, restore_logging):
+        config, _ = _write_eval_setup(tmp_path)
+        run_eval(EvalConfig.from_json_dict(config), max_records=3)
+        records_path = tmp_path / "out" / "records.jsonl"
+        complete_bytes = records_path.stat().st_size
+        with open(records_path, "ab") as handle:
+            handle.write(b'{"instance_id": ')
+        _configure_logging(False, True)
+        assert len(load_records(records_path)) == 3
+        [torn] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert (torn["level"], torn["name"]) == ("warning", "metareason.harness.runner")
+        assert (torn["path"], torn["records"], torn["torn_at_byte"]) == (
+            str(records_path), 3, complete_bytes,
+        )
