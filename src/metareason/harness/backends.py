@@ -15,7 +15,7 @@ import time
 import urllib.parse
 import urllib.request
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .. import __version__
 from ..demos import FusionMode, build_completely_serial, build_cross_serial, default_mode
@@ -56,11 +56,22 @@ class HttpBackend:
 class ReplayBackend:
     fixture_path: str
     parallelism: int = 1
+    # prompt SHA-256 → completion, read from fixture_path at first use.
+    _fixtures: dict[str, str] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
 class OracleBackend:
     parallelism: int = 1
+    # (question, options) → rationale: every paradigm's prompt for an item
+    # ends with the same target question, so each is solved once. Unbounded,
+    # because it holds one string per distinct question and the run's
+    # records already hold that same string.
+    _solved: dict[tuple[str, tuple[str, ...] | None], str] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
 
 BackendSpec = HttpBackend | ReplayBackend | OracleBackend
@@ -133,14 +144,14 @@ def save_fixtures(path, pairs: dict[str, str]) -> None:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-_FIXTURE_CACHE: dict[str, dict[str, str]] = {}
-
-
 def _replay_complete(backend: ReplayBackend, prompt: str) -> str:
-    fixtures = _FIXTURE_CACHE.get(backend.fixture_path)
+    fixtures = backend._fixtures
     if fixtures is None:
+        # Published whole by one attribute store, so no thread sees a
+        # half-read table; threads that race here each read the same file.
+        # Frozen guards the backend's identity, not this cache.
         fixtures = load_fixtures(backend.fixture_path)
-        _FIXTURE_CACHE[backend.fixture_path] = fixtures
+        object.__setattr__(backend, "_fixtures", fixtures)
     digest = prompt_sha256(prompt)
     if digest not in fixtures:
         raise FixtureMissError(f"no fixture for prompt {digest[:12]}…")
@@ -301,8 +312,17 @@ def _target_question(prompt: str) -> tuple[str, tuple[str, ...] | None]:
     return body.strip(), None
 
 
-def _oracle_complete(prompt: str) -> str:
-    question, options = _target_question(prompt)
+def _oracle_complete(backend: OracleBackend, prompt: str) -> str:
+    target = _target_question(prompt)
+    rationale = backend._solved.get(target)
+    if rationale is None:
+        # Threads that race here solve the same pure question and store the
+        # same text. An unresolvable question raises and is not stored.
+        rationale = backend._solved[target] = _oracle_solve(*target)
+    return rationale
+
+
+def _oracle_solve(question: str, options: tuple[str, ...] | None) -> str:
     try:
         task, mq = resolve_any(question, options)
     except TemplateMismatchError as exc:
@@ -326,5 +346,5 @@ def complete(backend: BackendSpec, prompt: str) -> str:
     if isinstance(backend, ReplayBackend):
         return _replay_complete(backend, prompt)
     if isinstance(backend, OracleBackend):
-        return _oracle_complete(prompt)
+        return _oracle_complete(backend, prompt)
     raise ConfigError(f"unknown backend {backend!r}")

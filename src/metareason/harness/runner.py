@@ -350,6 +350,8 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
     (the hook that models an interrupted run). Writes ``records.jsonl``,
     ``report.json``, and ``report.txt`` under the output directory.
     """
+    if max_records is not None and max_records < 0:
+        raise ConfigError(f"max_records must be >= 0, got {max_records}")
     os.makedirs(config.output_dir, exist_ok=True)
     datasets: list[tuple[DatasetSpec, list[TaskInstance]]] = []
     for spec in config.datasets:
@@ -392,7 +394,13 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
                     for future in done:
                         store.append(future.result())
 
-    report = score(store.records(), config=config.snapshot)
+    records = store.records()
+    if not records:  # only a zero budget over an empty directory gets here
+        raise EmptyDatasetError(
+            f"max_records={max_records} produced no records, and "
+            f"{config.output_dir} holds none to score"
+        )
+    report = score(records, config=config.snapshot)
     _write_reports(report, config.output_dir)
     return report
 

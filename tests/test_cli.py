@@ -149,6 +149,27 @@ class TestEvalReport:
         assert verdicts == [record["extracted"] == record["gold"] for record in report["records"]]
         assert sum(verdicts) == cell["correct"]
 
+    def test_negative_max_records_is_validation_error(self, tmp_path, capsys):
+        config_path = self._setup(tmp_path)
+        config = json.loads(config_path.read_text())
+        for parallelism in (1, 2):
+            config["backend"] = {"kind": "oracle", "parallelism": parallelism}
+            config_path.write_text(json.dumps(config))
+            assert main(["eval", "--config", str(config_path), "--max-records", "-2"]) == 1
+            assert "max_records must be >= 0" in capsys.readouterr().err
+            assert not (tmp_path / "out" / "records.jsonl").exists()
+
+    def test_zero_max_records_rescores_an_existing_run(self, tmp_path, capsys):
+        config_path = self._setup(tmp_path)
+        assert main(["eval", "--config", str(config_path), "--max-records", "0"]) == 1
+        assert "max_records=0 produced no records" in capsys.readouterr().err
+        assert main(["eval", "--config", str(config_path)]) == 0
+        report = tmp_path / "out" / "report.json"
+        first = report.read_bytes()
+        report.unlink()
+        assert main(["eval", "--config", str(config_path), "--max-records", "0"]) == 0
+        assert report.read_bytes() == first
+
     def test_bad_config_is_validation_error(self, tmp_path, capsys):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"datasets": [], "paradigms": [], "backend": {"kind": "oracle"}}))

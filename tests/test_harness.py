@@ -6,6 +6,7 @@ import json
 import logging
 import random
 import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
@@ -126,8 +127,35 @@ class TestOracleBackend:
         assert completion.endswith("the answer is: no.")
 
     def test_unresolvable_prompt(self):
-        with pytest.raises(OracleUnresolvableError):
-            complete(OracleBackend(), "Q: What is the meaning of life?\nA:")
+        backend = OracleBackend()
+        for _ in range(2):  # a failed solve is not stored, so it raises every time
+            with pytest.raises(OracleUnresolvableError):
+                complete(backend, "Q: What is the meaning of life?\nA:")
+
+    def test_a_run_solves_each_target_question_once(self, tmp_path, monkeypatch):
+        from metareason.harness import backends
+
+        config, instances = _write_eval_setup(tmp_path)
+        config["paradigms"] = [paradigm.value for paradigm in Paradigm]
+        questions = []
+        real_resolve_any = backends.resolve_any
+
+        def counting_resolve_any(question, options=None):
+            questions.append(question)
+            return real_resolve_any(question, options)
+
+        monkeypatch.setattr(backends, "resolve_any", counting_resolve_any)
+        report = run_eval(EvalConfig.from_json_dict(config))
+        assert len(report.records) == 5 * len(instances)
+        assert all(cell.accuracy == 1.0 for cell in report.cells.values())
+        assert sorted(questions) == sorted(inst.question for inst in instances)
+
+    def test_solved_table_leaves_equality_hash_and_repr_alone(self, coin_instance):
+        used, fresh = OracleBackend(), OracleBackend()
+        complete(used, assemble_prompt(Paradigm.ZERO_SHOT, [], coin_instance))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "OracleBackend(parallelism=1)"
+        assert len(used._solved) == 1 and not fresh._solved
 
 
 class TestReplayBackend:
@@ -138,6 +166,13 @@ class TestReplayBackend:
         assert complete(backend, "prompt one") == "completion one"
         with pytest.raises(FixtureMissError):
             complete(backend, "prompt two")
+
+    def test_a_new_backend_reads_a_rewritten_fixture_file(self, tmp_path):
+        path = tmp_path / "fixtures.jsonl"
+        save_fixtures(path, {"prompt": "old completion"})
+        assert complete(ReplayBackend(fixture_path=str(path)), "prompt") == "old completion"
+        save_fixtures(path, {"prompt": "new completion"})
+        assert complete(ReplayBackend(fixture_path=str(path)), "prompt") == "new completion"
 
     def test_fixture_hashes_are_sha256(self, tmp_path):
         path = tmp_path / "fixtures.jsonl"
@@ -603,9 +638,33 @@ class TestRunEval:
             run_eval(EvalConfig.from_json_dict(config))
 
     def test_parallel_dispatch_matches_sequential(self, tmp_path):
-        config, _ = _write_eval_setup(tmp_path, backend={"kind": "oracle", "parallelism": 4})
-        report = run_eval(EvalConfig.from_json_dict(config))
-        assert report.cells[("cf", Paradigm.META_REASONING)].accuracy == 1.0
+        config, _ = _write_eval_setup(tmp_path)
+        config["paradigms"] = [paradigm.value for paradigm in Paradigm]
+        sequential = run_eval(EvalConfig.from_json_dict(config))
+        # Unused fixtures make the first load long enough for the other
+        # workers to arrive while it runs.
+        fixtures = {f"unused prompt {i}": "" for i in range(20000)}
+        fixtures.update({r.prompt: r.completion for r in sequential.records})
+        fixture_path = tmp_path / "fixtures.jsonl"
+        save_fixtures(fixture_path, fixtures)
+
+        def contents(run):
+            return [(r.key(), r.completion, r.extracted, r.correct) for r in run.records]
+
+        parallel_backends = {
+            "oracle": {"kind": "oracle", "parallelism": 4},
+            "replay": {"kind": "replay", "fixture_path": str(fixture_path), "parallelism": 4},
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often inside the backends' shared tables
+        try:
+            for name, backend in parallel_backends.items():
+                config.update(backend=backend, output_dir=str(tmp_path / name))
+                report = run_eval(EvalConfig.from_json_dict(config))
+                assert report.cells[("cf", Paradigm.META_REASONING)].accuracy == 1.0
+                assert contents(report) == contents(sequential)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_zero_shot_needs_no_demos(self, tmp_path):
         config, _ = _write_eval_setup(tmp_path)
