@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import json
+from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
 
 from ..resolution import Task
 from .prompts import DISPLAY_NAMES, Paradigm
@@ -31,6 +32,19 @@ _COLUMN_HEADERS = {
     Task.TSO5: "TSO(5)",
     Task.TSO7: "TSO(7)",
 }
+
+# One element of report.json's "records" array, as json.dumps(indent=2,
+# sort_keys=True) lays it out at that depth.
+_RECORD_ITEM = """\
+    {
+      "correct": %s,
+      "dataset": %s,
+      "extracted": %s,
+      "gold": %s,
+      "instance_id": %s,
+      "paradigm": %s
+    }"""
+_NO_RECORDS = '\n  "records": []'
 
 
 def format_pct(fraction: float | None) -> str:
@@ -64,8 +78,13 @@ def render_table(report: EvalReport) -> str:
 def report_json(report: EvalReport) -> str:
     """Deterministic JSON document: accuracies, per-item verdicts, config.
 
-    Prompts, completions, and latencies stay in records.jsonl; excluding
-    them here keeps resumed and uninterrupted runs byte-identical.
+    The text is ``json.dumps(document, indent=2, sort_keys=True,
+    ensure_ascii=False)`` plus a newline. Prompts, completions, and
+    latencies stay in records.jsonl; excluding them here keeps resumed and
+    uninterrupted runs byte-identical. ``indent`` sends ``json.dumps`` to
+    its pure-Python encoder, so the per-item block, most of the document,
+    is formatted from ``_RECORD_ITEM`` with the C string escaper (its
+    record fields must be ``str``) and spliced in.
     """
     cells = []
     for (dataset, paradigm), stats in sorted(
@@ -92,23 +111,25 @@ def report_json(report: EvalReport) -> str:
         row["TSO(Avg.)"] = format_pct(report.tso_average(paradigm))
         row["Avg."] = format_pct(report.overall_average(paradigm))
         summary[paradigm.value] = row
-    document = {
-        "cells": cells,
-        "summary": summary,
-        "records": [
-            {
-                "instance_id": record.instance_id,
-                "dataset": record.dataset,
-                "paradigm": record.paradigm.value,
-                "extracted": record.extracted,
-                "gold": record.gold,
-                "correct": record.correct,
-            }
-            for record in report.records
-        ],
-        "config": report.config,
-    }
-    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    document = {"cells": cells, "summary": summary, "records": [], "config": report.config}
+    text = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    if not report.records:
+        return text
+    items = [
+        _RECORD_ITEM
+        % (
+            "true" if record.correct else "false",
+            encode_basestring(record.dataset),
+            encode_basestring(record.extracted),
+            encode_basestring(record.gold),
+            encode_basestring(record.instance_id),
+            encode_basestring(record.paradigm.value),
+        )
+        for record in report.records
+    ]
+    # Only the document's own keys sit at a two-space indent (a string never
+    # holds a raw newline), so this matches the top-level "records" alone.
+    return text.replace(_NO_RECORDS, '\n  "records": [\n' + ",\n".join(items) + "\n  ]", 1)
 
 
 def report_csv(report: EvalReport) -> str:

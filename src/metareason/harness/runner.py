@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 import os
 import threading
 import time
@@ -24,6 +25,20 @@ log = logging.getLogger(__name__)
 
 class EmptyDatasetError(ConfigError):
     """A dataset file contains no instances (or no records were given)."""
+
+
+class RecordLineError(ValueError):
+    """A complete line of a records file that holds no record."""
+
+    def __init__(self, path, line_number: int, problem: str):
+        super().__init__(f"{path}: line {line_number}: {problem}")
+        self.path = str(path)
+        self.line_number = line_number
+
+
+# Exact stored values; anything else goes through the folding *_from_string.
+_TASKS_BY_VALUE = {task.value: task for task in Task}
+_PARADIGMS_BY_VALUE = {paradigm.value: paradigm for paradigm in Paradigm}
 
 
 @dataclass(frozen=True)
@@ -62,14 +77,22 @@ class EvalRecord:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "EvalRecord":
-        task = task_from_string(record["task"])
+        """Raises KeyError, TypeError, AttributeError or ValueError for a
+        value that is not a record (``_record_problem`` says which field)."""
+        task = _TASKS_BY_VALUE.get(record["task"]) or task_from_string(record["task"])
+        paradigm = _PARADIGMS_BY_VALUE.get(record["paradigm"]) or paradigm_from_string(
+            record["paradigm"]
+        )
+        dataset = record["dataset"]
         extracted = record.get("extracted", "")
+        if type(dataset) is not str or type(extracted) is not str:
+            raise TypeError("dataset and extracted must be strings")
         gold = str(record.get("gold", ""))
         return cls(
             instance_id=str(record["instance_id"]),
-            dataset=record["dataset"],
+            dataset=dataset,
             task=task,
-            paradigm=paradigm_from_string(record["paradigm"]),
+            paradigm=paradigm,
             prompt=record.get("prompt", ""),
             completion=record.get("completion", ""),
             extracted=extracted,
@@ -79,28 +102,59 @@ class EvalRecord:
         )
 
 
+def _record_problem(fields) -> str:
+    """Which field keeps ``fields`` from being a record; called only once
+    ``EvalRecord.from_json_dict`` has failed on it."""
+    if not isinstance(fields, dict):
+        return "not a JSON object"
+    for name in ("instance_id", "dataset", "task", "paradigm"):
+        if name not in fields:
+            return f"field {name!r} is missing"
+    for name in ("dataset", "extracted"):
+        if not isinstance(fields.get(name, ""), str):
+            return f"field {name!r} is not a string: {fields[name]!r}"
+    for name, parse, wanted in (
+        ("task", task_from_string, "a task name"),
+        ("paradigm", paradigm_from_string, "a paradigm name"),
+        ("latency_ms", float, "a number"),
+    ):
+        try:
+            parse(fields.get(name, 0.0))
+        except (AttributeError, TypeError, ValueError):
+            return f"field {name!r} is not {wanted}: {fields[name]!r}"
+    return "not a record"
+
+
 def _read_records(path) -> tuple[list[EvalRecord], int]:
     """The records of a JSONL file and the byte length of the lines they
     came from. A torn last line (no final newline, or JSON that does not
-    parse), left by an interrupted append, is skipped with a warning; a
-    malformed line before the last raises."""
+    parse), left by an interrupted append, is skipped with a warning; an
+    unparseable line before the last raises ``json.JSONDecodeError`` (or
+    ``RecordLineError`` if it is not UTF-8), and a parsed line that is not
+    a record raises ``RecordLineError``. Each names its 1-based line."""
     records: list[EvalRecord] = []
     complete_bytes = 0
     torn: ValueError | None = None
     with open(path, "rb") as handle:
-        for line in handle:
-            if torn is not None:
-                raise torn
+        for number, line in enumerate(handle, 1):
+            if torn is not None:  # the unparseable line was not the last
+                if isinstance(torn, json.JSONDecodeError):
+                    message = f"{path}: line {number - 1}: {torn.msg}"
+                    raise json.JSONDecodeError(message, torn.doc, torn.pos)
+                raise RecordLineError(path, number - 1, f"not UTF-8 ({torn})")
             if not line.endswith(b"\n"):
                 torn = ValueError("no final newline")
                 continue
-            if line.strip():
+            if not line.isspace():
                 try:
-                    fields = json.loads(line)
+                    fields = json.loads(line.decode("utf-8", "surrogatepass"))
                 except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                     torn = exc
                     continue
-                records.append(EvalRecord.from_json_dict(fields))
+                try:
+                    records.append(EvalRecord.from_json_dict(fields))
+                except (AttributeError, KeyError, TypeError, ValueError):
+                    raise RecordLineError(path, number, _record_problem(fields)) from None
             complete_bytes += len(line)
     if torn is not None:
         log.warning(
@@ -152,15 +206,16 @@ class RecordStore:
 
     def append(self, record: EvalRecord) -> None:
         line = json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n"
+        key = record.key()
         with self._lock:
-            if record.key() in self._keys:
+            if key in self._keys:
                 return
             if self._handle is None:
                 self._handle = open(self.path, "a", encoding="utf-8")
             self._handle.write(line)
             self._handle.flush()
             self._records.append(record)
-            self._keys.add(record.key())
+            self._keys.add(key)
 
     def records(self) -> list[EvalRecord]:
         with self._lock:
@@ -197,10 +252,13 @@ class EvalConfig:
             )
             paradigms = tuple(paradigm_from_string(p) for p in config["paradigms"])
             backend = backend_from_config(config["backend"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         if not datasets:
             raise ConfigError("config names no datasets")
+        for dataset in datasets:
+            if not isinstance(dataset.name, str) or not dataset.name:
+                raise ConfigError(f"dataset name must be a non-empty string, got {dataset.name!r}")
         if not paradigms:
             raise ConfigError("config names no paradigms")
         if len({d.name for d in datasets}) != len(datasets):
@@ -277,11 +335,16 @@ class EvalReport:
         return sum(stats.accuracy for stats in cells.values()) / len(cells)
 
 
+# The order of EvalRecord.key() without building the keys: a Paradigm is a
+# str enum whose text is its value.
+_ORDER = operator.attrgetter("dataset", "paradigm", "instance_id")
+
+
 def score(records: list[EvalRecord], config: dict | None = None) -> EvalReport:
     """Aggregate records into a report, counting each record's verdict."""
     if not records:
         raise EmptyDatasetError("no records to score")
-    ordered = sorted(records, key=EvalRecord.key)
+    ordered = sorted(records, key=_ORDER)
     cells: dict[tuple[str, Paradigm], list[int]] = {}
     dataset_tasks: dict[str, Task] = {}
     for record in ordered:

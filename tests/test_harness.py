@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 import socket
 import sys
 import threading
@@ -13,19 +14,21 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 import pytest
 
 import metareason
-from metareason.cli import _configure_logging
+from metareason.cli import _configure_logging, main
 from metareason.demos import build_demonstration, save_demonstrations
 from metareason.harness import (
     COT_TRIGGER,
     ConfigError,
     EvalConfig,
     EvalRecord,
+    EvalReport,
     FixtureMissError,
     HttpBackend,
     IncompatibleDemosError,
     OracleBackend,
     OracleUnresolvableError,
     Paradigm,
+    RecordLineError,
     ReplayBackend,
     TransportError,
     assemble_prompt,
@@ -437,6 +440,18 @@ class TestBackendConfig:
             with pytest.raises(ConfigError, match=key):
                 backend_from_config({**http, key: value})
         assert backend_from_config({**http, "max_retries": 0}).max_retries == 0
+        evaluation = {
+            "datasets": [{"name": "cf", "path": "cf.jsonl"}],
+            "paradigms": ["zero-shot"],
+            "backend": {"kind": "oracle"},
+        }
+        for name in (5, "", None, ["cf"]):
+            with pytest.raises(ConfigError, match="dataset name must be a non-empty string"):
+                EvalConfig.from_json_dict(
+                    {**evaluation, "datasets": [{"name": name, "path": "cf.jsonl"}]}
+                )
+        with pytest.raises(ConfigError, match="bad config"):
+            EvalConfig.from_json_dict({**evaluation, "paradigms": [5]})
 
 
 class TestScore:
@@ -475,9 +490,16 @@ class TestScore:
             _record("cf", Task.CF, Paradigm.ZERO_SHOT, f"i{i}", "yes" if i % 3 else "no", "yes")
             for i in range(60)
         ]
+        records += [
+            _record(dataset, Task.CF, paradigm, f"i{i}", "yes", "yes")
+            for dataset in ("cf-b", "cf-a")
+            for paradigm in reversed(Paradigm)
+            for i in range(3)
+        ]
         shuffled = list(records)
         rng.shuffle(shuffled)
         assert report_json(score(records)) == report_json(score(shuffled))
+        assert [r.key() for r in score(shuffled).records] == sorted(r.key() for r in records)
 
     def test_empty_records_rejected(self):
         from metareason.harness import EmptyDatasetError
@@ -584,6 +606,51 @@ class TestRunEval:
         with pytest.raises(json.JSONDecodeError):
             run_eval(EvalConfig.from_json_dict(config))
 
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda fields: [1], "not a JSON object"),
+            (lambda fields: {**fields, "task": 5}, "field 'task' is not a task name: 5"),
+            (lambda fields: {**fields, "extracted": 5}, "field 'extracted' is not a string: 5"),
+            (
+                lambda fields: {k: v for k, v in fields.items() if k != "instance_id"},
+                "field 'instance_id' is missing",
+            ),
+        ],
+        ids=["array", "int-task", "int-extracted", "no-instance-id"],
+    )
+    def test_a_line_that_is_not_a_record_names_its_line_and_field(
+        self, tmp_path, capsys, restore_logging, edit, problem
+    ):
+        config, _ = _write_eval_setup(tmp_path)
+        run_eval(EvalConfig.from_json_dict(config), max_records=3)
+        records_path = tmp_path / "out" / "records.jsonl"
+        lines = records_path.read_bytes().splitlines(keepends=True)
+        bad = json.dumps(edit(json.loads(lines[1]))).encode() + b"\n"
+        records_path.write_bytes(lines[0] + bad + lines[2])
+        message = f"{records_path}: line 2: {problem}"
+        with pytest.raises(RecordLineError, match=re.escape(message)) as raised:
+            run_eval(EvalConfig.from_json_dict(config))
+        assert (raised.value.path, raised.value.line_number) == (str(records_path), 2)
+        assert records_path.read_bytes() == lines[0] + bad + lines[2]
+        capsys.readouterr()
+        assert main(["report", "--records", str(records_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_an_unparseable_middle_line_names_its_line(self, tmp_path):
+        config, _ = _write_eval_setup(tmp_path)
+        run_eval(EvalConfig.from_json_dict(config), max_records=3)
+        records_path = tmp_path / "out" / "records.jsonl"
+        lines = records_path.read_bytes().splitlines(keepends=True)
+        records_path.write_bytes(lines[0] + lines[1] + b"{not json}\n" + lines[2])
+        with pytest.raises(json.JSONDecodeError, match=re.escape(f"{records_path}: line 3: ")):
+            load_records(records_path)
+        records_path.write_bytes(lines[0] + b'{"task": "\xff"}\n' + lines[1] + lines[2])
+        with pytest.raises(RecordLineError, match=re.escape(f"{records_path}: line 2: not UTF-8")):
+            run_eval(EvalConfig.from_json_dict(config))
+        records_path.write_bytes(lines[0] + lines[1] + lines[2] + b'{"task": "\xff"}\n')
+        assert len(load_records(records_path)) == 3  # as the last line, it is torn
+
     def test_a_run_opens_its_records_file_for_append_once(self, tmp_path, monkeypatch):
         import builtins
 
@@ -672,6 +739,93 @@ class TestRunEval:
         config["demos"] = {}
         report = run_eval(EvalConfig.from_json_dict(config))
         assert report.cells[("cf", Paradigm.ZERO_SHOT)].accuracy == 1.0
+
+
+class TestReportJson:
+    """report.json is the stdlib encoder's rendering of its document, though
+    its records block is written without that encoder."""
+
+    AWKWARD = (
+        'say "hi"', "back\\slash", "two\nlines", "tab\there", "bell\x07", "café", "中文", "🙂",
+    )
+
+    @staticmethod
+    def _reference(report):
+        """The document, built as report_json built it when json.dumps
+        wrote all of it."""
+        cells = [
+            {
+                "dataset": dataset,
+                "task": report.dataset_tasks[dataset].value,
+                "paradigm": paradigm.value,
+                "correct": stats.correct,
+                "total": stats.total,
+                "accuracy_pct": format_pct(stats.accuracy),
+            }
+            for (dataset, paradigm), stats in sorted(
+                report.cells.items(), key=lambda item: (item[0][0], item[0][1].value)
+            )
+        ]
+        summary = {}
+        for paradigm in report.paradigms():
+            task_cells = report.task_cells(paradigm)
+            row = {
+                {"TSO3": "TSO(3)", "TSO5": "TSO(5)", "TSO7": "TSO(7)"}.get(task.value, task.value):
+                format_pct(task_cells[task].accuracy)
+                for task in Task
+                if task in task_cells
+            }
+            row["TSO(Avg.)"] = format_pct(report.tso_average(paradigm))
+            row["Avg."] = format_pct(report.overall_average(paradigm))
+            summary[paradigm.value] = row
+        records = [
+            {
+                "instance_id": record.instance_id,
+                "dataset": record.dataset,
+                "paradigm": record.paradigm.value,
+                "extracted": record.extracted,
+                "gold": record.gold,
+                "correct": record.correct,
+            }
+            for record in report.records
+        ]
+        document = {"cells": cells, "summary": summary, "records": records, "config": report.config}
+        return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+    def _awkward_records(self):
+        paradigms = list(Paradigm)
+        return [
+            _record(
+                f"set {text}",
+                [Task.CF, Task.WOL, Task.TSO3][index % 3],
+                paradigms[index % len(paradigms)],
+                f"id {text}",
+                text,
+                text if index % 2 else f"{text}!",
+            )
+            for index, text in enumerate(self.AWKWARD)
+        ]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            None,
+            {"seed": 7, "records": [], "nested": {"records": [{"records": "中 \"x\""}]}},
+        ],
+        ids=["no-config", "config-with-records-keys"],
+    )
+    def test_awkward_strings_match_the_stdlib_encoder(self, config):
+        report = score(self._awkward_records(), config=config)
+        assert report_json(report) == self._reference(report)
+        assert json.loads(report_json(report))["config"] == config
+
+    def test_one_record_and_no_records(self):
+        [one] = self._awkward_records()[:1]
+        report = score([one], config={"k": 1})
+        assert report_json(report) == self._reference(report)
+        empty = EvalReport(records=[], cells={}, dataset_tasks={}, config=None)
+        assert report_json(empty) == self._reference(empty)
+        assert '\n  "records": [],\n' in report_json(empty)
 
 
 @pytest.fixture
