@@ -37,6 +37,7 @@ from .meta_lang import (
     render_inits,
     render_meta,
     render_query,
+    render_statement,
 )
 from .resolution import (
     MetaQuestion,
@@ -179,22 +180,20 @@ def _claim_word(claimed: Value) -> str:
 
 
 def chain_line(stmt: Statement, before: dict[str, Value], after: dict[str, Value]) -> str:
-    """Render one executed statement in reasoning-chain style."""
+    """Render one executed statement in reasoning-chain style: its canonical
+    sentence, then what it did."""
     match stmt:
         case Add() | Sub() | Mul() | Div():
             return _arith_step(stmt, before, after)
-        case Swap(left=left, right=right):
-            return f"{left} and {right} swap → {_env_text(after)}"
-        case Says(speaker=speaker, target=target, claimed=claimed):
-            return (
-                f"{speaker} says {target} = {format_value(claimed)} → "
-                f"{speaker} = {format_value(after[speaker])}"
-            )
-        case Flip(sym=sym):
-            return f"Flip {sym} → {sym} = {format_value(after[sym])}"
-        case LastOf(sym=sym, literal=literal):
-            return f"{sym} = last({quote_string(literal)}) = {quote_string(after[sym])}"
-    raise DemoError(f"unknown statement {stmt!r}")
+        case Swap():
+            outcome = f"→ {_env_text(after)}"
+        case Says(speaker=sym) | Flip(sym=sym):
+            outcome = f"→ {sym} = {format_value(after[sym])}"
+        case LastOf(sym=sym):
+            outcome = f"= {quote_string(after[sym])}"
+        case _:
+            raise DemoError(f"unknown statement {stmt!r}")
+    return f"{render_statement(stmt)} {outcome}"
 
 
 def _sub_block(

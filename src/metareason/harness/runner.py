@@ -222,6 +222,13 @@ class RecordStore:
             return list(self._records)
 
 
+def _require_text(what: str, value) -> None:
+    """Names and paths from a config must be non-empty strings: ``open`` takes
+    an int as a file descriptor."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{what} must be a non-empty string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     name: str
@@ -257,8 +264,8 @@ class EvalConfig:
         if not datasets:
             raise ConfigError("config names no datasets")
         for dataset in datasets:
-            if not isinstance(dataset.name, str) or not dataset.name:
-                raise ConfigError(f"dataset name must be a non-empty string, got {dataset.name!r}")
+            _require_text("dataset name", dataset.name)
+            _require_text(f"path of dataset {dataset.name!r}", dataset.path)
         if not paradigms:
             raise ConfigError("config names no paradigms")
         if len({d.name for d in datasets}) != len(datasets):
@@ -269,13 +276,16 @@ class EvalConfig:
                 demos[name] = DemoSpec(path=spec["path"], k=int(spec.get("k", 1)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad demo spec for {name!r}: {exc}") from exc
+            _require_text(f"demo path for {name!r}", demos[name].path)
+        output_dir = config.get("output_dir", "eval-out")
+        _require_text("output_dir", output_dir)
         return cls(
             datasets=datasets,
             paradigms=paradigms,
             backend=backend,
             demos=demos,
             seed=int(config.get("seed", 0)),
-            output_dir=config.get("output_dir", "eval-out"),
+            output_dir=output_dir,
             snapshot=config,
         )
 

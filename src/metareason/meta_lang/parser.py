@@ -1,165 +1,51 @@
 """Parser for the meta-question language.
 
-Accepts canonical renderings (``parse_meta(render_meta(p)) == p``) plus the
-looser connective phrasings seen in running text ("..., then subtract 4
-from A, and finally multiply A by 2, now what is the value of A?"):
-clause connectives after a comma start a new sentence and leading
-connective words are dropped before matching.
+Reads the grammar table in ``renderer``: one compiled alternation for the
+statement rows and one for the query rows, a named group per row, and each
+field converted by its slot kind. A parse error's hint is the row's format
+string with each slot shown as its kind, e.g. ``Divide SYM by NUM.``
+
+Besides canonical renderings (``parse_meta(render_meta(p)) == p``) it takes
+the looser connective phrasings of running text ("..., then subtract 4 from
+A, and finally multiply A by 2, now what is the value of A?"): a clause
+connective after a comma starts a new sentence, and leading connective
+words are dropped before matching.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from string import Formatter
 
-from .ast import (
-    Add,
-    ConcatOf,
-    Div,
-    Flip,
-    IsEqual,
-    LastOf,
-    MetaProgram,
-    Mul,
-    OptionOf,
-    Query,
-    Says,
-    Statement,
-    Sub,
-    Swap,
-    Value,
-    ValueOf,
-    validate_program,
-)
+from .ast import MetaProgram, Query, Statement, Value, validate_program
 from .errors import ParseError
+from .renderer import FIELDS, INIT, NUM, PAIR, QUERIES, STATEMENTS, SYM, SYMS, VAL, WORD, form_fields
 
 _SYM = r"[A-Z]{1,2}"
 _NUM = r"-?\d+"
 _QUOTED = r'"(?:[^"\\]|\\.)*"'
-_VAL = rf"(?:{_NUM}(?:\s*/\s*\d+)?|{_QUOTED})"
+# A quoted string as the tokenizer skips it: escapes may hide any character,
+# and an unterminated quote runs to the end of the text.
+_OPEN_QUOTED = r'"[^"\\]*(?:\\.[^"\\]*)*"?'
+_CONNECTIVES = r"then|finally|now|next|lastly|after\s+that"
 
-_INIT = re.compile(rf"It\s+is\s+known(?:\s+that)?\s+(?P<body>.+)\Z")
-_PAIR = re.compile(rf"(?P<sym>{_SYM})\s*=\s*(?P<val>{_VAL})\Z")
-
-_STATEMENTS: tuple[tuple[re.Pattern[str], str], ...] = (
-    (re.compile(rf"Add\s+(?P<num>{_NUM})\s+to\s+(?P<sym>{_SYM})\Z"), "add"),
-    (re.compile(rf"Subtract\s+(?P<num>{_NUM})\s+from\s+(?P<sym>{_SYM})\Z"), "sub"),
-    (re.compile(rf"Multiply\s+(?P<sym>{_SYM})\s+by\s+(?P<num>{_NUM})\Z"), "mul"),
-    (re.compile(rf"Divide\s+(?P<sym>{_SYM})\s+by\s+(?P<num>{_NUM})\Z"), "div"),
-    (re.compile(rf"(?P<a>{_SYM})\s+and\s+(?P<b>{_SYM})\s+swap\Z"), "swap"),
-    (re.compile(rf"(?P<speaker>{_SYM})\s+says\s+(?P<target>{_SYM})\s*=\s*(?P<val>{_VAL})\Z"), "says"),
-    (re.compile(rf"Flip\s+(?P<sym>{_SYM})\Z"), "flip"),
-    (re.compile(rf"(?P<sym>{_SYM})\s*=\s*last\(\s*(?P<lit>{_QUOTED})\s*\)\Z"), "last"),
+# A fragment ends at "." or "?" before whitespace or the end, or at a comma
+# before a clause connective; the query's "?" stays in the fragment.
+_FRAGMENT = re.compile(
+    rf'((?:[^".?,]+|{_OPEN_QUOTED}|[.?](?!\s|\Z)|,(?!(?i:\s*(?:and\s+)?(?:{_CONNECTIVES})\b)))*\??)'
+    r"(?:[.,]|(?<=\?)|\Z)",
+    re.S,
 )
-
-_Q_VALUE = re.compile(rf"What\s+is\s+the\s+value\s+of\s+(?P<sym>{_SYM})\?\Z")
-_Q_EQ = re.compile(rf"Is\s+(?P<sym>{_SYM})\s*=\s*(?P<val>{_VAL})\?\Z")
-_Q_OPT = re.compile(rf"Which\s+option\s+equals\s+(?P<sym>{_SYM})\?\Z")
-_Q_CONCAT = re.compile(
-    rf"What\s+is\s+the\s+concatenation\s+of\s+(?P<syms>{_SYM}(?:\s+and\s+{_SYM})*)\?\Z"
-)
-
-_COMMA_CONNECTIVE = re.compile(
-    r"\s*(?:and\s+)?(?:then|finally|now|next|lastly|after\s+that)\b", re.IGNORECASE
-)
-_LEADING_CONNECTIVE = re.compile(
-    r"^(?:(?:and|then|finally|now|next|lastly|after\s+that)\b[,\s]+)+", re.IGNORECASE
-)
-
-_HINTS: tuple[tuple[str, str], ...] = (
-    ("it is known", 'an init sentence: It is known that SYM = VAL, SYM = VAL, ...'),
-    ("add", "Add NUM to SYM."),
-    ("subtract", "Subtract NUM from SYM."),
-    ("multiply", "Multiply SYM by NUM."),
-    ("divide", "Divide SYM by NUM."),
-    ("flip", "Flip SYM."),
-    ("what is the value", "What is the value of SYM?"),
-    ("what is the concatenation", "What is the concatenation of SYM and SYM ...?"),
-    ("which", "Which option equals SYM?"),
-    ("is ", "Is SYM = VAL?"),
-)
-
-
-def split_clauses(text: str) -> list[str]:
-    """Split text into clause fragments.
-
-    Quote-aware: terminators and commas inside string literals do not
-    split. Sentences end at ``.`` or ``?``; a comma followed by a clause
-    connective also ends a fragment. Leading connective words are dropped;
-    the query's ``?`` is kept.
-    """
-    fragments: list[str] = []
-    buf: list[str] = []
-    in_quote = False
-    escaped = False
-    i = 0
-    n = len(text)
-
-    def flush(tail: str = "") -> None:
-        frag = ("".join(buf) + tail).strip()
-        frag = _LEADING_CONNECTIVE.sub("", frag).strip(" ,")
-        if frag:
-            fragments.append(frag)
-        buf.clear()
-
-    while i < n:
-        ch = text[i]
-        if in_quote:
-            buf.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_quote = False
-            i += 1
-            continue
-        if ch == '"':
-            in_quote = True
-            buf.append(ch)
-            i += 1
-            continue
-        if ch in ".?" and (i + 1 >= n or text[i + 1].isspace()):
-            flush("?" if ch == "?" else "")
-            i += 1
-            continue
-        if ch == "," and _COMMA_CONNECTIVE.match(text, i + 1):
-            flush()
-            i += 1
-            continue
-        buf.append(ch)
-        i += 1
-    flush()
-    return fragments
-
-
-def _capitalized(fragment: str) -> str:
-    return fragment[:1].upper() + fragment[1:]
-
-
-def _hint_for(fragment: str) -> str:
-    lowered = fragment.lower()
-    for prefix, hint in _HINTS:
-        if lowered.startswith(prefix):
-            return hint
-    if " says " in lowered:
-        return "SYM says SYM = VAL."
-    if " swap" in lowered:
-        return "SYM and SYM swap."
-    if "last(" in lowered:
-        return 'SYM = last("WORD").'
-    return "an init, statement, or query sentence in the canonical grammar"
-
-
-def _unquote(text: str) -> str:
-    body = text[1:-1]
-    return re.sub(r"\\(.)", r"\1", body)
+_LEADING_CONNECTIVE = re.compile(rf"^(?:(?:and|{_CONNECTIVES})\b[,\s]+)+", re.IGNORECASE)
+# The text up to the next comma outside quotes.
+_CHUNK = re.compile(rf'(?:[^",]+|{_OPEN_QUOTED})*', re.S)
 
 
 def _parse_value(text: str, index: int) -> Value:
     text = text.strip()
     if text.startswith('"'):
-        return _unquote(text)
+        return re.sub(r"\\(.)", r"\1", text[1:-1])
     if "/" in text:
         num_text, den_text = text.split("/", 1)
         den = int(den_text.strip())
@@ -172,112 +58,141 @@ def _parse_value(text: str, index: int) -> Value:
     return number
 
 
+# Per slot kind: its regex, its reader (text, sentence index -> value), and its hint.
+_KINDS = {
+    SYM: (_SYM, lambda text, index: text, "SYM"),
+    NUM: (_NUM, lambda text, index: int(text), "NUM"),
+    VAL: (rf"(?:{_NUM}(?:\s*/\s*\d+)?|{_QUOTED})", _parse_value, "VAL"),
+    WORD: (_QUOTED, _parse_value, '"WORD"'),
+    SYMS: (
+        rf"{_SYM}(?:\s+and\s+{_SYM})*", lambda text, index: tuple(re.findall(_SYM, text)), "SYM and SYM ..."
+    ),
+}
+# Whitespace in a form: required between words, optional beside "=", "(" and ")".
+_SPACING = {" ": r"\s+", " = ": r"\s*=\s*", "(": r"\(\s*", ")": r"\s*\)"}
+
+
+def _form_regex(template: str, **kinds: str) -> str:
+    """A format string as a regex: a capturing group per field, by slot kind."""
+    parts = []
+    for literal, field, _, _ in Formatter().parse(template):
+        parts.append(re.sub(r" = | |\(|\)|[^ =()]+", lambda m: _SPACING.get(m[0]) or re.escape(m[0]), literal))
+        if field:
+            parts.append(f"({kinds.get(field) or _KINDS[FIELDS[field]][0]})")
+    return "".join(parts)
+
+
+def _shown(template: str, **shown: str) -> str:
+    return template.format_map({f: shown.get(f) or _KINDS[FIELDS[f]][2] for f in form_fields(template)})
+
+
+def _reader(rows: dict):
+    """Reads a fragment with one alternation over ``rows``, a group named
+    after each row's class: the row's node, or None when no row matches."""
+    match = re.compile("|".join(f"(?P<{c.__name__}>{_form_regex(t)})" for c, t in rows.items())).fullmatch
+    fields = {c.__name__: (c, [(f, _KINDS[FIELDS[f]][1]) for f in form_fields(t)]) for c, t in rows.items()}
+
+    def read(fragment: str, index: int):
+        if m := match(_capitalized(fragment)):
+            cls, readers = fields[m.lastgroup]
+            texts = m.groups()[m.lastindex :]  # the row's fields follow its group
+            return cls(**{f: reader(text, index) for (f, reader), text in zip(readers, texts)})
+        return None
+
+    return read
+
+
+_read_statement = _reader(STATEMENTS)
+_read_query = _reader(QUERIES)
+# "that" may be left out of the init sentence on input.
+_INIT = re.compile(_form_regex(INIT[:-1], pairs=".+").replace(r"\s+that", r"(?:\s+that)?", 1)).fullmatch
+_PAIR = re.compile(rf"\s*{_form_regex(PAIR)}\s*(?:(,)|\Z)")
+_PAIR_HINT = f'{_shown(PAIR)} pairs separated by ", "'
+_QUERY_HINT = "a query sentence ending with '?'"
+
+
+def _hints() -> list:
+    """Per sentence form, a test of a lowered fragment that does not parse and
+    the hint it earns. A row opening with words is cued by the fewest opening
+    words no other row shares ("what is the value"), one opening with a slot by
+    its longest word no other row has, spaced as in the row (" says "). Opening
+    cues go first, then the others in table order. The init form is cued by its
+    words before the optional "that".
+    """
+    rows = {**STATEMENTS, **QUERIES}
+    words = {  # a row's literal words, lowered, with None for each slot
+        cls: [
+            w for literal, field, _, _ in Formatter().parse(t) for w in literal.lower().split() + [None] * bool(field)
+        ]
+        for cls, t in rows.items()
+    }
+    pairs = f"{_shown(PAIR)}, {_shown(PAIR)}, ..."
+    cues = [(re.escape(INIT.lower().partition(" that")[0]), "an init sentence: " + _shown(INIT[:-1], pairs=pairs))]
+    for cls, own in words.items():
+        others = [w for c, w in words.items() if c is not cls]
+        if own[0]:
+            k = next(k for k in range(1, len(own)) if all(o[:k] != own[:k] for o in others))
+            cue = re.escape(" ".join(own[:k]))
+        else:
+            word = max((w for w in own if w and all(w not in o for o in others)), key=len)
+            cue = ".*?" + re.escape(re.search(rf" ?{re.escape(word)} ?", rows[cls])[0])
+        cues.append((cue, _shown(rows[cls]) + ("." if cls in STATEMENTS else "")))
+    return [(re.compile(cue, re.S).match, hint) for cue, hint in sorted(cues, key=lambda c: c[0].startswith(".*?"))]
+
+
+_HINTS = _hints()
+
+
+def split_clauses(text: str) -> list[str]:
+    """Split text into clause fragments.
+
+    Quote-aware: terminators and commas inside string literals do not
+    split. Sentences end at ``.`` or ``?``; a comma followed by a clause
+    connective also ends a fragment. Leading connective words are dropped;
+    the query's ``?`` is kept.
+    """
+    fragments = (_LEADING_CONNECTIVE.sub("", m[1].strip()).strip(" ,") for m in _FRAGMENT.finditer(text))
+    return [fragment for fragment in fragments if fragment]
+
+
+def _capitalized(fragment: str) -> str:
+    return fragment[:1].upper() + fragment[1:]
+
+
+def _hint_for(fragment: str) -> str:
+    lowered = fragment.lower()
+    default = "an init, statement, or query sentence in the canonical grammar"
+    return next((hint for cue, hint in _HINTS if cue(lowered)), default)
+
+
 def _parse_init_pairs(body: str, index: int) -> list[tuple[str, Value]]:
-    pairs: list[tuple[str, Value]] = []
-    for chunk in _split_top_commas(body):
-        chunk = chunk.strip()
-        m = _PAIR.match(chunk)
+    pairs, pos = [], 0
+    while True:
+        m = _PAIR.match(body, pos)
         if not m:
-            raise ParseError(
-                f"bad init pair {chunk!r}", index, 'SYM = VAL pairs separated by ", "'
-            )
-        pairs.append((m.group("sym"), _parse_value(m.group("val"), index)))
-    if not pairs:
-        raise ParseError("empty init sentence", index, "at least one SYM = VAL pair")
-    return pairs
-
-
-def _split_top_commas(text: str) -> list[str]:
-    parts: list[str] = []
-    buf: list[str] = []
-    in_quote = False
-    escaped = False
-    for ch in text:
-        if in_quote:
-            buf.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_quote = False
-            continue
-        if ch == '"':
-            in_quote = True
-            buf.append(ch)
-            continue
-        if ch == ",":
-            parts.append("".join(buf))
-            buf.clear()
-            continue
-        buf.append(ch)
-    parts.append("".join(buf))
-    return parts
-
-
-def _match_statement(fragment: str, index: int) -> Statement | None:
-    normalized = _capitalized(fragment)
-    for pattern, kind in _STATEMENTS:
-        m = pattern.match(normalized)
-        if not m:
-            continue
-        if kind == "add":
-            return Add(sym=m.group("sym"), amount=int(m.group("num")))
-        if kind == "sub":
-            return Sub(sym=m.group("sym"), amount=int(m.group("num")))
-        if kind == "mul":
-            return Mul(sym=m.group("sym"), factor=int(m.group("num")))
-        if kind == "div":
-            return Div(sym=m.group("sym"), divisor=int(m.group("num")))
-        if kind == "swap":
-            return Swap(left=m.group("a"), right=m.group("b"))
-        if kind == "says":
-            return Says(
-                speaker=m.group("speaker"),
-                target=m.group("target"),
-                claimed=_parse_value(m.group("val"), index),
-            )
-        if kind == "flip":
-            return Flip(sym=m.group("sym"))
-        if kind == "last":
-            return LastOf(sym=m.group("sym"), literal=_unquote(m.group("lit").strip()))
-    return None
+            chunk = _CHUNK.match(body, pos)[0].strip()
+            raise ParseError(f"bad init pair {chunk!r}", index, _PAIR_HINT)
+        pairs.append((m[1], _parse_value(m[2], index)))
+        if not m[3]:
+            return pairs
+        pos = m.end()
 
 
 def _parse_statement(fragment: str, index: int) -> Statement:
-    stmt = _match_statement(fragment, index)
-    if stmt is not None:
+    if (stmt := _read_statement(fragment, index)) is not None:
         return stmt
-    if _INIT.match(_capitalized(fragment)):
-        raise ParseError(
-            "init sentence must come first", index, "statements after the init sentence"
-        )
+    if _INIT(_capitalized(fragment)):
+        raise ParseError("init sentence must come first", index, "statements after the init sentence")
     if fragment.endswith("?"):
-        raise ParseError(
-            "query must be the final sentence", index, "a statement sentence"
-        )
+        raise ParseError("query must be the final sentence", index, "a statement sentence")
     raise ParseError(f"cannot parse {fragment!r}", index, _hint_for(fragment))
 
 
 def _parse_query(fragment: str, index: int) -> Query:
-    normalized = _capitalized(fragment)
-    m = _Q_VALUE.match(normalized)
-    if m:
-        return ValueOf(sym=m.group("sym"))
-    m = _Q_EQ.match(normalized)
-    if m:
-        return IsEqual(sym=m.group("sym"), value=_parse_value(m.group("val"), index))
-    m = _Q_OPT.match(normalized)
-    if m:
-        return OptionOf(sym=m.group("sym"))
-    m = _Q_CONCAT.match(normalized)
-    if m:
-        syms = tuple(re.findall(_SYM, m.group("syms")))
-        return ConcatOf(syms=syms)
-    if _match_statement(fragment, index) is not None or _INIT.match(normalized):
-        raise ParseError(
-            "program must end with a query", index, "a query sentence ending with '?'"
-        )
+    if (query := _read_query(fragment, index)) is not None:
+        return query
+    if _read_statement(fragment, index) is not None or _INIT(_capitalized(fragment)):
+        raise ParseError("program must end with a query", index, _QUERY_HINT)
     raise ParseError(f"cannot parse {fragment!r}", index, _hint_for(fragment))
 
 
@@ -291,21 +206,12 @@ def parse_meta(text: str) -> MetaProgram:
     fragments = split_clauses(text)
     if not fragments:
         raise ParseError("empty input", 1, "an init sentence or a query")
-    inits: list[tuple[str, Value]] = []
-    start = 0
-    m = _INIT.match(_capitalized(fragments[0]))
-    if m:
-        inits = _parse_init_pairs(m.group("body"), 1)
-        start = 1
-    if start >= len(fragments):
-        raise ParseError(
-            "missing query sentence", len(fragments), "a query sentence ending with '?'"
-        )
-    stmts = tuple(
-        _parse_statement(fragment, position + 1)
-        for position, fragment in enumerate(fragments[start:-1], start=start)
-    )
-    query = _parse_query(fragments[-1], len(fragments))
-    program = MetaProgram(inits=tuple(inits), stmts=stmts, query=query)
+    m = _INIT(_capitalized(fragments[0]))
+    inits = _parse_init_pairs(m[1], 1) if m else []
+    start = 1 if m else 0
+    if start == len(fragments):
+        raise ParseError("missing query sentence", start, _QUERY_HINT)
+    stmts = tuple(_parse_statement(f, index) for index, f in enumerate(fragments[start:-1], start + 1))
+    program = MetaProgram(inits=tuple(inits), stmts=stmts, query=_parse_query(fragments[-1], len(fragments)))
     validate_program(program)
     return program

@@ -452,6 +452,14 @@ class TestBackendConfig:
                 )
         with pytest.raises(ConfigError, match="bad config"):
             EvalConfig.from_json_dict({**evaluation, "paradigms": [5]})
+        # open() takes an int path as a file descriptor: 5 is EBADF, 0 reads stdin.
+        for path in (5, 0, "", None, ["cf.jsonl"]):
+            with pytest.raises(ConfigError, match="path of dataset 'cf' must be a non-empty string"):
+                EvalConfig.from_json_dict({**evaluation, "datasets": [{"name": "cf", "path": path}]})
+            with pytest.raises(ConfigError, match="demo path for 'cf' must be a non-empty string"):
+                EvalConfig.from_json_dict({**evaluation, "demos": {"cf": {"path": path, "k": 1}}})
+            with pytest.raises(ConfigError, match="output_dir must be a non-empty string"):
+                EvalConfig.from_json_dict({**evaluation, "output_dir": path})
 
 
 class TestScore:

@@ -37,9 +37,40 @@ from metareason.meta_lang import (
     split_clauses,
     validate_program,
 )
+from metareason.meta_lang.renderer import QUERIES, STATEMENTS
 from support import random_program, random_swap_sequence, random_truth_chain
 
 from conftest import LOOSE_META_TEXT
+
+
+SPLIT_CASES = [
+    (
+        "It is known A = 16. Subtract 3 from A, then subtract 4 from A, "
+        "and finally multiply A by 2, now what is the value of A?",
+        [
+            "It is known A = 16",
+            "Subtract 3 from A",
+            "subtract 4 from A",
+            "multiply A by 2",
+            "what is the value of A?",
+        ],
+    ),
+    # an unterminated quote runs to the end of the text
+    ('A = last("St. John. What is the value of A?', ['A = last("St. John. What is the value of A?']),
+    # an escaped quote does not end the string
+    (
+        'A = last("say \\"hi.\\" now"). What is the value of A?',
+        ['A = last("say \\"hi.\\" now")', "What is the value of A?"],
+    ),
+    # "?", "." and ", then" inside quotes do not split
+    (
+        'A = last("Why? Stop. Go, then run"). What is the value of A?',
+        ['A = last("Why? Stop. Go, then run")', "What is the value of A?"],
+    ),
+    # a trailing backslash, inside and outside a quote
+    ('A = last("x\\', ['A = last("x\\']),
+    ("What is the value of A?\\", ["What is the value of A?\\"]),
+]
 
 
 class TestParse:
@@ -93,21 +124,67 @@ class TestParse:
         assert program.stmts == (LastOf(sym="A", literal="St. John, then?"),)
 
     def test_split_clauses_strips_connectives(self):
-        clauses = split_clauses(
-            "It is known A = 16. Subtract 3 from A, then subtract 4 from A, "
-            "and finally multiply A by 2, now what is the value of A?"
-        )
-        assert clauses == [
-            "It is known A = 16",
-            "Subtract 3 from A",
-            "subtract 4 from A",
-            "multiply A by 2",
-            "what is the value of A?",
-        ]
+        for text, clauses in SPLIT_CASES:
+            assert split_clauses(text) == clauses, text
 
     def test_two_letter_symbols(self):
         program = parse_meta("It is known AA = 1, AB = 2. AA and AB swap. Which option equals AA?")
         assert program.query == OptionOf(sym="AA")
+
+
+# One case per grammar row: a canonical program using the row, the same
+# program with that sentence broken, and the hint the broken sentence earns.
+GRAMMAR_ROWS = [
+    (Add, "It is known that A = 5. Add 3 to A. What is the value of A?", "Add-20 to A", "Add NUM to SYM."),
+    (Sub, "It is known that A = 5. Subtract 3 from A. What is the value of A?", "Subtract 3 form A",
+     "Subtract NUM from SYM."),
+    (Mul, "It is known that A = 5. Multiply A by 2. What is the value of A?", "Multiply A with 2",
+     "Multiply SYM by NUM."),
+    (Div, "It is known that A = 5. Divide A by 2. What is the value of A?", "Divide A by9", "Divide SYM by NUM."),
+    (Says, "It is known that A = 5. B says A = 5. What is the value of B?", "B says A = 2 banana",
+     "SYM says SYM = VAL."),
+    (Swap, "It is known that A = 5, B = 2. A and B swap. What is the value of A?", "A and B swapped",
+     "SYM and SYM swap."),
+    (Flip, "It is known that A = 1. Flip A. What is the value of A?", "Flip A twice", "Flip SYM."),
+    (LastOf, 'It is known that A = 5. B = last("x"). What is the value of A?', "B = last(x)", 'SYM = last("WORD").'),
+    (ValueOf, "It is known that A = 5. Flip A. What is the value of A?", "What is the value of a?",
+     "What is the value of SYM?"),
+    (IsEqual, "It is known that A = 5. Flip A. Is A = 5?", "Is A equal to 5?", "Is SYM = VAL?"),
+    (OptionOf, "It is known that A = 5. Flip A. Which option equals A?", "Which option is A?",
+     "Which option equals SYM?"),
+    (ConcatOf, "It is known that A = 5, B = 2. Flip A. What is the concatenation of A and B?",
+     "What is the concatenation of A, B?", "What is the concatenation of SYM and SYM ...?"),
+]
+
+
+class TestGrammarTable:
+    def test_every_row_has_a_case(self):
+        assert [row[0] for row in GRAMMAR_ROWS] == [*STATEMENTS, *QUERIES]
+
+    @pytest.mark.parametrize("cls, text, broken, hint", GRAMMAR_ROWS, ids=[row[0].__name__ for row in GRAMMAR_ROWS])
+    def test_row_round_trips_and_hints(self, cls, text, broken, hint):
+        program = parse_meta(text)
+        assert render_meta(program) == text
+        assert parse_meta(render_meta(program)) == program
+        nodes = program.stmts + (program.query,)
+        assert any(type(node) is cls for node in nodes)
+        sentences = text.split(". ")
+        position = len(sentences) - 1 if cls in QUERIES else 1
+        sentences[position] = broken
+        with pytest.raises(ParseError) as excinfo:
+            parse_meta(". ".join(sentences))
+        assert excinfo.value.sentence_index == position + 1
+        assert excinfo.value.expected == hint
+
+    @pytest.mark.parametrize("sentence", ["Divide A by9", "Add-20 to AM", "AS and Xswap"])
+    def test_rejected_sentences(self, sentence):
+        with pytest.raises(ParseError) as excinfo:
+            parse_meta(f"It is known that A = 4, AM = 3, AS = 1, X = 2. {sentence}. What is the value of A?")
+        assert excinfo.value.sentence_index == 2
+
+    def test_loose_spacing_and_optional_that(self):
+        assert parse_meta('A = last( "x" ). What is the value of A?').stmts == (LastOf(sym="A", literal="x"),)
+        assert parse_meta("It is known A = 1. What is the value of A?").inits == (("A", True),)
 
 
 class TestRender:
