@@ -35,7 +35,7 @@ DISPLAY_NAMES = {
 
 COT_TRIGGER = "Let's think step by step."
 
-_DEMO_PARADIGMS = (Paradigm.FEW_SHOT, Paradigm.FEW_SHOT_COT, Paradigm.META_REASONING)
+DEMO_PARADIGMS = (Paradigm.FEW_SHOT, Paradigm.FEW_SHOT_COT, Paradigm.META_REASONING)
 
 
 _PARADIGMS_BY_VALUE = {paradigm.value: paradigm for paradigm in Paradigm}
@@ -48,22 +48,26 @@ def paradigm_from_string(text: str) -> Paradigm:
         raise ValueError(f"unknown paradigm {text!r}") from None
 
 
+def demo_prefix(paradigm: Paradigm, demos: Sequence[Demonstration]) -> str:
+    """What every prompt of ``paradigm`` over ``demos`` opens with: a block
+    per demonstration, each followed by a blank line."""
+    if paradigm in DEMO_PARADIGMS and not demos:
+        raise IncompatibleDemosError(f"{paradigm.value} needs at least one demonstration")
+    if paradigm not in DEMO_PARADIGMS and demos:
+        raise IncompatibleDemosError(f"{paradigm.value} takes no demonstrations")
+    if paradigm is Paradigm.FEW_SHOT:
+        return "".join([f"Q: {demo.question}\nA: {demo.answer}\n\n" for demo in demos])
+    return "".join([f"Q: {demo.question}\nA: {demo.rationale}\n\n" for demo in demos])
+
+
+def target_block(paradigm: Paradigm, inst: TaskInstance) -> str:
+    """What every prompt for ``inst`` ends with: its question and the answer cue."""
+    target = f"Q: {render_question(inst.question, inst.options)}\nA:"
+    return f"{target} {COT_TRIGGER}" if paradigm is Paradigm.ZERO_SHOT_COT else target
+
+
 def assemble_prompt(
     paradigm: Paradigm, demos: Sequence[Demonstration], inst: TaskInstance
 ) -> str:
     """Build the full prompt text; blocks are separated by blank lines."""
-    if paradigm in _DEMO_PARADIGMS and not demos:
-        raise IncompatibleDemosError(f"{paradigm.value} needs at least one demonstration")
-    if paradigm not in _DEMO_PARADIGMS and demos:
-        raise IncompatibleDemosError(f"{paradigm.value} takes no demonstrations")
-
-    target = f"Q: {render_question(inst.question, inst.options)}\nA:"
-    if paradigm is Paradigm.ZERO_SHOT:
-        return target
-    if paradigm is Paradigm.ZERO_SHOT_COT:
-        return f"{target} {COT_TRIGGER}"
-    if paradigm is Paradigm.FEW_SHOT:
-        blocks = [f"Q: {demo.question}\nA: {demo.answer}" for demo in demos]
-    else:
-        blocks = [f"Q: {demo.question}\nA: {demo.rationale}" for demo in demos]
-    return "\n\n".join(blocks + [target])
+    return demo_prefix(paradigm, demos) + target_block(paradigm, inst)

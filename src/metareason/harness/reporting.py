@@ -12,16 +12,7 @@ from ..resolution import Task
 from .prompts import DISPLAY_NAMES, Paradigm
 from .runner import EvalReport
 
-_COLUMN_TASKS = (
-    Task.MA,
-    Task.AS,
-    Task.LLC,
-    Task.CF,
-    Task.WOL,
-    Task.TSO3,
-    Task.TSO5,
-    Task.TSO7,
-)
+_COLUMN_TASKS = tuple(Task)  # the paper's column order is Task's order
 _COLUMN_HEADERS = {
     Task.MA: "MA",
     Task.AS: "AS",
@@ -79,7 +70,7 @@ def report_json(report: EvalReport) -> str:
     """Deterministic JSON document: accuracies, per-item verdicts, config.
 
     The text is ``json.dumps(document, indent=2, sort_keys=True,
-    ensure_ascii=False)`` plus a newline. Prompts, completions, and
+    ensure_ascii=False)`` plus a newline. Prompt digests, completions and
     latencies stay in records.jsonl; excluding them here keeps resumed and
     uninterrupted runs byte-identical. ``indent`` sends ``json.dumps`` to
     its pure-Python encoder, so the per-item block, most of the document,

@@ -4,6 +4,7 @@ parallelism, persists one record per item (resumable), and scores reports.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import operator
@@ -12,13 +13,15 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
 from typing import TextIO
 
 from ..demos import Demonstration, load_demonstrations, select_demos
 from ..resolution import TSO_TASKS, Task, TaskInstance, load_instances, task_from_string
-from .backends import BackendSpec, ConfigError, backend_from_config, complete
+from .backends import BackendSpec, ConfigError, backend_from_config, complete, prompt_sha256
 from .extraction import extract_answer, is_correct
-from .prompts import Paradigm, assemble_prompt, paradigm_from_string
+from .prompts import DEMO_PARADIGMS, Paradigm, assemble_prompt, demo_prefix, target_block
+from .prompts import _PARADIGMS_BY_VALUE, paradigm_from_string  # exact value -> paradigm
 
 log = logging.getLogger(__name__)
 
@@ -38,42 +41,36 @@ class RecordLineError(ValueError):
 
 # Exact stored values; anything else goes through the folding *_from_string.
 _TASKS_BY_VALUE = {task.value: task for task in Task}
-_PARADIGMS_BY_VALUE = {paradigm.value: paradigm for paradigm in Paradigm}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EvalRecord:
     """One scored item. ``correct`` is the verdict on extracted/gold, made
     once: when the item is run, or when its stored record is loaded (the
-    stored copy is not trusted)."""
+    stored copy is not trusted). ``prompt_sha256`` is the digest of its prompt."""
 
     instance_id: str
     dataset: str
     task: Task
     paradigm: Paradigm
-    prompt: str
+    prompt_sha256: str
     completion: str
     extracted: str
     gold: str
     correct: bool
     latency_ms: float
 
+    def __init__(self, instance_id, dataset, task, paradigm, prompt_sha256,
+                 completion, extracted, gold, correct, latency_ms):
+        # One dict update, not the generated frozen __init__'s object.__setattr__ per field.
+        self.__dict__.update(
+            instance_id=instance_id, dataset=dataset, task=task, paradigm=paradigm,
+            prompt_sha256=prompt_sha256, completion=completion, extracted=extracted,
+            gold=gold, correct=correct, latency_ms=latency_ms,
+        )
+
     def key(self) -> tuple[str, str, str]:
         return (self.dataset, self.paradigm.value, self.instance_id)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "dataset": self.dataset,
-            "task": self.task.value,
-            "paradigm": self.paradigm.value,
-            "prompt": self.prompt,
-            "completion": self.completion,
-            "extracted": self.extracted,
-            "gold": self.gold,
-            "correct": self.correct,
-            "latency_ms": self.latency_ms,
-        }
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "EvalRecord":
@@ -85,20 +82,16 @@ class EvalRecord:
         )
         dataset = record["dataset"]
         extracted = record.get("extracted", "")
-        if type(dataset) is not str or type(extracted) is not str:
-            raise TypeError("dataset and extracted must be strings")
+        digest = record.get("prompt_sha256")
+        if digest is None:  # a line from before records held the digest
+            digest = prompt_sha256(record.get("prompt", ""))
+        if type(dataset) is not str or type(extracted) is not str or type(digest) is not str:
+            raise TypeError("dataset, extracted and prompt_sha256 must be strings")
         gold = str(record.get("gold", ""))
-        return cls(
-            instance_id=str(record["instance_id"]),
-            dataset=dataset,
-            task=task,
-            paradigm=paradigm,
-            prompt=record.get("prompt", ""),
-            completion=record.get("completion", ""),
-            extracted=extracted,
-            gold=gold,
-            correct=is_correct(task, extracted, gold),
-            latency_ms=float(record.get("latency_ms", 0.0)),
+        return cls(  # positional, in field order: a resume makes one per stored line
+            str(record["instance_id"]), dataset, task, paradigm, digest,
+            record.get("completion", ""), extracted, gold, is_correct(task, extracted, gold),
+            float(record.get("latency_ms", 0.0)),
         )
 
 
@@ -110,7 +103,7 @@ def _record_problem(fields) -> str:
     for name in ("instance_id", "dataset", "task", "paradigm"):
         if name not in fields:
             return f"field {name!r} is missing"
-    for name in ("dataset", "extracted"):
+    for name in ("dataset", "extracted", "prompt_sha256", "prompt"):
         if not isinstance(fields.get(name, ""), str):
             return f"field {name!r} is not a string: {fields[name]!r}"
     for name, parse, wanted in (
@@ -169,25 +162,34 @@ def load_records(path) -> list[EvalRecord]:
     return _read_records(path)[0]
 
 
+# One records.jsonl line: json.dumps(fields, ensure_ascii=False) of a
+# record's fields in this order, written with the C string escaper. The
+# latency is a measured duration, so finite: repr is json's spelling of it.
+_RECORD_LINE = (
+    '{"instance_id": %s, "dataset": %s, "task": %s, "paradigm": %s, "prompt_sha256": %s, '
+    '"completion": %s, "extracted": %s, "gold": %s, "correct": %s, "latency_ms": %r}\n'
+)
+
+
 class RecordStore:
     """Append-only JSONL persistence; one complete line per record, flushed
     immediately, so an interrupted run resumes from what reached disk.
 
     The file is opened for append once, at the first new record, and kept
-    open until ``close`` (or the end of a ``with`` block)."""
+    open until ``close`` (or the end of a ``with`` block). A torn last line
+    is cut off then, so a run that appends nothing leaves the file as it is."""
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
         self._handle: TextIO | None = None
         self._records: list[EvalRecord] = []
-        self._keys: set[tuple[str, str, str]] = set()
+        self.digests: dict[tuple[str, str, str], str] = {}  # key -> stored prompt_sha256
+        self._torn_at: int | None = None
         if os.path.exists(path):
             self._records, complete_bytes = _read_records(path)
-            self._keys = {record.key() for record in self._records}
-            if complete_bytes < os.path.getsize(path):
-                # Appending after a torn line would fuse it with the next record.
-                os.truncate(path, complete_bytes)
+            self.digests = {record.key(): record.prompt_sha256 for record in self._records}
+            self._torn_at = complete_bytes if complete_bytes < os.path.getsize(path) else None
 
     def __enter__(self) -> "RecordStore":
         return self
@@ -201,21 +203,28 @@ class RecordStore:
                 self._handle.close()
                 self._handle = None
 
-    def __contains__(self, key: tuple[str, str, str]) -> bool:
-        return key in self._keys
-
     def append(self, record: EvalRecord) -> None:
-        line = json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n"
+        quoted = encode_basestring  # Task and Paradigm are str enums: it writes their values
+        line = _RECORD_LINE % (
+            quoted(record.instance_id), quoted(record.dataset), quoted(record.task),
+            quoted(record.paradigm), quoted(record.prompt_sha256), quoted(record.completion),
+            quoted(record.extracted), quoted(record.gold), "true" if record.correct else "false",
+            record.latency_ms,
+        )
         key = record.key()
         with self._lock:
-            if key in self._keys:
+            if key in self.digests:
                 return
             if self._handle is None:
+                if self._torn_at is not None:
+                    # Appending after a torn line would fuse it with the next record.
+                    os.truncate(self.path, self._torn_at)
+                    self._torn_at = None
                 self._handle = open(self.path, "a", encoding="utf-8")
             self._handle.write(line)
             self._handle.flush()
             self._records.append(record)
-            self._keys.add(key)
+            self.digests[key] = record.prompt_sha256
 
     def records(self) -> list[EvalRecord]:
         with self._lock:
@@ -371,11 +380,7 @@ def score(records: list[EvalRecord], config: dict | None = None) -> EvalReport:
 
 
 def _demo_pools(config: EvalConfig) -> dict[str, list[Demonstration]]:
-    needs_demos = any(
-        paradigm in (Paradigm.FEW_SHOT, Paradigm.FEW_SHOT_COT, Paradigm.META_REASONING)
-        for paradigm in config.paradigms
-    )
-    if not needs_demos:
+    if not any(paradigm in DEMO_PARADIGMS for paradigm in config.paradigms):
         return {}
     pools: dict[str, list[Demonstration]] = {}
     for dataset in config.datasets:
@@ -401,17 +406,9 @@ def _run_one(
     completion = complete(backend, prompt)
     latency_ms = (time.perf_counter() - started) * 1000.0
     extracted = extract_answer(inst.task, completion)
-    return EvalRecord(
-        instance_id=inst.id,
-        dataset=dataset,
-        task=inst.task,
-        paradigm=paradigm,
-        prompt=prompt,
-        completion=completion,
-        extracted=extracted,
-        gold=inst.gold,
-        correct=is_correct(inst.task, extracted, inst.gold),
-        latency_ms=latency_ms,
+    return EvalRecord(  # positional, in field order
+        inst.id, dataset, inst.task, paradigm, prompt_sha256(prompt), completion, extracted,
+        inst.gold, is_correct(inst.task, extracted, inst.gold), latency_ms,
     )
 
 
@@ -435,34 +432,41 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
     pools = _demo_pools(config)
 
     store = RecordStore(os.path.join(config.output_dir, "records.jsonl"))
-    demo_paradigms = (Paradigm.FEW_SHOT, Paradigm.FEW_SHOT_COT, Paradigm.META_REASONING)
     jobs = []
     for spec, instances in datasets:
         for paradigm in config.paradigms:
-            demos = pools.get(spec.name, []) if paradigm in demo_paradigms else []
+            demos = pools.get(spec.name, []) if paradigm in DEMO_PARADIGMS else []
+            # Stored records are checked against sha256(prefix + target), prefix hashed once.
+            prefix = hashlib.sha256(demo_prefix(paradigm, demos).encode("utf-8"))
             for inst in instances:
-                if (spec.name, paradigm.value, inst.id) not in store:
+                key = (spec.name, paradigm.value, inst.id)
+                stored = store.digests.get(key)
+                if stored is None:
                     jobs.append((spec.name, paradigm, demos, inst))
+                    continue
+                digest = prefix.copy()
+                digest.update(target_block(paradigm, inst).encode("utf-8"))
+                if digest.hexdigest() != stored:
+                    raise ConfigError(
+                        f"{store.path}: record {key} was made from a prompt with SHA-256 {stored}, "
+                        f"but this config assembles {digest.hexdigest()}: the config or its input "
+                        f"files changed. Delete {config.output_dir} to start over"
+                    )
 
     budget = len(jobs) if max_records is None else min(max_records, len(jobs))
     parallelism = getattr(config.backend, "parallelism", 1)
     with store:
         if parallelism <= 1:
-            for dataset, paradigm, demos, inst in jobs[:budget]:
-                store.append(_run_one(config.backend, dataset, paradigm, demos, inst))
+            for job in jobs[:budget]:
+                store.append(_run_one(config.backend, *job))
         else:
             submitted = 0
             pending = set()
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
                 while submitted < budget or pending:
                     while submitted < budget and len(pending) < parallelism:
-                        dataset, paradigm, demos, inst = jobs[submitted]
-                        pending.add(
-                            pool.submit(_run_one, config.backend, dataset, paradigm, demos, inst)
-                        )
+                        pending.add(pool.submit(_run_one, config.backend, *jobs[submitted]))
                         submitted += 1
-                    if not pending:
-                        break
                     done, pending = wait(pending, return_when=FIRST_COMPLETED)
                     for future in done:
                         store.append(future.result())

@@ -104,8 +104,9 @@ def _reader(rows: dict):
 
 _read_statement = _reader(STATEMENTS)
 _read_query = _reader(QUERIES)
-# "that" may be left out of the init sentence on input.
-_INIT = re.compile(_form_regex(INIT[:-1], pairs=".+").replace(r"\s+that", r"(?:\s+that)?", 1)).fullmatch
+# "that" may be left out of the init sentence on input; its pairs may span
+# lines, as a string value may hold a newline.
+_INIT = re.compile(_form_regex(INIT[:-1], pairs=".+").replace(r"\s+that", r"(?:\s+that)?", 1), re.S).fullmatch
 _PAIR = re.compile(rf"\s*{_form_regex(PAIR)}\s*(?:(,)|\Z)")
 _PAIR_HINT = f'{_shown(PAIR)} pairs separated by ", "'
 _QUERY_HINT = "a query sentence ending with '?'"

@@ -271,7 +271,7 @@ def test_criterion_08_oracle_backend_ceiling(capsys, tmp_path):
                     dataset=dataset,
                     task=task,
                     paradigm=Paradigm.META_REASONING,
-                    prompt="",
+                    prompt_sha256="",
                     completion="",
                     extracted="A" if index < correct else "B",
                     gold="A",

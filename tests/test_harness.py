@@ -15,7 +15,12 @@ import pytest
 
 import metareason
 from metareason.cli import _configure_logging, main
-from metareason.demos import build_demonstration, save_demonstrations
+from metareason.demos import (
+    build_demonstration,
+    load_demonstrations,
+    save_demonstrations,
+    select_demos,
+)
 from metareason.harness import (
     COT_TRIGGER,
     ConfigError,
@@ -29,12 +34,14 @@ from metareason.harness import (
     OracleUnresolvableError,
     Paradigm,
     RecordLineError,
+    RecordStore,
     ReplayBackend,
     TransportError,
     assemble_prompt,
     backend_from_config,
     complete,
     format_pct,
+    is_correct,
     load_records,
     paradigm_from_string,
     prompt_sha256,
@@ -45,7 +52,7 @@ from metareason.harness import (
     save_fixtures,
     score,
 )
-from metareason.resolution import Task, save_instances, task_from_string
+from metareason.resolution import Task, load_instances, save_instances, task_from_string
 from metareason.taskgen import GenConfig, generate
 
 
@@ -55,7 +62,7 @@ def _record(dataset, task, paradigm, instance_id, extracted, gold):
         dataset=dataset,
         task=task,
         paradigm=paradigm,
-        prompt="p",
+        prompt_sha256="p",
         completion="c",
         extracted=extracted,
         gold=gold,
@@ -718,10 +725,16 @@ class TestRunEval:
         sequential = run_eval(EvalConfig.from_json_dict(config))
         # Unused fixtures make the first load long enough for the other
         # workers to arrive while it runs.
-        fixtures = {f"unused prompt {i}": "" for i in range(20000)}
-        fixtures.update({r.prompt: r.completion for r in sequential.records})
+        fixtures = {prompt_sha256(f"unused prompt {i}"): "" for i in range(20000)}
+        fixtures.update({r.prompt_sha256: r.completion for r in sequential.records})
         fixture_path = tmp_path / "fixtures.jsonl"
-        save_fixtures(fixture_path, fixtures)
+        fixture_path.write_text(
+            "".join(
+                json.dumps({"prompt_sha256": digest, "completion": completion}) + "\n"
+                for digest, completion in fixtures.items()
+            ),
+            encoding="utf-8",
+        )
 
         def contents(run):
             return [(r.key(), r.completion, r.extracted, r.correct) for r in run.records]
@@ -747,6 +760,190 @@ class TestRunEval:
         config["demos"] = {}
         report = run_eval(EvalConfig.from_json_dict(config))
         assert report.cells[("cf", Paradigm.ZERO_SHOT)].accuracy == 1.0
+
+
+def _rebuilt_prompts(config):
+    """Each record key's prompt, rebuilt from the config with ``assemble_prompt``."""
+    prompts = {}
+    for dataset in config["datasets"]:
+        spec = config["demos"][dataset["name"]]
+        demos = select_demos(load_demonstrations(spec["path"]), spec["k"], config["seed"])
+        for paradigm in map(paradigm_from_string, config["paradigms"]):
+            shots = [] if paradigm in (Paradigm.ZERO_SHOT, Paradigm.ZERO_SHOT_COT) else demos
+            for inst in load_instances(dataset["path"]):
+                key = (dataset["name"], paradigm.value, inst.id)
+                prompts[key] = assemble_prompt(paradigm, shots, inst)
+    return prompts
+
+
+def _to_parent_format(records_path, prompts):
+    """Rewrite a records file as lines that hold the prompt in place of its digest."""
+    lines = []
+    for line in records_path.read_text(encoding="utf-8").splitlines():
+        fields = json.loads(line)
+        key = (fields["dataset"], fields["paradigm"], fields["instance_id"])
+        old = {}
+        for name, value in fields.items():
+            if name == "prompt_sha256":
+                name, value = "prompt", prompts[key]
+            old[name] = value
+        lines.append(json.dumps(old, ensure_ascii=False) + "\n")
+    records_path.write_text("".join(lines), encoding="utf-8")
+
+
+class TestPromptDigest:
+    """Records store the SHA-256 of their prompt, and a resume refuses to mix
+    records made under a different config."""
+
+    AWKWARD = (
+        'say "hi"', "back\\slash", "two\nlines", "tab\there", "bell\x07", "nul\x00",
+        "sep\u2028par\u2029", "café", "中文", "🙂", "",
+    )
+
+    def test_each_line_is_the_stdlib_encoding_of_its_fields(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        paradigms = list(Paradigm)
+        latencies = (0.0, 1e-7, 123.456, 1e20)
+        written = []
+        with RecordStore(str(path)) as store:
+            for index, text in enumerate(self.AWKWARD):
+                task = [Task.CF, Task.WOL, Task.TSO3][index % 3]
+                gold = text if index % 2 else f"{text}!"
+                record = EvalRecord(
+                    instance_id=f"id {text}",
+                    dataset=f"set {text}",
+                    task=task,
+                    paradigm=paradigms[index % len(paradigms)],
+                    prompt_sha256=prompt_sha256(text),
+                    completion=f"So the answer is {text}.",
+                    extracted=text,
+                    gold=gold,
+                    correct=is_correct(task, text, gold),  # as loading recomputes it
+                    latency_ms=latencies[index % len(latencies)],
+                )
+                store.append(record)
+                written.append(record)
+        fields = [
+            {
+                "instance_id": r.instance_id,
+                "dataset": r.dataset,
+                "task": r.task.value,
+                "paradigm": r.paradigm.value,
+                "prompt_sha256": r.prompt_sha256,
+                "completion": r.completion,
+                "extracted": r.extracted,
+                "gold": r.gold,
+                "correct": r.correct,
+                "latency_ms": r.latency_ms,
+            }
+            for r in written
+        ]
+        expected = "".join(json.dumps(f, ensure_ascii=False) + "\n" for f in fields)
+        assert path.read_text(encoding="utf-8") == expected
+        assert load_records(path) == written
+
+    def test_a_torn_line_is_cut_off_once_at_the_first_append(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        first, second, third = (
+            _record("cf", Task.CF, Paradigm.ZERO_SHOT, f"cf-{i}", "yes", "yes") for i in range(3)
+        )
+        with RecordStore(str(path)) as store:
+            store.append(first)
+        whole = path.read_bytes()
+        path.write_bytes(whole + whole[:40])
+        store = RecordStore(str(path))
+        assert path.read_bytes() == whole + whole[:40]  # loading leaves the torn line
+        store.append(second)
+        store.close()
+        store.append(third)  # reopening must not cut off what was appended since
+        store.close()
+        assert load_records(path) == [first, second, third]
+
+    def test_records_are_frozen_and_compare_by_value(self):
+        import dataclasses
+
+        record = _record("cf", Task.CF, Paradigm.FEW_SHOT, "cf-1", "A", "A")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.correct = False
+        copy = dataclasses.replace(record)
+        assert copy is not record and copy == record and hash(copy) == hash(record)
+        assert len({record, copy}) == 1
+        assert dataclasses.replace(record, prompt_sha256="q") != record
+
+    def test_a_fresh_run_stores_each_prompts_digest_and_no_prompt(self, tmp_path):
+        config, _ = _write_eval_setup(tmp_path)
+        config["paradigms"] = [paradigm.value for paradigm in Paradigm]
+        run_eval(EvalConfig.from_json_dict(config))
+        lines = (tmp_path / "out" / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        stored = [json.loads(line) for line in lines]
+        assert not [fields for fields in stored if "prompt" in fields]
+        digests = {
+            (fields["dataset"], fields["paradigm"], fields["instance_id"]): fields["prompt_sha256"]
+            for fields in stored
+        }
+        prompts = _rebuilt_prompts(config)
+        assert digests == {key: prompt_sha256(prompt) for key, prompt in prompts.items()}
+
+    def _refused(self, config, records_path, key):
+        """Resume under ``config``: the run stops before it appends anything."""
+        before = records_path.read_bytes()
+        with pytest.raises(ConfigError) as raised:
+            run_eval(EvalConfig.from_json_dict(config))
+        message = str(raised.value)
+        stored = {(r.dataset, r.paradigm.value, r.instance_id): r for r in load_records(records_path)}
+        assigned = prompt_sha256(_rebuilt_prompts(config)[key])
+        for part in (str(records_path), repr(key), stored[key].prompt_sha256, assigned):
+            assert part in message
+        assert f"Delete {config['output_dir']} to start over" in message
+        assert records_path.read_bytes() == before
+        return message
+
+    def test_a_resume_under_a_changed_k_is_refused(self, tmp_path, capsys):
+        config, _ = _write_eval_setup(tmp_path, count=10)
+        config.update(paradigms=["few-shot"], demos={"cf": {**config["demos"]["cf"], "k": 1}})
+        run_eval(EvalConfig.from_json_dict(config), max_records=4)
+        records_path = tmp_path / "out" / "records.jsonl"
+        first = json.loads(records_path.read_text(encoding="utf-8").splitlines()[0])
+        config["demos"]["cf"]["k"] = 3
+        message = self._refused(config, records_path, ("cf", "few-shot", first["instance_id"]))
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert len(load_records(records_path)) == 4
+
+    def test_a_changed_question_under_the_same_id_is_refused(self, tmp_path):
+        config, instances = _write_eval_setup(tmp_path)
+        run_eval(EvalConfig.from_json_dict(config))
+        import dataclasses
+
+        changed = instances[5]
+        instances[5] = dataclasses.replace(changed, question=changed.question + " Again?")
+        save_instances(tmp_path / "cf.jsonl", instances)
+        self._refused(config, tmp_path / "out" / "records.jsonl", ("cf", "meta-reasoning", changed.id))
+
+    def test_a_parent_format_file_resumes_with_nothing_to_run(self, tmp_path, monkeypatch):
+        from metareason.harness import runner
+
+        config, instances = _write_eval_setup(tmp_path)
+        config["paradigms"] = [paradigm.value for paradigm in Paradigm]
+        run_eval(EvalConfig.from_json_dict(config))
+        out_dir = tmp_path / "out"
+        report = (out_dir / "report.json").read_bytes()
+        records_path = out_dir / "records.jsonl"
+        _to_parent_format(records_path, _rebuilt_prompts(config))
+        assert all("prompt" in json.loads(line) for line in records_path.read_text().splitlines())
+        (out_dir / "report.json").unlink()
+
+        def no_completion(backend, prompt):
+            raise AssertionError("a complete run has nothing left to run")
+
+        monkeypatch.setattr(runner, "complete", no_completion)
+        run_eval(EvalConfig.from_json_dict(config))
+        assert (out_dir / "report.json").read_bytes() == report
+        config["demos"]["cf"]["k"] = 1
+        self._refused(config, records_path, ("cf", "few-shot", instances[0].id))
 
 
 class TestReportJson:

@@ -185,6 +185,8 @@ class TestGrammarTable:
     def test_loose_spacing_and_optional_that(self):
         assert parse_meta('A = last( "x" ). What is the value of A?').stmts == (LastOf(sym="A", literal="x"),)
         assert parse_meta("It is known A = 1. What is the value of A?").inits == (("A", True),)
+        text = "It is known that A = 1,\nB = 2. What is the value of A?"
+        assert parse_meta(text).inits == (("A", True), ("B", 2))
 
 
 class TestRender:
@@ -215,12 +217,12 @@ class TestRender:
 
     def test_rational_and_string_values(self):
         program = MetaProgram(
-            inits=(("A", Fraction(7, 2)), ("B", -3)),
+            inits=(("A", Fraction(7, 2)), ("B", -3), ("D", "two\nlines")),
             stmts=(LastOf(sym="C", literal='say "hi"'),),
             query=ConcatOf(syms=("C",)),
         )
         text = render_meta(program)
-        assert "A = 7/2" in text
+        assert "A = 7/2" in text and 'D = "two\nlines"' in text
         assert parse_meta(text) == program
 
 
