@@ -24,6 +24,9 @@ from ..resolution import TaskInstance, TemplateMismatchError, resolve_any, surfa
 from .prompts import COT_TRIGGER, HarnessError
 
 
+log = logging.getLogger(__name__)
+
+
 class TransportError(HarnessError):
     """HTTP completion failed after exhausting retries."""
 
@@ -55,7 +58,6 @@ class HttpBackend:
 @dataclass(frozen=True)
 class ReplayBackend:
     fixture_path: str
-    parallelism: int = 1
     # prompt SHA-256 → completion, read from fixture_path at first use.
     _fixtures: dict[str, str] | None = field(
         default=None, init=False, compare=False, repr=False
@@ -64,7 +66,6 @@ class ReplayBackend:
 
 @dataclass(frozen=True)
 class OracleBackend:
-    parallelism: int = 1
     # (question, options) → rationale: every paradigm's prompt for an item
     # ends with the same target question, so each is solved once. Unbounded,
     # because it holds one string per distinct question and the run's
@@ -80,8 +81,7 @@ BackendSpec = HttpBackend | ReplayBackend | OracleBackend
 def backend_from_config(config: dict) -> BackendSpec:
     kind = config.get("kind")
     if kind == "http":
-        required = ("endpoint_url", "model_name")
-        for key in required:
+        for key in ("endpoint_url", "model_name"):
             if key not in config:
                 raise ConfigError(f"http backend needs {key!r}")
         spec = HttpBackend(
@@ -94,20 +94,8 @@ def backend_from_config(config: dict) -> BackendSpec:
             max_retries=int(config.get("max_retries", 3)),
             parallelism=int(config.get("parallelism", 1)),
         )
-    elif kind == "replay":
-        if "fixture_path" not in config:
-            raise ConfigError("replay backend needs 'fixture_path'")
-        spec = ReplayBackend(
-            fixture_path=config["fixture_path"],
-            parallelism=int(config.get("parallelism", 1)),
-        )
-    elif kind == "oracle":
-        spec = OracleBackend(parallelism=int(config.get("parallelism", 1)))
-    else:
-        raise ConfigError(f"unknown backend kind {kind!r}")
-    if spec.parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
-    if isinstance(spec, HttpBackend):
+        if spec.parallelism < 1:
+            raise ConfigError("parallelism must be >= 1")
         # Chained comparisons are false for NaN, so these reject it too.
         if not 0 <= spec.temperature < math.inf:
             raise ConfigError("temperature must be finite and >= 0")
@@ -117,6 +105,21 @@ def backend_from_config(config: dict) -> BackendSpec:
             raise ConfigError("max_tokens must be >= 1")
         if spec.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
+        return spec
+    if kind == "replay":
+        if "fixture_path" not in config:
+            raise ConfigError("replay backend needs 'fixture_path'")
+        spec = ReplayBackend(fixture_path=config["fixture_path"])
+    elif kind == "oracle":
+        spec = OracleBackend()
+    else:
+        raise ConfigError(f"unknown backend kind {kind!r}")
+    if "parallelism" in config:  # CPU-bound: threads would only contend for the GIL
+        value = config["parallelism"]
+        log.warning(
+            "the %s backend runs on the calling thread; ignoring parallelism=%r", kind, value,
+            extra={"backend": kind, "parallelism": value},
+        )
     return spec
 
 
@@ -146,10 +149,7 @@ def save_fixtures(path, pairs: dict[str, str]) -> None:
 
 def _replay_complete(backend: ReplayBackend, prompt: str) -> str:
     fixtures = backend._fixtures
-    if fixtures is None:
-        # Published whole by one attribute store, so no thread sees a
-        # half-read table; threads that race here each read the same file.
-        # Frozen guards the backend's identity, not this cache.
+    if fixtures is None:  # frozen guards the backend's identity, not this cache
         fixtures = load_fixtures(backend.fixture_path)
         object.__setattr__(backend, "_fixtures", fixtures)
     digest = prompt_sha256(prompt)
@@ -162,8 +162,6 @@ _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
 
 _USER_AGENT = f"metareason/{__version__}"
-
-log = logging.getLogger(__name__)
 
 
 class _ThreadConnection:
@@ -315,9 +313,7 @@ def _target_question(prompt: str) -> tuple[str, tuple[str, ...] | None]:
 def _oracle_complete(backend: OracleBackend, prompt: str) -> str:
     target = _target_question(prompt)
     rationale = backend._solved.get(target)
-    if rationale is None:
-        # Threads that race here solve the same pure question and store the
-        # same text. An unresolvable question raises and is not stored.
+    if rationale is None:  # an unresolvable question raises and is not stored
         rationale = backend._solved[target] = _oracle_solve(*target)
     return rationale
 

@@ -1,6 +1,5 @@
-"""Evaluation runner: dispatches prompts to a backend with bounded
-parallelism, persists one record per item (resumable), and scores reports.
-"""
+"""Evaluation runner: dispatches prompts to a backend (on worker threads
+only for HTTP), persists one record per item (resumable), and scores reports."""
 
 from __future__ import annotations
 
@@ -9,7 +8,6 @@ import json
 import logging
 import operator
 import os
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -18,7 +16,8 @@ from typing import TextIO
 
 from ..demos import Demonstration, load_demonstrations, select_demos
 from ..resolution import TSO_TASKS, Task, TaskInstance, load_instances, task_from_string
-from .backends import BackendSpec, ConfigError, backend_from_config, complete, prompt_sha256
+from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, complete
+from .backends import prompt_sha256
 from .extraction import extract_answer, is_correct
 from .prompts import DEMO_PARADIGMS, Paradigm, assemble_prompt, demo_prefix, target_block
 from .prompts import _PARADIGMS_BY_VALUE, paradigm_from_string  # exact value -> paradigm
@@ -173,7 +172,8 @@ _RECORD_LINE = (
 
 class RecordStore:
     """Append-only JSONL persistence; one complete line per record, flushed
-    immediately, so an interrupted run resumes from what reached disk.
+    immediately, so an interrupted run resumes from what reached disk. It is
+    single-threaded: ``run_eval`` appends from its own thread either way.
 
     The file is opened for append once, at the first new record, and kept
     open until ``close`` (or the end of a ``with`` block). A torn last line
@@ -181,7 +181,6 @@ class RecordStore:
 
     def __init__(self, path: str):
         self.path = path
-        self._lock = threading.Lock()
         self._handle: TextIO | None = None
         self._records: list[EvalRecord] = []
         self.digests: dict[tuple[str, str, str], str] = {}  # key -> stored prompt_sha256
@@ -198,10 +197,9 @@ class RecordStore:
         self.close()
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def append(self, record: EvalRecord) -> None:
         quoted = encode_basestring  # Task and Paradigm are str enums: it writes their values
@@ -212,23 +210,21 @@ class RecordStore:
             record.latency_ms,
         )
         key = record.key()
-        with self._lock:
-            if key in self.digests:
-                return
-            if self._handle is None:
-                if self._torn_at is not None:
-                    # Appending after a torn line would fuse it with the next record.
-                    os.truncate(self.path, self._torn_at)
-                    self._torn_at = None
-                self._handle = open(self.path, "a", encoding="utf-8")
-            self._handle.write(line)
-            self._handle.flush()
-            self._records.append(record)
-            self.digests[key] = record.prompt_sha256
+        if key in self.digests:
+            return
+        if self._handle is None:
+            if self._torn_at is not None:
+                # Appending after a torn line would fuse it with the next record.
+                os.truncate(self.path, self._torn_at)
+                self._torn_at = None
+            self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle.write(line)
+        self._handle.flush()
+        self._records.append(record)
+        self.digests[key] = record.prompt_sha256
 
     def records(self) -> list[EvalRecord]:
-        with self._lock:
-            return list(self._records)
+        return self._records
 
 
 def _require_text(what: str, value) -> None:
@@ -268,7 +264,8 @@ class EvalConfig:
             )
             paradigms = tuple(paradigm_from_string(p) for p in config["paradigms"])
             backend = backend_from_config(config["backend"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            seed = int(config.get("seed", 0))
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         if not datasets:
             raise ConfigError("config names no datasets")
@@ -279,24 +276,21 @@ class EvalConfig:
             raise ConfigError("config names no paradigms")
         if len({d.name for d in datasets}) != len(datasets):
             raise ConfigError("dataset names must be unique")
+        demo_specs = config.get("demos") or {}
+        if not isinstance(demo_specs, dict):
+            raise ConfigError(f"demos must map dataset names to demo specs, got {demo_specs!r}")
         demos = {}
-        for name, spec in (config.get("demos") or {}).items():
+        for name, spec in demo_specs.items():
             try:
                 demos[name] = DemoSpec(path=spec["path"], k=int(spec.get("k", 1)))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad demo spec for {name!r}: {exc}") from exc
             _require_text(f"demo path for {name!r}", demos[name].path)
+            if demos[name].k < 1:
+                raise ConfigError(f"k for {name!r} must be >= 1, got {demos[name].k}")
         output_dir = config.get("output_dir", "eval-out")
         _require_text("output_dir", output_dir)
-        return cls(
-            datasets=datasets,
-            paradigms=paradigms,
-            backend=backend,
-            demos=demos,
-            seed=int(config.get("seed", 0)),
-            output_dir=output_dir,
-            snapshot=config,
-        )
+        return cls(datasets, paradigms, backend, demos, seed, output_dir, snapshot=config)
 
     @classmethod
     def from_file(cls, path) -> "EvalConfig":
@@ -432,6 +426,7 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
     pools = _demo_pools(config)
 
     store = RecordStore(os.path.join(config.output_dir, "records.jsonl"))
+    unchecked = dict(store.digests)  # the stored keys this config has not reached yet
     jobs = []
     for spec, instances in datasets:
         for paradigm in config.paradigms:
@@ -444,6 +439,7 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
                 if stored is None:
                     jobs.append((spec.name, paradigm, demos, inst))
                     continue
+                unchecked.pop(key, None)  # a repeated id or paradigm reaches a key twice
                 digest = prefix.copy()
                 digest.update(target_block(paradigm, inst).encode("utf-8"))
                 if digest.hexdigest() != stored:
@@ -452,9 +448,14 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
                         f"but this config assembles {digest.hexdigest()}: the config or its input "
                         f"files changed. Delete {config.output_dir} to start over"
                     )
+    if unchecked:
+        raise ConfigError(
+            f"{store.path}: record {next(iter(unchecked))} is not one this config runs: a "
+            f"dataset, paradigm or item was dropped. Delete {config.output_dir} to start over"
+        )
 
     budget = len(jobs) if max_records is None else min(max_records, len(jobs))
-    parallelism = getattr(config.backend, "parallelism", 1)
+    parallelism = config.backend.parallelism if isinstance(config.backend, HttpBackend) else 1
     with store:
         if parallelism <= 1:
             for job in jobs[:budget]:

@@ -152,8 +152,11 @@ class TestEvalReport:
     def test_negative_max_records_is_validation_error(self, tmp_path, capsys):
         config_path = self._setup(tmp_path)
         config = json.loads(config_path.read_text())
-        for parallelism in (1, 2):
-            config["backend"] = {"kind": "oracle", "parallelism": parallelism}
+        # Both dispatch paths: the refusal comes before any request is made.
+        http = {"kind": "http", "endpoint_url": "http://127.0.0.1:9/v1/completions",
+                "model_name": "m", "max_retries": 0, "parallelism": 2}
+        for backend in ({"kind": "oracle"}, http):
+            config["backend"] = backend
             config_path.write_text(json.dumps(config))
             assert main(["eval", "--config", str(config_path), "--max-records", "-2"]) == 1
             assert "max_records must be >= 0" in capsys.readouterr().err
@@ -174,6 +177,21 @@ class TestEvalReport:
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"datasets": [], "paradigms": [], "backend": {"kind": "oracle"}}))
         assert main(["eval", "--config", str(config_path)]) == 1
+
+    def test_malformed_config_exits_1_without_a_traceback(self, tmp_path):
+        config_path = self._setup(tmp_path)
+        config = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**config, "seed": None}))
+        src = str(Path(metareason.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "metareason.cli", "eval", "--config", str(config_path)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: bad config: ")
+        assert not (tmp_path / "out").exists()
 
     def test_fixture_miss_is_runtime_error(self, tmp_path, capsys):
         data = tmp_path / "cf.jsonl"

@@ -7,7 +7,6 @@ import logging
 import random
 import re
 import socket
-import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
@@ -164,7 +163,7 @@ class TestOracleBackend:
         used, fresh = OracleBackend(), OracleBackend()
         complete(used, assemble_prompt(Paradigm.ZERO_SHOT, [], coin_instance))
         assert used == fresh and hash(used) == hash(fresh)
-        assert repr(used) == repr(fresh) == "OracleBackend(parallelism=1)"
+        assert repr(used) == repr(fresh) == "OracleBackend()"
         assert len(used._solved) == 1 and not fresh._solved
 
 
@@ -196,7 +195,8 @@ class _CompletionServer(ThreadingHTTPServer):
     """A loopback HTTP/1.1 keep-alive server that counts the connections it
     accepts and records each request's line, headers and JSON body.
 
-    ``status`` is the reply status for every request; a server with
+    ``status`` is the reply status for every request, and ``text`` the reply
+    text, or a function of the request's prompt that returns it; a server with
     ``requests_per_connection`` closes each connection, unannounced, after
     serving that many requests and then sets ``closed``.
     """
@@ -248,7 +248,8 @@ class _CompletionHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         with self.server.lock:
             self.server.requests.append((self.requestline, self.headers, body))
-        reply = json.dumps({"choices": [{"text": self.server.text}]}).encode()
+        text = self.server.text(body["prompt"]) if callable(self.server.text) else self.server.text
+        reply = json.dumps({"choices": [{"text": text}]}).encode()
         self.send_response(self.server.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply)))
@@ -333,6 +334,26 @@ class TestHttpBackend:
         assert report.cells[("cf", Paradigm.ZERO_SHOT)].total == 40
         assert len(server.requests) == 40
         assert 1 <= server.connections <= 2
+
+    def test_threaded_dispatch_matches_sequential(self, tmp_path, no_proxy_env):
+        config, _ = _write_eval_setup(tmp_path)
+        config["paradigms"] = [paradigm.value for paradigm in Paradigm]
+        oracle = run_eval(EvalConfig.from_json_dict(config))
+        completions = {r.prompt_sha256: r.completion for r in oracle.records}
+
+        def contents(run):
+            return [(r.key(), r.completion, r.extracted, r.correct) for r in run.records]
+
+        runs = []
+        with _CompletionServer(text=lambda prompt: completions[prompt_sha256(prompt)]) as server:
+            for parallelism in (1, 2):
+                backend = {"kind": "http", "endpoint_url": server.url, "model_name": "m",
+                           "parallelism": parallelism, "max_retries": 0}
+                config.update(backend=backend, output_dir=str(tmp_path / f"http-{parallelism}"))
+                runs.append(run_eval(EvalConfig.from_json_dict(config)))
+        assert len(server.requests) == 2 * len(oracle.records) == 2 * 5 * 12
+        assert contents(runs[0]) == contents(runs[1]) == contents(oracle)
+        assert all(cell.accuracy == 1.0 for cell in runs[1].cells.values())
 
     def test_connection_closed_while_idle_is_redialed(self, no_proxy_env, sleeps):
         with _CompletionServer(requests_per_connection=2) as server:
@@ -431,10 +452,9 @@ class TestBackendConfig:
             backend_from_config({"kind": "warp"})
         with pytest.raises(ConfigError):
             backend_from_config({"kind": "http", "endpoint_url": "u"})
-        with pytest.raises(ConfigError):
-            backend_from_config({"kind": "oracle", "parallelism": 0})
         http = {"kind": "http", "endpoint_url": "u", "model_name": "m"}
         for key, value in (
+            ("parallelism", 0),
             ("temperature", "nan"),
             ("temperature", "inf"),
             ("temperature", -0.5),
@@ -467,6 +487,19 @@ class TestBackendConfig:
                 EvalConfig.from_json_dict({**evaluation, "demos": {"cf": {"path": path, "k": 1}}})
             with pytest.raises(ConfigError, match="output_dir must be a non-empty string"):
                 EvalConfig.from_json_dict({**evaluation, "output_dir": path})
+        # JSON reads 1e400 as inf, which int() refuses with an OverflowError.
+        for seed in (None, [1], "x", float("inf")):
+            with pytest.raises(ConfigError, match="bad config"):
+                EvalConfig.from_json_dict({**evaluation, "seed": seed})
+        for demos in (["x"], "cf", 5):
+            with pytest.raises(ConfigError, match="demos must map dataset names to demo specs"):
+                EvalConfig.from_json_dict({**evaluation, "demos": demos})
+        for k in (-1, 0):
+            with pytest.raises(ConfigError, match=f"k for 'cf' must be >= 1, got {k}"):
+                EvalConfig.from_json_dict({**evaluation, "demos": {"cf": {"path": "d", "k": k}}})
+        for spec in ({"path": "d", "k": float("inf")}, {"k": 2}, ["d"]):
+            with pytest.raises(ConfigError, match="bad demo spec for 'cf'"):
+                EvalConfig.from_json_dict({**evaluation, "demos": {"cf": spec}})
 
 
 class TestScore:
@@ -719,40 +752,51 @@ class TestRunEval:
         with pytest.raises(EmptyDatasetError):
             run_eval(EvalConfig.from_json_dict(config))
 
-    def test_parallel_dispatch_matches_sequential(self, tmp_path):
+    def test_parallelism_on_a_cpu_bound_backend_is_ignored_with_a_warning(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        import dataclasses
+
+        from metareason.harness import runner
+
         config, _ = _write_eval_setup(tmp_path)
         config["paradigms"] = [paradigm.value for paradigm in Paradigm]
-        sequential = run_eval(EvalConfig.from_json_dict(config))
-        # Unused fixtures make the first load long enough for the other
-        # workers to arrive while it runs.
-        fixtures = {prompt_sha256(f"unused prompt {i}"): "" for i in range(20000)}
-        fixtures.update({r.prompt_sha256: r.completion for r in sequential.records})
+        plain = run_eval(EvalConfig.from_json_dict(config))
         fixture_path = tmp_path / "fixtures.jsonl"
         fixture_path.write_text(
             "".join(
-                json.dumps({"prompt_sha256": digest, "completion": completion}) + "\n"
-                for digest, completion in fixtures.items()
+                json.dumps({"prompt_sha256": r.prompt_sha256, "completion": r.completion}) + "\n"
+                for r in plain.records
             ),
             encoding="utf-8",
         )
 
-        def contents(run):
-            return [(r.key(), r.completion, r.extracted, r.correct) for r in run.records]
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a CPU-bound backend runs on the calling thread")
 
-        parallel_backends = {
-            "oracle": {"kind": "oracle", "parallelism": 4},
-            "replay": {"kind": "replay", "fixture_path": str(fixture_path), "parallelism": 4},
-        }
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often inside the backends' shared tables
-        try:
-            for name, backend in parallel_backends.items():
-                config.update(backend=backend, output_dir=str(tmp_path / name))
-                report = run_eval(EvalConfig.from_json_dict(config))
-                assert report.cells[("cf", Paradigm.META_REASONING)].accuracy == 1.0
-                assert contents(report) == contents(sequential)
-        finally:
-            sys.setswitchinterval(interval)
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+
+        def contents(run):  # every field but the measured latency
+            return [dataclasses.replace(r, latency_ms=0.0) for r in run.records]
+
+        for kind, backend in (
+            ("oracle", {"kind": "oracle"}),
+            ("replay", {"kind": "replay", "fixture_path": str(fixture_path)}),
+        ):
+            runs = []
+            for setting in ({}, {"parallelism": 4}):
+                config.update(
+                    backend={**backend, **setting},
+                    output_dir=str(tmp_path / f"{kind}-{len(setting)}"),
+                )
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="metareason.harness.backends"):
+                    runs.append(run_eval(EvalConfig.from_json_dict(config)))
+                warnings = [r for r in caplog.records if r.name == "metareason.harness.backends"]
+                assert [(w.backend, w.parallelism) for w in warnings] == (
+                    [(kind, 4)] if setting else []
+                )
+            assert contents(runs[0]) == contents(runs[1]) == contents(plain)
 
     def test_zero_shot_needs_no_demos(self, tmp_path):
         config, _ = _write_eval_setup(tmp_path)
@@ -912,6 +956,24 @@ class TestPromptDigest:
         assert main(["eval", "--config", str(config_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert len(load_records(records_path)) == 4
+
+    def test_a_resume_with_a_dropped_paradigm_or_item_is_refused(self, tmp_path, capsys):
+        config, instances = _write_eval_setup(tmp_path, count=10)
+        config["paradigms"] = ["zero-shot", "few-shot"]
+        run_eval(EvalConfig.from_json_dict(config))
+        out_dir = tmp_path / "out"
+        stored = {name: (out_dir / name).read_bytes() for name in ("records.jsonl", "report.json")}
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({**config, "paradigms": ["zero-shot"]}))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path)]) == 1
+        message = capsys.readouterr().err
+        assert f"{out_dir / 'records.jsonl'}: record ('cf', 'few-shot', " in message
+        assert f"Delete {config['output_dir']} to start over" in message
+        save_instances(tmp_path / "cf.jsonl", instances[1:])
+        with pytest.raises(ConfigError, match=re.escape(f"'{instances[0].id}') is not one")):
+            run_eval(EvalConfig.from_json_dict(config))
+        assert stored == {name: (out_dir / name).read_bytes() for name in stored}
 
     def test_a_changed_question_under_the_same_id_is_refused(self, tmp_path):
         config, instances = _write_eval_setup(tmp_path)
