@@ -272,6 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    handlers, level = log.handlers[:], log.level  # restored for the caller, e.g. a test
     _configure_logging(args.quiet, args.log_json)
     try:
         args.func(args)
@@ -288,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.handlers[:] = handlers
+        log.setLevel(level)
     return 0
 
 

@@ -107,9 +107,12 @@ def backend_from_config(config: dict) -> BackendSpec:
             raise ConfigError("max_retries must be >= 0")
         return spec
     if kind == "replay":
-        if "fixture_path" not in config:
-            raise ConfigError("replay backend needs 'fixture_path'")
-        spec = ReplayBackend(fixture_path=config["fixture_path"])
+        path = config.get("fixture_path")
+        if not isinstance(path, str) or not path:  # open() takes an int as a descriptor
+            raise ConfigError(
+                f"replay backend needs 'fixture_path', a non-empty string, got {path!r}"
+            )
+        spec = ReplayBackend(fixture_path=path)
     elif kind == "oracle":
         spec = OracleBackend()
     else:
@@ -121,6 +124,23 @@ def backend_from_config(config: dict) -> BackendSpec:
             extra={"backend": kind, "parallelism": value},
         )
     return spec
+
+
+def backend_fingerprint(backend: BackendSpec) -> dict:
+    """What shapes a backend's completions: its kind, and for HTTP the model
+    settings (not auth, timeout, retries or parallelism), for replay the
+    fixture file."""
+    if isinstance(backend, HttpBackend):
+        return {
+            "kind": "http", "endpoint_url": backend.endpoint_url,
+            "model_name": backend.model_name, "temperature": backend.temperature,
+            "max_tokens": backend.max_tokens,
+        }
+    if isinstance(backend, ReplayBackend):
+        return {"kind": "replay", "fixture_path": os.path.abspath(backend.fixture_path)}
+    if isinstance(backend, OracleBackend):
+        return {"kind": "oracle"}
+    raise ConfigError(f"unknown backend {backend!r}")
 
 
 def prompt_sha256(prompt: str) -> str:
@@ -147,12 +167,11 @@ def save_fixtures(path, pairs: dict[str, str]) -> None:
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def _replay_complete(backend: ReplayBackend, prompt: str) -> str:
+def _replay_complete(backend: ReplayBackend, digest: str) -> str:
     fixtures = backend._fixtures
     if fixtures is None:  # frozen guards the backend's identity, not this cache
         fixtures = load_fixtures(backend.fixture_path)
         object.__setattr__(backend, "_fixtures", fixtures)
-    digest = prompt_sha256(prompt)
     if digest not in fixtures:
         raise FixtureMissError(f"no fixture for prompt {digest[:12]}…")
     return fixtures[digest]
@@ -335,12 +354,13 @@ def _oracle_solve(question: str, options: tuple[str, ...] | None) -> str:
     return demo.rationale
 
 
-def complete(backend: BackendSpec, prompt: str) -> str:
-    """Dispatch one prompt to the backend and return the completion text."""
+def complete(backend: BackendSpec, prompt: str, digest: str) -> str:
+    """Dispatch one prompt to the backend and return the completion text.
+    ``digest`` is the prompt's ``prompt_sha256``, which replay looks up."""
     if isinstance(backend, HttpBackend):
         return _http_complete(backend, prompt)
     if isinstance(backend, ReplayBackend):
-        return _replay_complete(backend, prompt)
+        return _replay_complete(backend, digest)
     if isinstance(backend, OracleBackend):
         return _oracle_complete(backend, prompt)
     raise ConfigError(f"unknown backend {backend!r}")

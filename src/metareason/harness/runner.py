@@ -17,9 +17,9 @@ from typing import TextIO
 from ..demos import Demonstration, load_demonstrations, select_demos
 from ..resolution import TSO_TASKS, Task, TaskInstance, load_instances, task_from_string
 from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, complete
-from .backends import prompt_sha256
+from .backends import backend_fingerprint, prompt_sha256
 from .extraction import extract_answer, is_correct
-from .prompts import DEMO_PARADIGMS, Paradigm, assemble_prompt, demo_prefix, target_block
+from .prompts import DEMO_PARADIGMS, Paradigm, demo_prefix, target_block
 from .prompts import _PARADIGMS_BY_VALUE, paradigm_from_string  # exact value -> paradigm
 
 log = logging.getLogger(__name__)
@@ -209,9 +209,6 @@ class RecordStore:
             quoted(record.extracted), quoted(record.gold), "true" if record.correct else "false",
             record.latency_ms,
         )
-        key = record.key()
-        if key in self.digests:
-            return
         if self._handle is None:
             if self._torn_at is not None:
                 # Appending after a torn line would fuse it with the next record.
@@ -221,7 +218,7 @@ class RecordStore:
         self._handle.write(line)
         self._handle.flush()
         self._records.append(record)
-        self.digests[key] = record.prompt_sha256
+        self.digests[record.key()] = record.prompt_sha256
 
     def records(self) -> list[EvalRecord]:
         return self._records
@@ -274,6 +271,9 @@ class EvalConfig:
             _require_text(f"path of dataset {dataset.name!r}", dataset.path)
         if not paradigms:
             raise ConfigError("config names no paradigms")
+        if len(set(paradigms)) != len(paradigms):
+            repeated = next(p for i, p in enumerate(paradigms) if p in paradigms[:i])
+            raise ConfigError(f"paradigms must be unique, but {repeated.value!r} is listed twice")
         if len({d.name for d in datasets}) != len(datasets):
             raise ConfigError("dataset names must be unique")
         demo_specs = config.get("demos") or {}
@@ -388,22 +388,55 @@ def _demo_pools(config: EvalConfig) -> dict[str, list[Demonstration]]:
     return pools
 
 
+def _prompt_digest(prefix_hash, target: str) -> str:
+    """``prompt_sha256(prefix + target)`` from ``prefix_hash``, the SHA-256
+    object of a cell's demonstration prefix, which it leaves as it is."""
+    digest = prefix_hash.copy()
+    digest.update(target.encode("utf-8"))
+    return digest.hexdigest()
+
+
 def _run_one(
     backend: BackendSpec,
     dataset: str,
     paradigm: Paradigm,
-    demos: list[Demonstration],
+    prefix: str,
+    prefix_hash,
     inst: TaskInstance,
 ) -> EvalRecord:
-    prompt = assemble_prompt(paradigm, demos, inst)
+    target = target_block(paradigm, inst)
+    digest = _prompt_digest(prefix_hash, target)
+    prompt = prefix + target
     started = time.perf_counter()
-    completion = complete(backend, prompt)
+    completion = complete(backend, prompt, digest)
     latency_ms = (time.perf_counter() - started) * 1000.0
     extracted = extract_answer(inst.task, completion)
     return EvalRecord(  # positional, in field order
-        inst.id, dataset, inst.task, paradigm, prompt_sha256(prompt), completion, extracted,
+        inst.id, dataset, inst.task, paradigm, digest, completion, extracted,
         inst.gold, is_correct(inst.task, extracted, inst.gold), latency_ms,
     )
+
+
+def _check_backend(run_path: str, run_text: str, has_records: bool, output_dir: str) -> bool:
+    """Refuse to add to records that another backend made; True when
+    ``run_path`` does not hold ``run_text`` yet."""
+    if not has_records:  # nothing another backend could have made
+        return True
+    try:
+        with open(run_path, "r", encoding="utf-8") as handle:
+            stored = handle.read()
+    except FileNotFoundError:  # made before run.json was written
+        log.warning(
+            "%s holds records but no run.json, so the backend that made them is unknown; "
+            "taking it to be this config's", output_dir, extra={"path": run_path},
+        )
+        return True
+    if stored != run_text:
+        raise ConfigError(
+            f"{run_path}: the stored records were made by {stored.strip()}, but this config "
+            f"runs {run_text.strip()}. Delete {output_dir} to start over"
+        )
+    return False
 
 
 def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
@@ -412,6 +445,7 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
     Completed records are persisted one JSONL line at a time and skipped on
     rerun. ``max_records`` bounds how many new records this call produces
     (the hook that models an interrupted run). Writes ``records.jsonl``,
+    ``run.json`` (the fingerprint of the backend that made the records),
     ``report.json``, and ``report.txt`` under the output directory.
     """
     if max_records is not None and max_records < 0:
@@ -422,30 +456,38 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
         instances = load_instances(spec.path)
         if not instances:
             raise EmptyDatasetError(f"dataset {spec.name!r} is empty")
+        ids = set()
+        for inst in instances:
+            if inst.id in ids:  # its records would share one key
+                raise ConfigError(f"{spec.path}: instance id {inst.id!r} is repeated")
+            ids.add(inst.id)
         datasets.append((spec, instances))
     pools = _demo_pools(config)
 
     store = RecordStore(os.path.join(config.output_dir, "records.jsonl"))
+    run_path = os.path.join(config.output_dir, "run.json")
+    run_text = json.dumps({"backend": backend_fingerprint(config.backend)}, sort_keys=True) + "\n"
+    write_run = _check_backend(run_path, run_text, bool(store.digests), config.output_dir)
     unchecked = dict(store.digests)  # the stored keys this config has not reached yet
     jobs = []
     for spec, instances in datasets:
         for paradigm in config.paradigms:
             demos = pools.get(spec.name, []) if paradigm in DEMO_PARADIGMS else []
-            # Stored records are checked against sha256(prefix + target), prefix hashed once.
-            prefix = hashlib.sha256(demo_prefix(paradigm, demos).encode("utf-8"))
+            # Every prompt of the cell is prefix + target: build and hash the prefix once.
+            prefix = demo_prefix(paradigm, demos)
+            prefix_hash = hashlib.sha256(prefix.encode("utf-8"))
             for inst in instances:
                 key = (spec.name, paradigm.value, inst.id)
                 stored = store.digests.get(key)
                 if stored is None:
-                    jobs.append((spec.name, paradigm, demos, inst))
+                    jobs.append((spec.name, paradigm, prefix, prefix_hash, inst))
                     continue
-                unchecked.pop(key, None)  # a repeated id or paradigm reaches a key twice
-                digest = prefix.copy()
-                digest.update(target_block(paradigm, inst).encode("utf-8"))
-                if digest.hexdigest() != stored:
+                del unchecked[key]
+                digest = _prompt_digest(prefix_hash, target_block(paradigm, inst))
+                if digest != stored:
                     raise ConfigError(
                         f"{store.path}: record {key} was made from a prompt with SHA-256 {stored}, "
-                        f"but this config assembles {digest.hexdigest()}: the config or its input "
+                        f"but this config assembles {digest}: the config or its input "
                         f"files changed. Delete {config.output_dir} to start over"
                     )
     if unchecked:
@@ -454,6 +496,10 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
             f"dataset, paradigm or item was dropped. Delete {config.output_dir} to start over"
         )
 
+    if write_run:  # before the first append, so records never outlive their backend's name
+        with open(run_path + ".tmp", "w", encoding="utf-8") as handle:
+            handle.write(run_text)
+        os.replace(run_path + ".tmp", run_path)  # never a torn run.json beside records
     budget = len(jobs) if max_records is None else min(max_records, len(jobs))
     parallelism = config.backend.parallelism if isinstance(config.backend, HttpBackend) else 1
     with store:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -224,6 +225,19 @@ class TestLogging:
         main(["--log-json", "generate", "--task", "CF", "--count", "2", "--seed", "0", "--out", str(out)])
         err_lines = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
         assert err_lines and all(json.loads(line)["level"] for line in err_lines)
+
+
+    def test_main_leaves_the_logger_as_it_found_it(self, tmp_path, capsys):
+        logger = logging.getLogger("metareason")
+        before = (logger.handlers[:], logger.level)
+        generate = ["generate", "--task", "CF", "--count", "2", "--seed", "0"]
+        for argv in (
+            generate + ["--out", str(tmp_path / "x.jsonl")],
+            ["--quiet", "--log-json"] + generate + ["--out", str(tmp_path / "y.jsonl")],
+            ["solve", "--meta", "gibberish here"],  # a validation error, exit 1
+        ):
+            main(argv)
+            assert (logger.handlers, logger.level) == before
 
 
 class TestDependencies:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 import re
 import socket
@@ -121,25 +122,26 @@ class TestNames:
 class TestOracleBackend:
     def test_tracking_prompt(self, dance_instance):
         prompt = assemble_prompt(Paradigm.ZERO_SHOT, [], dance_instance)
-        completion = complete(OracleBackend(), prompt)
+        completion = complete(OracleBackend(), prompt, prompt_sha256(prompt))
         assert completion.rstrip(".").endswith("the answer is (C)")
 
     def test_target_is_last_block(self, dance_instance, coin_instance):
         demo = build_demonstration(dance_instance)
         prompt = assemble_prompt(Paradigm.META_REASONING, [demo], coin_instance)
-        completion = complete(OracleBackend(), prompt)
+        completion = complete(OracleBackend(), prompt, prompt_sha256(prompt))
         assert completion.endswith("the answer is: no.")
 
     def test_strips_cot_trigger_from_target(self, truth_chain_instance):
         prompt = assemble_prompt(Paradigm.ZERO_SHOT_COT, [], truth_chain_instance)
-        completion = complete(OracleBackend(), prompt)
+        completion = complete(OracleBackend(), prompt, prompt_sha256(prompt))
         assert completion.endswith("the answer is: no.")
 
     def test_unresolvable_prompt(self):
         backend = OracleBackend()
+        prompt = "Q: What is the meaning of life?\nA:"
         for _ in range(2):  # a failed solve is not stored, so it raises every time
             with pytest.raises(OracleUnresolvableError):
-                complete(backend, "Q: What is the meaning of life?\nA:")
+                complete(backend, prompt, prompt_sha256(prompt))
 
     def test_a_run_solves_each_target_question_once(self, tmp_path, monkeypatch):
         from metareason.harness import backends
@@ -161,7 +163,8 @@ class TestOracleBackend:
 
     def test_solved_table_leaves_equality_hash_and_repr_alone(self, coin_instance):
         used, fresh = OracleBackend(), OracleBackend()
-        complete(used, assemble_prompt(Paradigm.ZERO_SHOT, [], coin_instance))
+        prompt = assemble_prompt(Paradigm.ZERO_SHOT, [], coin_instance)
+        complete(used, prompt, prompt_sha256(prompt))
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == "OracleBackend()"
         assert len(used._solved) == 1 and not fresh._solved
@@ -172,16 +175,26 @@ class TestReplayBackend:
         path = tmp_path / "fixtures.jsonl"
         save_fixtures(path, {"prompt one": "completion one"})
         backend = ReplayBackend(fixture_path=str(path))
-        assert complete(backend, "prompt one") == "completion one"
+        assert complete(backend, "prompt one", prompt_sha256("prompt one")) == "completion one"
         with pytest.raises(FixtureMissError):
-            complete(backend, "prompt two")
+            complete(backend, "prompt two", prompt_sha256("prompt two"))
 
     def test_a_new_backend_reads_a_rewritten_fixture_file(self, tmp_path):
         path = tmp_path / "fixtures.jsonl"
         save_fixtures(path, {"prompt": "old completion"})
-        assert complete(ReplayBackend(fixture_path=str(path)), "prompt") == "old completion"
+        digest = prompt_sha256("prompt")
+        assert complete(ReplayBackend(fixture_path=str(path)), "prompt", digest) == "old completion"
         save_fixtures(path, {"prompt": "new completion"})
-        assert complete(ReplayBackend(fixture_path=str(path)), "prompt") == "new completion"
+        assert complete(ReplayBackend(fixture_path=str(path)), "prompt", digest) == "new completion"
+
+    def test_lookup_is_by_the_digest_it_is_given(self, tmp_path):
+        path = tmp_path / "fixtures.jsonl"
+        save_fixtures(path, {"prompt one": "completion one"})
+        backend = ReplayBackend(fixture_path=str(path))
+        assert complete(backend, "other text", prompt_sha256("prompt one")) == "completion one"
+        absent = prompt_sha256("prompt two")
+        with pytest.raises(FixtureMissError, match=f"no fixture for prompt {absent[:12]}…"):
+            complete(backend, "prompt one", absent)
 
     def test_fixture_hashes_are_sha256(self, tmp_path):
         path = tmp_path / "fixtures.jsonl"
@@ -294,7 +307,7 @@ class TestHttpBackend:
                 max_retries=2,
             )
             with pytest.raises(TransportError, match="after 3 attempts"):
-                complete(backend, "prompt")
+                complete(backend, "prompt", prompt_sha256("prompt"))
         assert dials == [("127.0.0.1", port)] * 3  # initial attempt + two retries
         assert sleeps == [0.5, 1.0]
 
@@ -304,7 +317,7 @@ class TestHttpBackend:
             backend = HttpBackend(
                 endpoint_url=server.url, model_name="m", auth_token_env_var="FAKE_TOKEN"
             )
-            assert complete(backend, "2+2?") == " the answer is 4"
+            assert complete(backend, "2+2?", prompt_sha256("2+2?")) == " the answer is 4"
         [(request_line, headers, payload)] = server.requests
         assert request_line == "POST /v1/completions HTTP/1.1"
         assert payload["prompt"] == "2+2?"
@@ -316,7 +329,7 @@ class TestHttpBackend:
         with _CompletionServer(status=401) as server:
             backend = HttpBackend(endpoint_url=server.url, model_name="m", max_retries=5)
             with pytest.raises(TransportError, match="HTTP 401"):
-                complete(backend, "p")
+                complete(backend, "p", prompt_sha256("p"))
         assert len(server.requests) == 1
         assert sleeps == []
 
@@ -358,11 +371,11 @@ class TestHttpBackend:
     def test_connection_closed_while_idle_is_redialed(self, no_proxy_env, sleeps):
         with _CompletionServer(requests_per_connection=2) as server:
             backend = HttpBackend(endpoint_url=server.url, model_name="m")
-            assert complete(backend, "one") == " the answer is 4"
-            assert complete(backend, "two") == " the answer is 4"
+            assert complete(backend, "one", prompt_sha256("one")) == " the answer is 4"
+            assert complete(backend, "two", prompt_sha256("two")) == " the answer is 4"
             assert server.connections == 1
             assert server.closed.wait(timeout=5)
-            assert complete(backend, "three") == " the answer is 4"
+            assert complete(backend, "three", prompt_sha256("three")) == " the answer is 4"
         assert server.connections == 2
         assert [payload["prompt"] for _, _, payload in server.requests] == ["one", "two", "three"]
         assert sleeps == []  # the dropped connection cost no retry
@@ -372,7 +385,7 @@ class TestHttpBackend:
         with _CompletionServer() as proxy:
             no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_port}")
             backend = HttpBackend(endpoint_url=endpoint, model_name="m")
-            assert complete(backend, "p") == " the answer is 4"
+            assert complete(backend, "p", prompt_sha256("p")) == " the answer is 4"
         [(request_line, headers, _)] = proxy.requests
         assert request_line == f"POST {endpoint} HTTP/1.1"
         assert headers["Host"] == "completions.example:8080"
@@ -383,7 +396,7 @@ class TestHttpBackend:
             no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_port}")
             no_proxy_env.setenv("NO_PROXY", "localhost,127.0.0.1")
             backend = HttpBackend(endpoint_url=server.url, model_name="m")
-            assert complete(backend, "p") == " the answer is 4"
+            assert complete(backend, "p", prompt_sha256("p")) == " the answer is 4"
         assert proxy.requests == []
         [(request_line, _, _)] = server.requests
         assert request_line == "POST /v1/completions HTTP/1.1"
@@ -423,7 +436,7 @@ class TestHttpBackend:
                 timeout=5.0,
             )
             with caplog.at_level(logging.WARNING, logger="metareason.harness.backends"):
-                completion = complete(backend, "Q: 3+4?\nA:")
+                completion = complete(backend, "Q: 3+4?\nA:", prompt_sha256("Q: 3+4?\nA:"))
             assert completion == "echo:test-model:the answer is 7"
             assert Handler.hits == 2
         finally:
@@ -467,6 +480,9 @@ class TestBackendConfig:
             with pytest.raises(ConfigError, match=key):
                 backend_from_config({**http, key: value})
         assert backend_from_config({**http, "max_retries": 0}).max_retries == 0
+        for path in (5, "", None, ["f"]):  # None reads as a missing key
+            with pytest.raises(ConfigError, match="'fixture_path', a non-empty string"):
+                backend_from_config({"kind": "replay", "fixture_path": path})
         evaluation = {
             "datasets": [{"name": "cf", "path": "cf.jsonl"}],
             "paradigms": ["zero-shot"],
@@ -500,6 +516,25 @@ class TestBackendConfig:
         for spec in ({"path": "d", "k": float("inf")}, {"k": 2}, ["d"]):
             with pytest.raises(ConfigError, match="bad demo spec for 'cf'"):
                 EvalConfig.from_json_dict({**evaluation, "demos": {"cf": spec}})
+
+
+    def test_the_fingerprint_holds_what_shapes_completions(self):
+        from metareason.harness.backends import backend_fingerprint
+
+        http = {"kind": "http", "endpoint_url": "http://127.0.0.1:9/v1", "model_name": "m"}
+        base = backend_fingerprint(backend_from_config(http))
+        for key, value in (
+            ("auth_token_env_var", "TOKEN"), ("timeout", 5), ("max_retries", 0), ("parallelism", 4),
+        ):
+            assert backend_fingerprint(backend_from_config({**http, key: value})) == base
+        for key, value in (
+            ("endpoint_url", "http://127.0.0.1:10/v1"), ("model_name", "n"),
+            ("temperature", 0.5), ("max_tokens", 16),
+        ):
+            assert backend_fingerprint(backend_from_config({**http, key: value})) != base
+        replay = backend_from_config({"kind": "replay", "fixture_path": "f.jsonl"})
+        assert backend_fingerprint(replay)["fixture_path"] == os.path.abspath("f.jsonl")
+        assert backend_fingerprint(OracleBackend()) == {"kind": "oracle"}
 
 
 class TestScore:
@@ -725,16 +760,61 @@ class TestRunEval:
         seen = []
         real_complete = runner.complete
 
-        def reading_complete(backend, prompt):
+        def reading_complete(backend, prompt, digest):
             data = records_path.read_bytes() if records_path.exists() else b""
             lines = data.splitlines(keepends=True)
             assert all(line.endswith(b"\n") for line in lines)
             seen.append(len([json.loads(line) for line in lines]))
-            return real_complete(backend, prompt)
+            return real_complete(backend, prompt, digest)
 
         monkeypatch.setattr(runner, "complete", reading_complete)
         run_eval(EvalConfig.from_json_dict(config))
         assert seen == list(range(12))
+
+    def test_each_cell_builds_its_demonstration_prefix_once(self, tmp_path, monkeypatch):
+        from metareason.harness import prompts, runner
+
+        config, instances = _write_eval_setup(tmp_path)
+        config["paradigms"] = [paradigm.value for paradigm in Paradigm]
+        built = []
+        real_demo_prefix = prompts.demo_prefix
+
+        def counting_demo_prefix(paradigm, demos):
+            built.append(paradigm)
+            return real_demo_prefix(paradigm, demos)
+
+        for module in (prompts, runner):  # the runner's name and assemble_prompt's
+            monkeypatch.setattr(module, "demo_prefix", counting_demo_prefix)
+        report = run_eval(EvalConfig.from_json_dict(config))
+        assert len(report.records) == 5 * len(instances)
+        assert built == list(Paradigm)
+
+    def test_a_repeated_id_or_paradigm_is_refused_before_anything_runs(
+        self, tmp_path, monkeypatch
+    ):
+        import dataclasses
+
+        from metareason.harness import runner
+
+        config, instances = _write_eval_setup(tmp_path, count=5)
+        config.update(paradigms=["zero-shot"], demos={})
+        first, second = instances[0].id, instances[1].id
+        instances[2] = dataclasses.replace(instances[2], id=second)
+        instances[3] = dataclasses.replace(instances[3], id=first)
+        save_instances(tmp_path / "cf.jsonl", instances)
+
+        def no_completion(*args):
+            raise AssertionError("a refused config runs nothing")
+
+        monkeypatch.setattr(runner, "complete", no_completion)
+        expected = f"{tmp_path / 'cf.jsonl'}: instance id {second!r} is repeated"
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            run_eval(EvalConfig.from_json_dict(config))
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+        for paradigms in (["zero-shot", "zero-shot"], ["few-shot", "zero-shot", "Few_Shot"]):
+            repeated = paradigm_from_string(paradigms[-1]).value
+            with pytest.raises(ConfigError, match=f"{repeated!r} is listed twice"):
+                EvalConfig.from_json_dict({**config, "paradigms": paradigms})
 
     def test_missing_demo_spec_is_config_error(self, tmp_path):
         config, _ = _write_eval_setup(tmp_path)
@@ -975,6 +1055,29 @@ class TestPromptDigest:
             run_eval(EvalConfig.from_json_dict(config))
         assert stored == {name: (out_dir / name).read_bytes() for name in stored}
 
+    def test_a_resume_under_another_backend_is_refused(self, tmp_path, caplog):
+        config, _ = _write_eval_setup(tmp_path, count=10)
+        run_eval(EvalConfig.from_json_dict(config))
+        out_dir = tmp_path / "out"
+        names = ("records.jsonl", "run.json", "report.json")
+        stored = {name: (out_dir / name).read_bytes() for name in names}
+        assert json.loads(stored["run.json"]) == {"backend": {"kind": "oracle"}}
+        replay = {"kind": "replay", "fixture_path": "none.jsonl"}
+        with pytest.raises(ConfigError) as raised:
+            run_eval(EvalConfig.from_json_dict({**config, "backend": replay}))
+        message = str(raised.value)
+        for part in (str(out_dir / "run.json"), '"oracle"', os.path.abspath("none.jsonl")):
+            assert part in message
+        assert f"Delete {config['output_dir']} to start over" in message
+        assert stored == {name: (out_dir / name).read_bytes() for name in names}
+        # A directory made before run.json resumes with one warning, and gets one.
+        (out_dir / "run.json").unlink()
+        with caplog.at_level(logging.WARNING, logger="metareason.harness.runner"):
+            run_eval(EvalConfig.from_json_dict(config))
+        [warning] = [r for r in caplog.records if r.name == "metareason.harness.runner"]
+        assert "holds records but no run.json" in warning.getMessage()
+        assert stored == {name: (out_dir / name).read_bytes() for name in names}
+
     def test_a_changed_question_under_the_same_id_is_refused(self, tmp_path):
         config, instances = _write_eval_setup(tmp_path)
         run_eval(EvalConfig.from_json_dict(config))
@@ -998,7 +1101,7 @@ class TestPromptDigest:
         assert all("prompt" in json.loads(line) for line in records_path.read_text().splitlines())
         (out_dir / "report.json").unlink()
 
-        def no_completion(backend, prompt):
+        def no_completion(backend, prompt, digest):
             raise AssertionError("a complete run has nothing left to run")
 
         monkeypatch.setattr(runner, "complete", no_completion)
@@ -1113,7 +1216,7 @@ class TestJsonLogs:
         with _CompletionServer(status=503) as server:
             backend = HttpBackend(endpoint_url=server.url, model_name="m", max_retries=1)
             with pytest.raises(TransportError, match="after 2 attempts"):
-                complete(backend, "p")
+                complete(backend, "p", prompt_sha256("p"))
         [retry] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert (retry["level"], retry["name"]) == ("warning", "metareason.harness.backends")
         assert (retry["attempt"], retry["status"], retry["backoff_s"]) == (1, 503, 0.5)
