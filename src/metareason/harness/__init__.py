@@ -40,47 +40,3 @@ from .runner import (
     run_eval,
     score,
 )
-
-__all__ = [
-    "AnswerKind",
-    "BackendSpec",
-    "CellStats",
-    "COT_TRIGGER",
-    "ConfigError",
-    "DISPLAY_NAMES",
-    "DatasetSpec",
-    "DemoSpec",
-    "EmptyDatasetError",
-    "EvalConfig",
-    "EvalRecord",
-    "EvalReport",
-    "FixtureMissError",
-    "HarnessError",
-    "HttpBackend",
-    "IncompatibleDemosError",
-    "OracleBackend",
-    "OracleUnresolvableError",
-    "Paradigm",
-    "RecordLineError",
-    "RecordStore",
-    "ReplayBackend",
-    "TransportError",
-    "assemble_prompt",
-    "answer_kind",
-    "backend_from_config",
-    "complete",
-    "extract_answer",
-    "format_pct",
-    "is_correct",
-    "load_fixtures",
-    "load_records",
-    "normalize_answer",
-    "paradigm_from_string",
-    "prompt_sha256",
-    "render_table",
-    "report_csv",
-    "report_json",
-    "run_eval",
-    "save_fixtures",
-    "score",
-]

@@ -312,7 +312,7 @@ def _completion_text(data: bytes) -> str:
 
 def _target_question(prompt: str) -> tuple[str, tuple[str, ...] | None]:
     """The last Q block of a prompt, split into question text and options."""
-    block = prompt.split("\n\nQ: ")[-1]
+    block = prompt.rpartition("\n\nQ: ")[2]
     if block.startswith("Q: "):
         block = block[len("Q: "):]
     body = block.rsplit("\nA:", 1)[0]

@@ -27,57 +27,86 @@ def answer_kind(task: Task) -> AnswerKind:
     return AnswerKind.LETTER_STRING
 
 
+# Every pattern but _QUOTED matches at least one character and never a space,
+# which is what lets _last scan from the end.
 _PAREN_LETTER = re.compile(r"\(([A-Z])\)")
 _BARE_LETTER = re.compile(r"\b([A-Z])\b")
 _YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 _NUMBER = re.compile(r"-?\d[\d,]*(?:\.\d+)?(?:/\d+)?")
 _QUOTED = re.compile(r'"([^"]+)"')
 _LOWER_TOKEN = re.compile(r"\b[a-z]+\b")
+# Only A N S W E R lowercase into the letters of "answer". Matching the cue in
+# the original text keeps its index right where lower() changes the length
+# ("İ" lowercases to two characters).
+_CUE = re.compile(r"[aA][nN][sS][wW][eE][rR]")
 _STRIP_CHARS = " \t\n\"'().,:;!?"
+# A completion usually ends with its answer, within the last word or two.
+_FIRST_WINDOW = 8
+
+
+def _last(pattern: re.Pattern[str], text: str) -> str:
+    """`pattern.findall(text)[-1]`, or "" when nothing matches, without
+    scanning the whole text when the last match is near its end.
+
+    `pattern` must never match the empty string or a space. A scan of the
+    whole text then reaches each position just after a space in step with a
+    scan started there, so tail windows that start just after a space, taken
+    from the end and doubling in size, hold the same matches. The first
+    window with a match holds the last one. Windows are scanned in place
+    (`pos`, `endpos`) and do not overlap, so no character is read twice.
+    """
+    end, size = len(text), _FIRST_WINDOW
+    while True:
+        start = text.rfind(" ", 0, end - size) + 1 if end > size else 0
+        hits = pattern.findall(text, start, end)
+        if hits or not start:
+            return hits[-1] if hits else ""
+        end, size = start, size * 2
 
 
 def extract_answer(task: Task, completion: str) -> str:
-    """Pull the final answer token out of a completion.
+    """Pull the final answer token out of a completion: the last match of the
+    answer kind's pattern anywhere in it, found by scanning from the end.
 
     Total function: returns the empty string when nothing matches, which
     scores as incorrect.
     """
     kind = answer_kind(task)
     if kind is AnswerKind.OPTION_LETTER:
-        letters = _PAREN_LETTER.findall(completion)
-        if letters:
-            return letters[-1]
-        cue = completion.lower().rfind("answer")
-        if cue >= 0:
-            tail_letters = _BARE_LETTER.findall(completion[cue:])
-            if tail_letters:
-                return tail_letters[-1]
-        return ""
+        letter = _last(_PAREN_LETTER, completion)
+        if letter:
+            return letter
+        cue = _last(_CUE, completion)
+        # The cue's text recurs nowhere after it: a later copy would be a later
+        # cue, and "answer" cannot overlap itself.
+        return _last(_BARE_LETTER, completion[completion.rfind(cue):]) if cue else ""
     if kind is AnswerKind.YES_NO:
-        hits = _YES_NO.findall(completion)
-        return hits[-1].lower() if hits else ""
+        return _last(_YES_NO, completion).lower()
     if kind is AnswerKind.NUMBER:
-        hits = _NUMBER.findall(completion.replace("$", ""))
-        return hits[-1].replace(",", "") if hits else ""
+        return _last(_NUMBER, completion.replace("$", "")).replace(",", "")
     quoted = _QUOTED.findall(completion)
     if quoted:
         return quoted[-1]
-    tokens = _LOWER_TOKEN.findall(completion)
-    return tokens[-1] if tokens else ""
+    return _last(_LOWER_TOKEN, completion)
 
 
 def _canonical_rational(text: str) -> str | None:
+    # An exponent could make Fraction build a huge power of ten; extracted
+    # answers never carry one, so such a text compares as text.
+    if "e" in text or "E" in text:
+        return None
     try:
         if "/" in text:
             numerator, denominator = text.split("/", 1)
             value = Fraction(int(numerator), int(denominator))
         else:
             value = Fraction(text)
+        # str() of an int past the interpreter's digit limit raises ValueError.
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
     except (ValueError, ZeroDivisionError):
         return None
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def normalize_answer(task: Task, text: str) -> str:

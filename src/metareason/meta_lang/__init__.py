@@ -36,42 +36,3 @@ from .errors import (
 from .interpreter import eval_program
 from .parser import parse_meta, split_clauses
 from .renderer import render_inits, render_meta, render_query, render_statement
-
-__all__ = [
-    "Add",
-    "ConcatOf",
-    "Div",
-    "DivideByZeroError",
-    "DuplicateSymbolError",
-    "EvalTypeError",
-    "Flip",
-    "InvalidProgramError",
-    "IsEqual",
-    "LastOf",
-    "MetaLangError",
-    "MetaProgram",
-    "Mul",
-    "OptionOf",
-    "ParseError",
-    "Query",
-    "Says",
-    "Statement",
-    "Sub",
-    "Swap",
-    "Trace",
-    "TraceStep",
-    "UndefinedSymbolError",
-    "Value",
-    "ValueOf",
-    "eval_program",
-    "format_value",
-    "is_symbol",
-    "parse_meta",
-    "quote_string",
-    "render_inits",
-    "render_meta",
-    "render_query",
-    "render_statement",
-    "split_clauses",
-    "validate_program",
-]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
-from metareason.harness import extract_answer, is_correct, normalize_answer
+from metareason.harness import AnswerKind, answer_kind, extract_answer, is_correct, normalize_answer
 from metareason.resolution import Task
 from metareason.taskgen import GenConfig, generate
 
@@ -13,6 +16,75 @@ from conftest import (
     SAMPLE_COT_COMPLETION_TSO,
     SAMPLE_META_COMPLETION_WOL,
 )
+
+
+def whole_text_extract(task: Task, completion: str) -> str:
+    """The extraction rules as whole-text scans: the last of all matches in
+    the completion, with the option-letter cue located in the original text."""
+    kind = answer_kind(task)
+    if kind is AnswerKind.OPTION_LETTER:
+        letters = re.findall(r"\(([A-Z])\)", completion)
+        if letters:
+            return letters[-1]
+        cues = [m.start() for m in re.finditer(r"(?=[aA][nN][sS][wW][eE][rR])", completion)]
+        if cues:
+            tail_letters = re.findall(r"\b([A-Z])\b", completion[cues[-1]:])
+            if tail_letters:
+                return tail_letters[-1]
+        return ""
+    if kind is AnswerKind.YES_NO:
+        hits = re.findall(r"\b(yes|no)\b", completion, re.IGNORECASE)
+        return hits[-1].lower() if hits else ""
+    if kind is AnswerKind.NUMBER:
+        hits = re.findall(r"-?\d[\d,]*(?:\.\d+)?(?:/\d+)?", completion.replace("$", ""))
+        return hits[-1].replace(",", "") if hits else ""
+    quoted = re.findall(r'"([^"]+)"', completion)
+    if quoted:
+        return quoted[-1]
+    tokens = re.findall(r"\b[a-z]+\b", completion)
+    return tokens[-1] if tokens else ""
+
+
+# Separators, the characters the patterns touch, case and Unicode look-alikes
+# ("yeſ" matches "yes" under IGNORECASE, "İ" lowercases to two characters,
+# "٣" is a digit), and cue words.
+_ATOMS = (
+    " ", " ", " ", "  ", "\t", "\n", "$", ",", ".", "/", "-", "_", "(", ")", '"', "'",
+    "yes", "NO", "yeſ", "no", "İ", "٣", "7", "42", "3.5", "A", "B", "Q", "Z",
+    "answer", "ANSWER", "x", "ab",
+)
+_FILLER = "; " * 10_000  # 20 KB that no pattern matches
+_ANSWER_FIRST = 'answer B (C) yes 1,234 "nk" kept ' + _FILLER
+
+
+class TestFromTheEnd:
+    def test_matches_whole_text_scan_on_random_strings(self):
+        rng = random.Random(12)
+        for _ in range(20_000):
+            text = "".join(rng.choice(_ATOMS) for _ in range(rng.randrange(60)))
+            for task in Task:
+                assert extract_answer(task, text) == whole_text_extract(task, text), (task, text)
+
+    @pytest.mark.parametrize("text", [
+        _ANSWER_FIRST,
+        _FILLER,
+        'answer:B,(C),yes,1,234,"nk",kept' + "._" * 10_000,  # no space at all
+    ], ids=["answer-at-start", "no-answer", "no-space"])
+    def test_long_completions(self, text):
+        for task in Task:
+            assert extract_answer(task, text) == whole_text_extract(task, text)
+
+    def test_long_completion_answers(self):
+        assert extract_answer(Task.TSO3, _ANSWER_FIRST) == "C"
+        assert extract_answer(Task.CF, _ANSWER_FIRST) == "yes"
+        assert extract_answer(Task.MA, _ANSWER_FIRST) == "1234"
+        assert extract_answer(Task.LLC, _ANSWER_FIRST) == "nk"
+        assert all(extract_answer(task, _FILLER) == "" for task in Task)
+
+    def test_option_cue_located_in_original_text(self):
+        # "İ".lower() is two characters; the cue index must not shift past "answer".
+        assert extract_answer(Task.TSO3, "İ" * 10 + " answer B") == "B"
+        assert extract_answer(Task.TSO3, "x" * 10 + " answer B") == "B"
 
 
 class TestGoldens:
@@ -75,6 +147,11 @@ class TestNormalization:
 
     def test_unparseable_number_falls_back_to_text(self):
         assert normalize_answer(Task.MA, "eighteen") == "eighteen"
+
+    def test_exponent_compares_as_text(self):
+        # A rational of 10**5000 has more digits than str() may convert.
+        assert normalize_answer(Task.MA, "1e5000") == "1e5000"
+        assert not is_correct(Task.MA, "18", "1e5000")
 
 
 class TestIdempotence:
