@@ -32,7 +32,7 @@ from .resolution import (
     load_instances,
     resolve,
     save_instances,
-    surface_answer,
+    solve_surface,
     task_from_string,
 )
 
@@ -174,29 +174,18 @@ def _cmd_resolve(args) -> None:
     log.info("resolved %d instances to %s", len(resolved), args.out)
 
 
-def _print_trace(program, trace) -> None:
-    env = dict(program.inits)
-    if env:
-        print(", ".join(f"{sym} = {format_value(value)}" for sym, value in env.items()))
-    for step in trace.steps:
-        after = dict(step.env)
-        print(demos_mod.chain_line(step.stmt, env, after))
-        env = after
-    answer = trace.answer
-    print(answer if isinstance(answer, str) else format_value(answer))
-
-
 def _cmd_solve(args) -> None:
     if bool(args.meta) == bool(args.infile):
         raise ConfigError("solve needs exactly one of --meta or --in")
     if args.meta:
-        program = parse_meta(args.meta)
-        trace = eval_program(program)
-        _print_trace(program, trace)
+        trace = eval_program(parse_meta(args.meta))
+        for line in demos_mod.chain_lines(trace.program, trace):
+            print(line)
+        answer = trace.answer
+        print(answer if isinstance(answer, str) else format_value(answer))
         return
     for inst in load_instances(args.infile):
-        mq = resolve(inst)
-        print(surface_answer(mq, eval_program(mq.program)))
+        print(solve_surface(inst))
 
 
 def _cmd_build_demos(args) -> None:

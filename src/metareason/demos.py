@@ -8,13 +8,13 @@ fragment with its local reasoning step, one sub-block per statement.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from . import templates
 from .meta_lang import (
     Add,
     ConcatOf,
@@ -44,8 +44,11 @@ from .resolution import (
     Span,
     Task,
     TaskInstance,
+    check_field,
+    read_jsonl,
     resolve,
     surface_answer,
+    write_jsonl,
 )
 
 
@@ -99,29 +102,25 @@ class Demonstration:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "Demonstration":
+        for name in ("question", "rationale", "answer"):
+            check_field(name, record[name], str, "a string")
+        n_substeps = record.get("n_substeps")
+        check_field("n_substeps", n_substeps, (int, type(None)), "an integer")
         return cls(
             question=record["question"],
             rationale=record["rationale"],
             answer=record["answer"],
             mode=FusionMode(record["mode"]),
-            n_substeps=record.get("n_substeps"),
+            n_substeps=n_substeps,
         )
 
 
 def load_demonstrations(path) -> list[Demonstration]:
-    demos = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                demos.append(Demonstration.from_json_dict(json.loads(line)))
-    return demos
+    return list(read_jsonl(path, Demonstration.from_json_dict))
 
 
 def save_demonstrations(path, demos: Iterable[Demonstration]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for demo in demos:
-            handle.write(json.dumps(demo.to_json_dict(), ensure_ascii=False) + "\n")
+    write_jsonl(path, (demo.to_json_dict() for demo in demos))
 
 
 def render_question(question: str, options: Sequence[str] | None) -> str:
@@ -165,10 +164,11 @@ def _arith_step(stmt: Statement, before: dict[str, Value], after: dict[str, Valu
 
 
 def _symbolize(text: str, mq: MetaQuestion) -> str:
-    """Replace entity mentions with their symbols, longest span first."""
-    for span, sym in sorted(mq.table.entries, key=lambda e: -len(e[0].text)):
-        text = re.sub(rf"\b{re.escape(span.text)}\b", sym, text)
-    return text
+    """Replace entity mentions with their symbols in one pass. Entity names
+    are name-shaped words (``templates.NAME``), so each such word is looked
+    up, and a name that equals a symbol is not read inside one written."""
+    symbols = mq.table.as_dict()
+    return re.sub(rf"\b{templates.NAME}", lambda match: symbols.get(match[0], match[0]), text)
 
 
 def _claim_word(claimed: Value) -> str:
@@ -268,16 +268,20 @@ def _answer_block(mq: MetaQuestion, trace: Trace, query_fragment: str | None) ->
     return f"Therefore, the value of {query.sym} is {value}, so the answer is {value}."
 
 
+def chain_lines(program: MetaProgram, trace: Trace) -> list[str]:
+    """The initial environment (when there are inits), then one ``chain_line``
+    per executed statement."""
+    envs = _environments(program, trace)
+    lines = [_env_text(envs[0])] if program.inits else []
+    return lines + [chain_line(stmt, envs[i], envs[i + 1]) for i, stmt in enumerate(program.stmts)]
+
+
 def build_completely_serial(inst: TaskInstance, mq: MetaQuestion, trace: Trace) -> Demonstration:
     """Simplification line (the whole program), then the full chain, then the answer."""
     _check_trace(mq, trace)
     program = mq.program
-    envs = _environments(program, trace)
     lines = ["The question can be simplified to: " + render_meta(program)]
-    if program.inits:
-        lines.append(_env_text(dict(program.inits)))
-    for index, stmt in enumerate(program.stmts):
-        lines.append(chain_line(stmt, envs[index], envs[index + 1]))
+    lines += chain_lines(program, trace)
     lines.append(_answer_block(mq, trace, None))
     return Demonstration(
         question=render_question(inst.question, inst.options),
@@ -315,14 +319,19 @@ def build_cross_serial(inst: TaskInstance, mq: MetaQuestion, trace: Trace) -> De
     )
 
 
+def build_from_trace(
+    inst: TaskInstance, mq: MetaQuestion, trace: Trace, mode: FusionMode | None = None
+) -> Demonstration:
+    """Build in the given (or task-default) mode from a resolved, evaluated instance."""
+    if (mode or default_mode(inst.task)) is FusionMode.COMPLETELY_SERIAL:
+        return build_completely_serial(inst, mq, trace)
+    return build_cross_serial(inst, mq, trace)
+
+
 def build_demonstration(inst: TaskInstance, mode: FusionMode | None = None) -> Demonstration:
     """Resolve, evaluate, and build in the given (or task-default) mode."""
     mq = resolve(inst)
-    trace = eval_program(mq.program)
-    mode = mode or default_mode(inst.task)
-    if mode is FusionMode.COMPLETELY_SERIAL:
-        return build_completely_serial(inst, mq, trace)
-    return build_cross_serial(inst, mq, trace)
+    return build_from_trace(inst, mq, eval_program(mq.program), mode)
 
 
 def select_demos(pool: Sequence[Demonstration], k: int, seed: int) -> list[Demonstration]:

@@ -8,6 +8,7 @@ import http.client
 import json
 import logging
 import math
+import operator
 import os
 import select
 import threading
@@ -18,9 +19,10 @@ import weakref
 from dataclasses import dataclass, field
 
 from .. import __version__
-from ..demos import FusionMode, build_completely_serial, build_cross_serial, default_mode
+from ..demos import build_from_trace
 from ..meta_lang import eval_program
-from ..resolution import TaskInstance, TemplateMismatchError, resolve_any, surface_answer
+from ..resolution import TaskInstance, TemplateMismatchError, read_jsonl, resolve_any
+from ..resolution import surface_answer, write_jsonl
 from .prompts import COT_TRIGGER, HarnessError
 
 
@@ -148,23 +150,12 @@ def prompt_sha256(prompt: str) -> str:
 
 
 def load_fixtures(path) -> dict[str, str]:
-    fixtures: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            fixtures[record["prompt_sha256"]] = record["completion"]
-    return fixtures
+    return dict(read_jsonl(path, operator.itemgetter("prompt_sha256", "completion")))
 
 
 def save_fixtures(path, pairs: dict[str, str]) -> None:
     """Write prompt→completion pairs as replay fixture records."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for prompt, completion in pairs.items():
-            record = {"prompt_sha256": prompt_sha256(prompt), "completion": completion}
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({"prompt_sha256": prompt_sha256(p), "completion": c} for p, c in pairs.items()))
 
 
 def _replay_complete(backend: ReplayBackend, digest: str) -> str:
@@ -347,11 +338,7 @@ def _oracle_solve(question: str, options: tuple[str, ...] | None) -> str:
     inst = TaskInstance(
         id="oracle", task=task, question=question, options=options, gold=gold
     )
-    if default_mode(task) is FusionMode.COMPLETELY_SERIAL:
-        demo = build_completely_serial(inst, mq, trace)
-    else:
-        demo = build_cross_serial(inst, mq, trace)
-    return demo.rationale
+    return build_from_trace(inst, mq, trace).rationale
 
 
 def complete(backend: BackendSpec, prompt: str, digest: str) -> str:

@@ -31,7 +31,8 @@ def answer_kind(task: Task) -> AnswerKind:
 # which is what lets _last scan from the end.
 _PAREN_LETTER = re.compile(r"\(([A-Z])\)")
 _BARE_LETTER = re.compile(r"\b([A-Z])\b")
-_YES_NO = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
+# ASCII case only: re.IGNORECASE would also match look-alikes such as "yeſ".
+_YES_NO = re.compile(r"\b([yY][eE][sS]|[nN][oO])\b")
 _NUMBER = re.compile(r"-?\d[\d,]*(?:\.\d+)?(?:/\d+)?")
 _QUOTED = re.compile(r'"([^"]+)"')
 _LOWER_TOKEN = re.compile(r"\b[a-z]+\b")

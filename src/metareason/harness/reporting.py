@@ -36,28 +36,41 @@ _RECORD_ITEM = """\
       "paradigm": %s
     }"""
 _NO_RECORDS = '\n  "records": []'
+_CELL_FIELDS = ("dataset", "task", "paradigm", "correct", "total", "accuracy_pct")
 
 
 def format_pct(fraction: float | None) -> str:
     return "-" if fraction is None else f"{fraction * 100:.1f}"
 
 
-def _row_values(report: EvalReport, paradigm: Paradigm) -> list[str]:
-    cells = report.task_cells(paradigm)
-    values = [
-        format_pct(cells[task].accuracy) if task in cells else "-"
-        for task in _COLUMN_TASKS
+def _cell_rows(report: EvalReport) -> list[dict]:
+    """One row per (dataset, paradigm) cell, sorted by both, keyed by ``_CELL_FIELDS``."""
+    return [
+        dict(zip(_CELL_FIELDS, (
+            dataset, report.dataset_tasks[dataset].value, paradigm.value,
+            stats.correct, stats.total, format_pct(stats.accuracy),
+        )))
+        for (dataset, paradigm), stats in sorted(
+            report.cells.items(), key=lambda item: (item[0][0], item[0][1].value)
+        )
     ]
-    values.append(format_pct(report.tso_average(paradigm)))
-    values.append(format_pct(report.overall_average(paradigm)))
-    return values
+
+
+def _summary_row(report: EvalReport, paradigm: Paradigm) -> dict[str, str]:
+    """A paradigm's accuracy per column header; a task it never ran has no entry."""
+    cells = report.task_cells(paradigm)
+    row = {_COLUMN_HEADERS[t]: format_pct(cells[t].accuracy) for t in _COLUMN_TASKS if t in cells}
+    row["TSO(Avg.)"] = format_pct(report.tso_average(paradigm))
+    row["Avg."] = format_pct(report.overall_average(paradigm))
+    return row
 
 
 def render_table(report: EvalReport) -> str:
     headers = ["Method"] + [_COLUMN_HEADERS[t] for t in _COLUMN_TASKS] + ["TSO(Avg.)", "Avg."]
     rows = [headers]
     for paradigm in report.paradigms():
-        rows.append([DISPLAY_NAMES[paradigm]] + _row_values(report, paradigm))
+        summary = _summary_row(report, paradigm)
+        rows.append([DISPLAY_NAMES[paradigm]] + [summary.get(h, "-") for h in headers[1:]])
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
     lines = []
     for row in rows:
@@ -77,32 +90,8 @@ def report_json(report: EvalReport) -> str:
     is formatted from ``_RECORD_ITEM`` with the C string escaper (its
     record fields must be ``str``) and spliced in.
     """
-    cells = []
-    for (dataset, paradigm), stats in sorted(
-        report.cells.items(), key=lambda item: (item[0][0], item[0][1].value)
-    ):
-        cells.append(
-            {
-                "dataset": dataset,
-                "task": report.dataset_tasks[dataset].value,
-                "paradigm": paradigm.value,
-                "correct": stats.correct,
-                "total": stats.total,
-                "accuracy_pct": format_pct(stats.accuracy),
-            }
-        )
-    summary = {}
-    for paradigm in report.paradigms():
-        task_cells = report.task_cells(paradigm)
-        row = {
-            _COLUMN_HEADERS[task]: format_pct(task_cells[task].accuracy)
-            for task in _COLUMN_TASKS
-            if task in task_cells
-        }
-        row["TSO(Avg.)"] = format_pct(report.tso_average(paradigm))
-        row["Avg."] = format_pct(report.overall_average(paradigm))
-        summary[paradigm.value] = row
-    document = {"cells": cells, "summary": summary, "records": [], "config": report.config}
+    summary = {paradigm.value: _summary_row(report, paradigm) for paradigm in report.paradigms()}
+    document = {"cells": _cell_rows(report), "summary": summary, "records": [], "config": report.config}
     text = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     if not report.records:
         return text
@@ -128,18 +117,6 @@ def report_csv(report: EvalReport) -> str:
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(["dataset", "task", "paradigm", "correct", "total", "accuracy_pct"])
-    for (dataset, paradigm), stats in sorted(
-        report.cells.items(), key=lambda item: (item[0][0], item[0][1].value)
-    ):
-        writer.writerow(
-            [
-                dataset,
-                report.dataset_tasks[dataset].value,
-                paradigm.value,
-                stats.correct,
-                stats.total,
-                format_pct(stats.accuracy),
-            ]
-        )
+    writer.writerow(_CELL_FIELDS)
+    writer.writerows(row.values() for row in _cell_rows(report))
     return buffer.getvalue()

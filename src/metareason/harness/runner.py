@@ -15,7 +15,8 @@ from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
 from typing import TextIO
 
 from ..demos import Demonstration, load_demonstrations, select_demos
-from ..resolution import TSO_TASKS, Task, TaskInstance, load_instances, task_from_string
+from ..resolution import TSO_TASKS, MalformedLineError, Task, TaskInstance, load_instances
+from ..resolution import task_from_string
 from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, complete
 from .backends import backend_fingerprint, prompt_sha256
 from .extraction import extract_answer, is_correct
@@ -29,13 +30,8 @@ class EmptyDatasetError(ConfigError):
     """A dataset file contains no instances (or no records were given)."""
 
 
-class RecordLineError(ValueError):
+class RecordLineError(MalformedLineError):
     """A complete line of a records file that holds no record."""
-
-    def __init__(self, path, line_number: int, problem: str):
-        super().__init__(f"{path}: line {line_number}: {problem}")
-        self.path = str(path)
-        self.line_number = line_number
 
 
 # Exact stored values; anything else goes through the folding *_from_string.

@@ -123,11 +123,15 @@ Query = ValueOf | IsEqual | OptionOf | ConcatOf
 
 @dataclass(frozen=True)
 class MetaProgram:
-    """Initial assignments, update statements, and a final query, in order."""
+    """Initial assignments, update statements, and a final query, in order;
+    validated when built, so a program that exists is well-formed."""
 
     inits: tuple[tuple[str, Value], ...]
     stmts: tuple[Statement, ...]
     query: Query
+
+    def __post_init__(self) -> None:
+        validate_program(self)
 
 
 @dataclass(frozen=True)

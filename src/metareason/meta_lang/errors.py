@@ -42,4 +42,4 @@ class EvalTypeError(MetaLangError):
 
 
 class DivideByZeroError(MetaLangError):
-    """Division by zero, either as a literal divisor or a zero-denominator value."""
+    """A literal divisor of zero."""

@@ -23,9 +23,8 @@ from .ast import (
     TraceStep,
     Value,
     ValueOf,
-    validate_program,
 )
-from .errors import DivideByZeroError, EvalTypeError
+from .errors import EvalTypeError
 
 
 def eval_program(program: MetaProgram) -> Trace:
@@ -34,7 +33,6 @@ def eval_program(program: MetaProgram) -> Trace:
     Pure function: identical programs yield identical traces. Division
     promotes to rationals; nothing is ever rounded.
     """
-    validate_program(program)
     env: dict[str, Value] = dict(program.inits)
     steps = []
     for stmt in program.stmts:
@@ -69,8 +67,6 @@ def _apply(stmt: Statement, env: dict[str, Value]) -> None:
         case Mul(sym=sym, factor=factor):
             env[sym] = _normalized(_numeric(env[sym], f"Multiply {sym}") * factor)
         case Div(sym=sym, divisor=divisor):
-            if divisor == 0:
-                raise DivideByZeroError(f"division of {sym} by zero")
             env[sym] = _normalized(Fraction(_numeric(env[sym], f"Divide {sym}")) / divisor)
         case Swap(left=left, right=right):
             env[left], env[right] = env[right], env[left]

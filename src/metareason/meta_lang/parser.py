@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from string import Formatter
 
-from .ast import MetaProgram, Query, Statement, Value, validate_program
+from .ast import MetaProgram, Query, Statement, Value
 from .errors import ParseError
 from .renderer import FIELDS, INIT, NUM, PAIR, QUERIES, STATEMENTS, SYM, SYMS, VAL, WORD, form_fields
 
@@ -213,6 +213,4 @@ def parse_meta(text: str) -> MetaProgram:
     if start == len(fragments):
         raise ParseError("missing query sentence", start, _QUERY_HINT)
     stmts = tuple(_parse_statement(f, index) for index, f in enumerate(fragments[start:-1], start + 1))
-    program = MetaProgram(inits=tuple(inits), stmts=stmts, query=_parse_query(fragments[-1], len(fragments)))
-    validate_program(program)
-    return program
+    return MetaProgram(inits=tuple(inits), stmts=stmts, query=_parse_query(fragments[-1], len(fragments)))

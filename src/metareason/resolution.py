@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import templates
 from .meta_lang import (
@@ -134,6 +134,49 @@ class EntityTable:
         return {span.text: sym for span, sym in self.entries}
 
 
+class MalformedLineError(ValueError):
+    """A line of a JSON Lines file that holds no valid item."""
+
+    def __init__(self, path, line_number: int, problem: str):
+        super().__init__(f"{path}: line {line_number}: {problem}")
+        self.path = str(path)
+        self.line_number = line_number
+
+
+def check_field(name: str, value, kind, wanted: str) -> None:
+    if not isinstance(value, kind):
+        raise TypeError(f"field {name!r} is not {wanted}: {value!r}")
+
+
+def read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
+    """Yield ``parse(fields)`` for the JSON object on each non-blank line. A line that
+    is not one, or that ``parse`` rejects (KeyError, TypeError, ValueError), raises
+    MalformedLineError."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                fields = json.loads(line)
+                if not isinstance(fields, dict):
+                    raise TypeError("not a JSON object")
+                item = parse(fields)
+            except json.JSONDecodeError as exc:
+                raise MalformedLineError(path, number, f"not JSON: {exc.msg}") from None
+            except KeyError as exc:
+                raise MalformedLineError(path, number, f"field {exc.args[0]!r} is missing") from None
+            except (TypeError, ValueError) as exc:
+                raise MalformedLineError(path, number, str(exc)) from None
+            yield item
+
+
+def write_jsonl(path, items: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for fields in items:
+            handle.write(json.dumps(fields, ensure_ascii=False) + "\n")
+
+
 @dataclass(frozen=True)
 class TaskInstance:
     """One benchmark item. ``meta`` optionally carries canonical DSL text."""
@@ -160,31 +203,28 @@ class TaskInstance:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "TaskInstance":
-        options = record.get("options")
+        options, meta = record.get("options"), record.get("meta")
+        check_field("task", record["task"], str, "a string")
+        check_field("question", record["question"], str, "a string")
+        check_field("meta", meta, (str, type(None)), "a string")
+        if options is not None and not (isinstance(options, list) and all(isinstance(o, str) for o in options)):
+            raise TypeError(f"field 'options' is not a list of strings: {options!r}")
         return cls(
             id=str(record["id"]),
             task=task_from_string(record["task"]),
             question=record["question"],
             options=tuple(options) if options is not None else None,
             gold=str(record["answer"]),
-            meta=record.get("meta"),
+            meta=meta,
         )
 
 
 def load_instances(path) -> list[TaskInstance]:
-    instances = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                instances.append(TaskInstance.from_json_dict(json.loads(line)))
-    return instances
+    return list(read_jsonl(path, TaskInstance.from_json_dict))
 
 
 def save_instances(path, instances: Iterable[TaskInstance]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for inst in instances:
-            handle.write(json.dumps(inst.to_json_dict(), ensure_ascii=False) + "\n")
+    write_jsonl(path, (inst.to_json_dict() for inst in instances))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import metareason
 from metareason.cli import main
 from metareason.demos import load_demonstrations
@@ -76,6 +78,31 @@ class TestResolveSolve:
 
     def test_missing_file_is_runtime_error(self, capsys):
         assert main(["resolve", "--in", "/nonexistent.jsonl", "--out", "/tmp/x.jsonl"]) == 2
+
+
+# A free-form item: it resolves through its attached meta, so every field is read.
+_FREE_FORM_ITEM = {
+    "id": "ma-1", "task": "MA", "question": "Tom had some apples and ate two of them.",
+    "answer": "3", "meta": "It is known that A = 5. Subtract 2 from A. What is the value of A?",
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", ["solve", "build-demos"])
+    @pytest.mark.parametrize("line, problem", [
+        ({**_FREE_FORM_ITEM, "options": 5}, "field 'options' is not a list of strings: 5"),
+        ({**_FREE_FORM_ITEM, "question": 5}, "field 'question' is not a string: 5"),
+        ({**_FREE_FORM_ITEM, "meta": 5}, "field 'meta' is not a string: 5"),
+        ({**_FREE_FORM_ITEM, "task": 3}, "field 'task' is not a string: 3"),
+        ([_FREE_FORM_ITEM], "not a JSON object"),
+        ({k: v for k, v in _FREE_FORM_ITEM.items() if k != "question"}, "field 'question' is missing"),
+    ], ids=["options", "question", "meta", "task", "list", "missing"])
+    def test_names_file_and_line_and_exits_1(self, tmp_path, capsys, command, line, problem):
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps(_FREE_FORM_ITEM) + "\n\n" + json.dumps(line) + "\n")
+        args = ["--in", str(data)] + (["--out", str(tmp_path / "out.jsonl")] if command != "solve" else [])
+        assert main([command] + args) == 1
+        assert capsys.readouterr().err == f"error: {data}: line 3: {problem}\n"
 
 
 class TestBuildDemos:

@@ -127,6 +127,17 @@ class TestCrossSerial:
         )
         assert lines[-1] == "Since E = 0, so the answer is: no."
 
+    def test_name_that_equals_a_symbol_is_replaced_once(self, dance_instance):
+        # Bob renamed to "A": its symbol is B, and Alice's symbol A is a name too.
+        renamed = TaskInstance(
+            id="tso3-named-a", task=Task.TSO3, question=dance_instance.question.replace("Bob", "A"),
+            options=dance_instance.options, gold=dance_instance.gold,
+        )
+        assert resolve(renamed).table.as_dict() == {"Alice": "A", "A": "B", "Claire": "C"}
+        demo = build_cross_serial(renamed, *_resolved(renamed))
+        assert demo.rationale.splitlines()[1].startswith("First, A and B switch partners:")
+        assert demo.rationale == build_cross_serial(dance_instance, *_resolved(dance_instance)).rationale
+
     def test_single_swap_has_one_subblock(self):
         inst = generate(GenConfig(task=Task.TSO3, count=1, seed=21, n_swaps=1))[0]
         demo = build_cross_serial(inst, *_resolved(inst))

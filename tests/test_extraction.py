@@ -33,7 +33,7 @@ def whole_text_extract(task: Task, completion: str) -> str:
                 return tail_letters[-1]
         return ""
     if kind is AnswerKind.YES_NO:
-        hits = re.findall(r"\b(yes|no)\b", completion, re.IGNORECASE)
+        hits = re.findall(r"\b([yY][eE][sS]|[nN][oO])\b", completion)
         return hits[-1].lower() if hits else ""
     if kind is AnswerKind.NUMBER:
         hits = re.findall(r"-?\d[\d,]*(?:\.\d+)?(?:/\d+)?", completion.replace("$", ""))
@@ -46,7 +46,7 @@ def whole_text_extract(task: Task, completion: str) -> str:
 
 
 # Separators, the characters the patterns touch, case and Unicode look-alikes
-# ("yeſ" matches "yes" under IGNORECASE, "İ" lowercases to two characters,
+# ("yeſ" would match "yes" under IGNORECASE, "İ" lowercases to two characters,
 # "٣" is a digit), and cue words.
 _ATOMS = (
     " ", " ", " ", "  ", "\t", "\n", "$", ",", ".", "/", "-", "_", "(", ")", '"', "'",
@@ -110,6 +110,9 @@ class TestExtraction:
     def test_yes_no_takes_last_token(self):
         assert extract_answer(Task.CF, "Yes... wait, no. Not really. NO") == "no"
         assert extract_answer(Task.CF, "nothing matches here") == ""
+
+    def test_yes_no_ignores_case_fold_look_alikes(self):
+        assert extract_answer(Task.CF, "no. So the answer is yeſ.") == "no"  # ſ: long s
 
     def test_number_strips_separators(self):
         assert extract_answer(Task.AS, "the total is $1,234.") == "1234"

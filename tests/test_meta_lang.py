@@ -37,6 +37,9 @@ from metareason.meta_lang import (
     split_clauses,
     validate_program,
 )
+from metareason.meta_lang import ast as meta_ast
+from metareason.meta_lang import interpreter as meta_interpreter
+from metareason.meta_lang import parser as meta_parser
 from metareason.meta_lang.renderer import QUERIES, STATEMENTS
 from support import random_program, random_swap_sequence, random_truth_chain
 
@@ -395,30 +398,39 @@ class TestProperties:
 
 
 class TestValidation:
-    def test_says_must_introduce_fresh_symbol(self):
-        program = MetaProgram(
-            inits=(("A", True), ("B", True)),
-            stmts=(Says(speaker="B", target="A", claimed=True),),
-            query=ValueOf(sym="B"),
-        )
-        with pytest.raises(DuplicateSymbolError):
+    def test_parse_then_eval_validates_once(self, monkeypatch):
+        calls = []
+
+        def counting(program):
+            calls.append(program)
             validate_program(program)
+
+        for module in (meta_ast, meta_parser, meta_interpreter):
+            if hasattr(module, "validate_program"):
+                monkeypatch.setattr(module, "validate_program", counting)
+        eval_program(parse_meta("It is known A = 1. Add 2 to A. What is the value of A?"))
+        assert len(calls) == 1
+
+    def test_says_must_introduce_fresh_symbol(self):
+        with pytest.raises(DuplicateSymbolError):
+            MetaProgram(
+                inits=(("A", True), ("B", True)),
+                stmts=(Says(speaker="B", target="A", claimed=True),),
+                query=ValueOf(sym="B"),
+            )
 
     def test_lastof_needs_nonempty_literal(self):
-        program = MetaProgram(
-            inits=(),
-            stmts=(LastOf(sym="A", literal=""),),
-            query=ValueOf(sym="A"),
-        )
         with pytest.raises(InvalidProgramError):
-            validate_program(program)
+            MetaProgram(
+                inits=(),
+                stmts=(LastOf(sym="A", literal=""),),
+                query=ValueOf(sym="A"),
+            )
 
     def test_query_symbol_must_be_defined(self):
-        program = MetaProgram(inits=(("A", 1),), stmts=(), query=ValueOf(sym="B"))
         with pytest.raises(UndefinedSymbolError):
-            validate_program(program)
+            MetaProgram(inits=(("A", 1),), stmts=(), query=ValueOf(sym="B"))
 
     def test_bad_symbol_shape(self):
-        program = MetaProgram(inits=(("abc", 1),), stmts=(), query=ValueOf(sym="abc"))
         with pytest.raises(InvalidProgramError):
-            validate_program(program)
+            MetaProgram(inits=(("abc", 1),), stmts=(), query=ValueOf(sym="abc"))
