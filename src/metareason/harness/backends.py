@@ -8,7 +8,6 @@ import http.client
 import json
 import logging
 import math
-import operator
 import os
 import select
 import threading
@@ -21,8 +20,8 @@ from dataclasses import dataclass, field
 from .. import __version__
 from ..demos import build_from_trace
 from ..meta_lang import eval_program
-from ..resolution import TaskInstance, TemplateMismatchError, read_jsonl, resolve_any
-from ..resolution import surface_answer, write_jsonl
+from ..resolution import TaskInstance, TemplateMismatchError, check_field, read_jsonl, resolve_any
+from ..resolution import write_jsonl
 from .prompts import COT_TRIGGER, HarnessError
 
 
@@ -149,8 +148,14 @@ def prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
+def _fixture(fields: dict) -> tuple[str, str]:
+    for name in ("prompt_sha256", "completion"):
+        check_field(name, fields[name], str, "a string")
+    return fields["prompt_sha256"], fields["completion"]
+
+
 def load_fixtures(path) -> dict[str, str]:
-    return dict(read_jsonl(path, operator.itemgetter("prompt_sha256", "completion")))
+    return dict(read_jsonl(path, _fixture))
 
 
 def save_fixtures(path, pairs: dict[str, str]) -> None:
@@ -242,44 +247,56 @@ def _thread_connection(backend: HttpBackend) -> _ThreadConnection:
     return current
 
 
-def _http_complete(backend: HttpBackend, prompt: str) -> str:
-    headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
-    if backend.auth_token_env_var:
-        token = os.environ.get(backend.auth_token_env_var, "")
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-    payload = {
-        "model": backend.model_name,
-        "prompt": prompt,
-        "temperature": backend.temperature,
-        "max_tokens": backend.max_tokens,
-    }
-    body = json.dumps(payload).encode("utf-8")
-    connection = _thread_connection(backend)
-    attempts = backend.max_retries + 1
-    last_error: str = "no attempts made"
-    for attempt in range(attempts):
+class _HttpRequest:
+    """One prompt's completion request, sent one attempt at a time: the body
+    and headers are built once, and the caller waits out each backoff."""
+
+    def __init__(self, backend: HttpBackend, prompt: str):
+        self.backend = backend
+        self.headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
+        if backend.auth_token_env_var:
+            token = os.environ.get(backend.auth_token_env_var, "")
+            if token:
+                self.headers["Authorization"] = f"Bearer {token}"
+        payload = {"model": backend.model_name, "prompt": prompt,
+                   "temperature": backend.temperature, "max_tokens": backend.max_tokens}
+        self.body = json.dumps(payload).encode("utf-8")
+        self.attempts_made = 0
+
+    def attempt(self) -> str | float:
+        """Send the request once on the calling thread's connection. Returns the
+        completion text, or the backoff in seconds before the next attempt; raises
+        ``TransportError`` on a non-retryable status or once the attempts are used up."""
+        attempt, attempts = self.attempts_made, self.backend.max_retries + 1
+        self.attempts_made += 1
         try:
-            status, data = connection.post(body, headers)
+            status, data = _thread_connection(self.backend).post(self.body, self.headers)
         except (OSError, http.client.HTTPException) as exc:
-            last_error = str(exc) or type(exc).__name__
-            failure = {"error": last_error}
+            error = str(exc) or type(exc).__name__
+            failure = {"error": error}
         else:
             if status == 200:
                 return _completion_text(data)
-            last_error = f"HTTP {status}"
+            error = f"HTTP {status}"
             if status not in _RETRYABLE_STATUS:
-                raise TransportError(f"completion failed: {last_error}")
+                raise TransportError(f"completion failed: {error}")
             failure = {"status": status}
-        if attempt + 1 < attempts:
-            backoff_s = min(8.0, 0.5 * (2**attempt))
-            log.warning(
-                "completion attempt %d/%d failed (%s); retrying in %gs",
-                attempt + 1, attempts, last_error, backoff_s,
-                extra={"attempt": attempt + 1, **failure, "backoff_s": backoff_s},
-            )
-            time.sleep(backoff_s)
-    raise TransportError(f"completion failed after {attempts} attempts: {last_error}")
+        if attempt + 1 >= attempts:
+            raise TransportError(f"completion failed after {attempts} attempts: {error}")
+        backoff_s = min(8.0, 0.5 * (2**attempt))
+        log.warning(
+            "completion attempt %d/%d failed (%s); retrying in %gs",
+            attempt + 1, attempts, error, backoff_s,
+            extra={"attempt": attempt + 1, **failure, "backoff_s": backoff_s},
+        )
+        return backoff_s
+
+
+def _http_complete(backend: HttpBackend, prompt: str) -> str:
+    request = _HttpRequest(backend, prompt)
+    while not isinstance(result := request.attempt(), str):
+        time.sleep(result)
+    return result
 
 
 def _completion_text(data: bytes) -> str:
@@ -333,12 +350,9 @@ def _oracle_solve(question: str, options: tuple[str, ...] | None) -> str:
         task, mq = resolve_any(question, options)
     except TemplateMismatchError as exc:
         raise OracleUnresolvableError(f"target question is not template-resolvable: {exc}") from exc
-    trace = eval_program(mq.program)
-    gold = surface_answer(mq, trace)
-    inst = TaskInstance(
-        id="oracle", task=task, question=question, options=options, gold=gold
-    )
-    return build_from_trace(inst, mq, trace).rationale
+    # The builders read the trace for the answer, never the instance's gold.
+    inst = TaskInstance(id="oracle", task=task, question=question, options=options, gold="")
+    return build_from_trace(inst, mq, eval_program(mq.program)).rationale
 
 
 def complete(backend: BackendSpec, prompt: str, digest: str) -> str:

@@ -4,6 +4,7 @@ only for HTTP), persists one record per item (resumable), and scores reports."""
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import logging
 import operator
@@ -12,13 +13,13 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from ..demos import Demonstration, load_demonstrations, select_demos
 from ..resolution import TSO_TASKS, MalformedLineError, Task, TaskInstance, load_instances
 from ..resolution import task_from_string
 from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, complete
-from .backends import backend_fingerprint, prompt_sha256
+from .backends import _HttpRequest, backend_fingerprint, prompt_sha256
 from .extraction import extract_answer, is_correct
 from .prompts import DEMO_PARADIGMS, Paradigm, demo_prefix, target_block
 from .prompts import _PARADIGMS_BY_VALUE, paradigm_from_string  # exact value -> paradigm
@@ -392,25 +393,67 @@ def _prompt_digest(prefix_hash, target: str) -> str:
     return digest.hexdigest()
 
 
-def _run_one(
-    backend: BackendSpec,
-    dataset: str,
-    paradigm: Paradigm,
-    prefix: str,
-    prefix_hash,
-    inst: TaskInstance,
-) -> EvalRecord:
-    target = target_block(paradigm, inst)
-    digest = _prompt_digest(prefix_hash, target)
-    prompt = prefix + target
-    started = time.perf_counter()
-    completion = complete(backend, prompt, digest)
-    latency_ms = (time.perf_counter() - started) * 1000.0
-    extracted = extract_answer(inst.task, completion)
-    return EvalRecord(  # positional, in field order
-        inst.id, dataset, inst.task, paradigm, digest, completion, extracted,
-        inst.gold, is_correct(inst.task, extracted, inst.gold), latency_ms,
-    )
+class _Job(NamedTuple):
+    """One item of one cell, with the cell's demonstration prefix and its SHA-256 object."""
+
+    dataset: str
+    paradigm: Paradigm
+    prefix: str
+    prefix_hash: object
+    inst: TaskInstance
+
+    def prompt(self) -> tuple[str, str]:
+        """The item's prompt and its digest."""
+        target = target_block(self.paradigm, self.inst)
+        return self.prefix + target, _prompt_digest(self.prefix_hash, target)
+
+    def record(self, digest: str, completion: str, started: float) -> EvalRecord:
+        """The record of the item's completion, first requested at ``started``."""
+        latency_ms = (time.perf_counter() - started) * 1000.0
+        inst = self.inst
+        extracted = extract_answer(inst.task, completion)
+        return EvalRecord(  # positional, in field order
+            inst.id, self.dataset, inst.task, self.paradigm, digest, completion, extracted,
+            inst.gold, is_correct(inst.task, extracted, inst.gold), latency_ms,
+        )
+
+
+def _run_http(backend: HttpBackend, jobs: list[_Job], store: RecordStore) -> None:
+    """Run ``jobs`` with at most ``parallelism`` attempts in flight, one per
+    worker thread; records are built and appended on this thread. A backoff
+    waits here, and its retry, once due, goes ahead of new items. A lone
+    backoff lends its slot to the next item, but while two or more back off
+    their slots stay idle: a refusing server sees at most one extra request."""
+    slots, pending = backend.parallelism, iter(jobs)
+    running = {}  # future of an attempt -> (request, job, digest, started)
+    backoffs = []  # heap of (due, id, entry): the id breaks ties, as entries do not compare
+    with ThreadPoolExecutor(max_workers=slots) as pool:
+        while True:
+            while len(running) < slots:
+                if backoffs and backoffs[0][0] <= time.monotonic():
+                    entry = heapq.heappop(backoffs)[2]
+                # Attempts in flight and items backing off stay within slots + 1.
+                elif len(running) + len(backoffs) <= slots and (job := next(pending, None)):
+                    prompt, digest = job.prompt()
+                    entry = (_HttpRequest(backend, prompt), job, digest, time.perf_counter())
+                else:
+                    break
+                running[pool.submit(entry[0].attempt)] = entry
+            # A full pool waits for an attempt to end; one with a free slot, also for a backoff.
+            due = backoffs[0][0] - time.monotonic() if backoffs and len(running) < slots else None
+            if not running:
+                if due is None:
+                    return
+                time.sleep(max(0.0, due))  # wait() on no futures would return at once
+                continue
+            for future in wait(running, timeout=due, return_when=FIRST_COMPLETED).done:
+                entry = running.pop(future)
+                result = future.result()
+                if isinstance(result, str):
+                    _, job, digest, started = entry
+                    store.append(job.record(digest, result, started))
+                else:  # the backoff before its next attempt
+                    heapq.heappush(backoffs, (time.monotonic() + result, id(entry), entry))
 
 
 def _check_backend(run_path: str, run_text: str, has_records: bool, output_dir: str) -> bool:
@@ -476,7 +519,7 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
                 key = (spec.name, paradigm.value, inst.id)
                 stored = store.digests.get(key)
                 if stored is None:
-                    jobs.append((spec.name, paradigm, prefix, prefix_hash, inst))
+                    jobs.append(_Job(spec.name, paradigm, prefix, prefix_hash, inst))
                     continue
                 del unchecked[key]
                 digest = _prompt_digest(prefix_hash, target_block(paradigm, inst))
@@ -497,22 +540,14 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
             handle.write(run_text)
         os.replace(run_path + ".tmp", run_path)  # never a torn run.json beside records
     budget = len(jobs) if max_records is None else min(max_records, len(jobs))
-    parallelism = config.backend.parallelism if isinstance(config.backend, HttpBackend) else 1
     with store:
-        if parallelism <= 1:
+        if isinstance(config.backend, HttpBackend):
+            _run_http(config.backend, jobs[:budget], store)
+        else:  # oracle and replay do not wait, so they run on this thread
             for job in jobs[:budget]:
-                store.append(_run_one(config.backend, *job))
-        else:
-            submitted = 0
-            pending = set()
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                while submitted < budget or pending:
-                    while submitted < budget and len(pending) < parallelism:
-                        pending.add(pool.submit(_run_one, config.backend, *jobs[submitted]))
-                        submitted += 1
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        store.append(future.result())
+                prompt, digest = job.prompt()
+                started = time.perf_counter()
+                store.append(job.record(digest, complete(config.backend, prompt, digest), started))
 
     records = store.records()
     if not records:  # only a zero budget over an empty directory gets here

@@ -209,6 +209,9 @@ class TaskInstance:
         check_field("meta", meta, (str, type(None)), "a string")
         if options is not None and not (isinstance(options, list) and all(isinstance(o, str) for o in options)):
             raise TypeError(f"field 'options' is not a list of strings: {options!r}")
+        for name in ("id", "answer"):  # str() would turn null, a bool or a list into text
+            if type(record[name]) is not int:
+                check_field(name, record[name], str, "a string or an integer")
         return cls(
             id=str(record["id"]),
             task=task_from_string(record["task"]),

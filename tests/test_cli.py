@@ -96,7 +96,9 @@ class TestMalformedInput:
         ({**_FREE_FORM_ITEM, "task": 3}, "field 'task' is not a string: 3"),
         ([_FREE_FORM_ITEM], "not a JSON object"),
         ({k: v for k, v in _FREE_FORM_ITEM.items() if k != "question"}, "field 'question' is missing"),
-    ], ids=["options", "question", "meta", "task", "list", "missing"])
+        ({**_FREE_FORM_ITEM, "answer": None}, "field 'answer' is not a string or an integer: None"),
+        ({**_FREE_FORM_ITEM, "id": [1]}, "field 'id' is not a string or an integer: [1]"),
+    ], ids=["options", "question", "meta", "task", "list", "missing", "answer", "id"])
     def test_names_file_and_line_and_exits_1(self, tmp_path, capsys, command, line, problem):
         data = tmp_path / "data.jsonl"
         data.write_text(json.dumps(_FREE_FORM_ITEM) + "\n\n" + json.dumps(line) + "\n")
@@ -239,6 +241,23 @@ class TestEvalReport:
         )
         assert main(["eval", "--config", str(config_path)]) == 2
         assert "fixture" in capsys.readouterr().err.lower()
+
+    def test_a_fixture_completion_that_is_not_text_names_its_line(self, tmp_path, capsys):
+        data = tmp_path / "cf.jsonl"
+        main(["generate", "--task", "CF", "--count", "2", "--seed", "6", "--out", str(data)])
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text('{"prompt_sha256": "d", "completion": 5}\n')
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({
+            "datasets": [{"name": "cf", "path": str(data)}],
+            "paradigms": ["zero-shot"],
+            "backend": {"kind": "replay", "fixture_path": str(fixtures)},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path)]) == 1
+        problem = "field 'completion' is not a string: 5"
+        assert capsys.readouterr().err == f"error: {fixtures}: line 1: {problem}\n"
 
 
 class TestLogging:

@@ -9,6 +9,7 @@ import random
 import re
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
@@ -52,7 +53,8 @@ from metareason.harness import (
     save_fixtures,
     score,
 )
-from metareason.resolution import Task, load_instances, save_instances, task_from_string
+from metareason.resolution import MalformedLineError, Task, load_instances, save_instances
+from metareason.resolution import task_from_string
 from metareason.taskgen import GenConfig, generate
 
 
@@ -196,6 +198,18 @@ class TestReplayBackend:
         with pytest.raises(FixtureMissError, match=f"no fixture for prompt {absent[:12]}…"):
             complete(backend, "prompt one", absent)
 
+    @pytest.mark.parametrize("line, problem", [
+        ({"prompt_sha256": "d", "completion": 5}, "field 'completion' is not a string: 5"),
+        ({"prompt_sha256": None, "completion": "c"}, "field 'prompt_sha256' is not a string: None"),
+    ], ids=["completion", "prompt_sha256"])
+    def test_a_fixture_that_is_not_text_names_its_line(self, tmp_path, line, problem):
+        path = tmp_path / "fixtures.jsonl"
+        save_fixtures(path, {"p": "c"})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(line) + "\n")
+        with pytest.raises(MalformedLineError, match=re.escape(f"{path}: line 2: {problem}")):
+            complete(ReplayBackend(str(path)), "p", prompt_sha256("p"))
+
     def test_fixture_hashes_are_sha256(self, tmp_path):
         path = tmp_path / "fixtures.jsonl"
         save_fixtures(path, {"p": "c"})
@@ -208,20 +222,28 @@ class _CompletionServer(ThreadingHTTPServer):
     """A loopback HTTP/1.1 keep-alive server that counts the connections it
     accepts and records each request's line, headers and JSON body.
 
-    ``status`` is the reply status for every request, and ``text`` the reply
-    text, or a function of the request's prompt that returns it; a server with
+    ``status`` is the reply status for every request but the first
+    ``failures``, which get a 503, and ``text`` the reply text, or a function
+    of the request's prompt that returns it. Each reply waits ``delay``
+    seconds. ``arrivals`` holds each request's prompt and the number of
+    requests then in flight, itself included. A server with
     ``requests_per_connection`` closes each connection, unannounced, after
     serving that many requests and then sets ``closed``.
     """
 
-    def __init__(self, status=200, text=" the answer is 4", requests_per_connection=None):
+    def __init__(self, status=200, text=" the answer is 4", requests_per_connection=None,
+                 failures=0, delay=0.0):
         super().__init__(("127.0.0.1", 0), _CompletionHandler)
         self.status = status
         self.text = text
         self.requests_per_connection = requests_per_connection
+        self.failures = failures
+        self.delay = delay
         self.lock = threading.Lock()
         self.connections = 0
         self.requests = []
+        self.arrivals = []
+        self.inflight = 0
         self.closed = threading.Event()
         self.thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
 
@@ -246,6 +268,9 @@ class _CompletionServer(ThreadingHTTPServer):
 
 class _CompletionHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm the body
+    # would wait for the client's delayed ACK, ~40 ms per request.
+    disable_nagle_algorithm = True
     timeout = 10  # an idle kept-alive connection ends instead of pinning a thread
 
     def handle(self):
@@ -258,12 +283,20 @@ class _CompletionHandler(BaseHTTPRequestHandler):
             served += 1
 
     def do_POST(self):
+        server = self.server
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        with self.server.lock:
-            self.server.requests.append((self.requestline, self.headers, body))
-        text = self.server.text(body["prompt"]) if callable(self.server.text) else self.server.text
+        with server.lock:
+            server.requests.append((self.requestline, self.headers, body))
+            server.inflight += 1
+            server.arrivals.append((body["prompt"], server.inflight))
+            status = 503 if len(server.requests) <= server.failures else server.status
+        if server.delay:  # no sleep() call for the sleeps fixture to record
+            time.sleep(server.delay)
+        with server.lock:  # before the reply, which lets the client send its next request
+            server.inflight -= 1
+        text = server.text(body["prompt"]) if callable(server.text) else server.text
         reply = json.dumps({"choices": [{"text": text}]}).encode()
-        self.send_response(self.server.status)
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(reply)))
         self.end_headers()
@@ -367,6 +400,71 @@ class TestHttpBackend:
         assert len(server.requests) == 2 * len(oracle.records) == 2 * 5 * 12
         assert contents(runs[0]) == contents(runs[1]) == contents(oracle)
         assert all(cell.accuracy == 1.0 for cell in runs[1].cells.values())
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_backoff_frees_its_slot_for_the_next_item(self, tmp_path, no_proxy_env, parallelism):
+        with _CompletionServer(text="So the answer is Yes.", failures=1, delay=0.01) as server:
+            config, _ = _write_eval_setup(
+                tmp_path, count=20,
+                backend={"kind": "http", "endpoint_url": server.url, "model_name": "m",
+                         "parallelism": parallelism},
+            )
+            config["paradigms"] = ["zero-shot"]
+            report = run_eval(EvalConfig.from_json_dict(config))
+        prompts = [prompt for prompt, _ in server.arrivals]
+        failed = prompts[0]
+        retry = prompts.index(failed, 1)
+        assert len(prompts) == 21 and report.cells[("cf", Paradigm.ZERO_SHOT)].total == 20
+        assert prompts[1] != failed  # the slot took the next item, not the retry
+        assert max(inflight for _, inflight in server.arrivals) <= parallelism
+        if parallelism == 2:  # both slots kept sending while the failed item backed off
+            assert 2 in [inflight for _, inflight in server.arrivals[2:retry]]
+        [retried] = [r for r in report.records if r.prompt_sha256 == prompt_sha256(failed)]
+        assert retried.latency_ms >= 500  # from the first send, the 0.5 s backoff included
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_refusals_in_a_row_hold_their_slots(self, tmp_path, no_proxy_env, parallelism):
+        # A lone backoff lends its slot once; the lent slot's refusal holds
+        # every slot until a retry is due, so a refusing server is not flooded.
+        refused = parallelism + 1
+        with _CompletionServer(text="So the answer is Yes.", failures=refused, delay=0.01) as server:
+            config, _ = _write_eval_setup(
+                tmp_path, count=20,
+                backend={"kind": "http", "endpoint_url": server.url, "model_name": "m",
+                         "parallelism": parallelism},
+            )
+            config["paradigms"] = ["zero-shot"]
+            report = run_eval(EvalConfig.from_json_dict(config))
+        prompts = [prompt for prompt, _ in server.arrivals]
+        assert len(prompts) == 20 + refused and report.cells[("cf", Paradigm.ZERO_SHOT)].total == 20
+        assert len(set(prompts[:refused])) == refused
+        assert prompts[refused] in prompts[:refused]  # a retry, not a new item
+
+    def test_waiting_out_the_last_backoff_does_not_spin(self, tmp_path, no_proxy_env):
+        with _CompletionServer(text="So the answer is Yes.", failures=1) as server:
+            config, _ = _write_eval_setup(
+                tmp_path, count=3,
+                backend={"kind": "http", "endpoint_url": server.url, "model_name": "m",
+                         "parallelism": 2},
+            )
+            config["paradigms"] = ["zero-shot"]
+            started, cpu = time.perf_counter(), time.process_time()
+            run_eval(EvalConfig.from_json_dict(config))
+            cpu, wall = time.process_time() - cpu, time.perf_counter() - started
+        assert len(server.requests) == 4
+        assert wall >= 0.5  # the retry waited out its backoff
+        assert cpu < 0.2  # most of it asleep, not polling
+
+    def test_a_transport_error_aborts_the_run(self, tmp_path, no_proxy_env):
+        with _CompletionServer(status=401) as server:
+            config, _ = _write_eval_setup(
+                tmp_path, backend={"kind": "http", "endpoint_url": server.url, "model_name": "m",
+                                   "parallelism": 2},
+            )
+            config["paradigms"] = ["zero-shot"]
+            with pytest.raises(TransportError, match="HTTP 401"):
+                run_eval(EvalConfig.from_json_dict(config))
+        assert not (tmp_path / "out" / "records.jsonl").exists()
 
     def test_connection_closed_while_idle_is_redialed(self, no_proxy_env, sleeps):
         with _CompletionServer(requests_per_connection=2) as server:

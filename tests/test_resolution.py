@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
 from metareason.meta_lang import (
@@ -14,6 +17,7 @@ from metareason.meta_lang import (
     render_meta,
 )
 from metareason.resolution import (
+    MalformedLineError,
     MissingOptionMapError,
     Task,
     TaskInstance,
@@ -22,6 +26,7 @@ from metareason.resolution import (
     UnsupportedTaskError,
     ValueOutOfOptionRangeError,
     allocate_symbols,
+    load_instances,
     resolve,
     resolve_any,
     solve_surface,
@@ -258,6 +263,25 @@ class TestAllocateSymbols:
         assert symbol_name(701) == "ZZ"
         with pytest.raises(TooManyEntitiesError):
             symbol_name(702)
+
+
+class TestInstanceLines:
+    @pytest.mark.parametrize("field", ["id", "answer"])
+    @pytest.mark.parametrize("value", [None, True, [1], {"n": 1}, 1.5],
+                             ids=["null", "bool", "list", "object", "float"])
+    def test_an_id_or_answer_that_is_not_text_names_its_line(self, tmp_path, field, value):
+        path = tmp_path / "items.jsonl"
+        item = {"id": "x", "task": "CF", "question": "q", "answer": "yes", field: value}
+        path.write_text(json.dumps(item) + "\n")
+        problem = f"field {field!r} is not a string or an integer: {value!r}"
+        with pytest.raises(MalformedLineError, match=re.escape(f"{path}: line 1: {problem}")):
+            load_instances(path)
+
+    def test_strings_stay_and_ints_become_text(self):
+        inst = TaskInstance.from_json_dict({"id": 7, "task": "MA", "question": "q", "answer": 18})
+        assert (inst.id, inst.gold) == ("7", "18")
+        inst = TaskInstance.from_json_dict({"id": "7", "task": "CF", "question": "q", "answer": "no"})
+        assert (inst.id, inst.gold) == ("7", "no")
 
 
 class TestSurfaceAnswer:
