@@ -25,7 +25,7 @@ from .harness import (
     score,
 )
 from .harness.runner import load_records
-from .meta_lang import MetaLangError, ParseError, eval_program, format_value, parse_meta
+from .meta_lang import MetaLangError, ParseError, eval_program, parse_meta
 from .resolution import (
     ResolutionError,
     Task,
@@ -181,14 +181,15 @@ def _cmd_solve(args) -> None:
         trace = eval_program(parse_meta(args.meta))
         for line in demos_mod.chain_lines(trace.program, trace):
             print(line)
-        answer = trace.answer
-        print(answer if isinstance(answer, str) else format_value(answer))
+        print(trace.answer)
         return
     for inst in load_instances(args.infile):
         print(solve_surface(inst))
 
 
 def _cmd_build_demos(args) -> None:
+    if args.k is not None and args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     instances = load_instances(args.infile)
     if not instances:
         raise ConfigError(f"no instances in {args.infile}")

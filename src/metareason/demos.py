@@ -40,6 +40,7 @@ from .meta_lang import (
     render_statement,
 )
 from .resolution import (
+    NUMERIC_TASKS,
     MetaQuestion,
     Span,
     Task,
@@ -75,7 +76,7 @@ class FusionMode(str, Enum):
 
 def default_mode(task: Task) -> FusionMode:
     """Completely-serial for arithmetic tasks, cross-serial for symbolic ones."""
-    if task in (Task.MA, Task.AS):
+    if task in NUMERIC_TASKS:
         return FusionMode.COMPLETELY_SERIAL
     return FusionMode.CROSS_SERIAL
 
@@ -172,11 +173,7 @@ def _symbolize(text: str, mq: MetaQuestion) -> str:
 
 
 def _claim_word(claimed: Value) -> str:
-    if claimed is True:
-        return "truth"
-    if claimed is False:
-        return "lies"
-    return format_value(claimed)
+    return {1: "truth", 0: "lies"}.get(claimed) or format_value(claimed)
 
 
 def chain_line(stmt: Statement, before: dict[str, Value], after: dict[str, Value]) -> str:

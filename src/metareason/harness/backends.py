@@ -79,6 +79,14 @@ class OracleBackend:
 BackendSpec = HttpBackend | ReplayBackend | OracleBackend
 
 
+def config_int(name: str, value) -> int:
+    """An integer setting, read by ``int``, except that a bool or a number with
+    a fractional part is refused rather than read as 1, 0 or truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and value != int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def backend_from_config(config: dict) -> BackendSpec:
     kind = config.get("kind")
     if kind == "http":
@@ -90,10 +98,10 @@ def backend_from_config(config: dict) -> BackendSpec:
             model_name=config["model_name"],
             auth_token_env_var=config.get("auth_token_env_var"),
             temperature=float(config.get("temperature", 0.0)),
-            max_tokens=int(config.get("max_tokens", 512)),
+            max_tokens=config_int("max_tokens", config.get("max_tokens", 512)),
             timeout=float(config.get("timeout", 60.0)),
-            max_retries=int(config.get("max_retries", 3)),
-            parallelism=int(config.get("parallelism", 1)),
+            max_retries=config_int("max_retries", config.get("max_retries", 3)),
+            parallelism=config_int("parallelism", config.get("parallelism", 1)),
         )
         if spec.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")

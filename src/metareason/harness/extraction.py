@@ -7,7 +7,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 
-from ..resolution import NUMERIC_TASKS, OPTION_TASKS, Task, YES_NO_TASKS
+from ..resolution import NUMERIC_TASKS, TSO_TASKS, Task, YES_NO_TASKS
 
 
 class AnswerKind(Enum):
@@ -18,7 +18,7 @@ class AnswerKind(Enum):
 
 
 def answer_kind(task: Task) -> AnswerKind:
-    if task in OPTION_TASKS:
+    if task in TSO_TASKS:
         return AnswerKind.OPTION_LETTER
     if task in YES_NO_TASKS:
         return AnswerKind.YES_NO

@@ -19,7 +19,7 @@ from ..demos import Demonstration, load_demonstrations, select_demos
 from ..resolution import TSO_TASKS, MalformedLineError, Task, TaskInstance, load_instances
 from ..resolution import task_from_string
 from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, complete
-from .backends import _HttpRequest, backend_fingerprint, prompt_sha256
+from .backends import _HttpRequest, backend_fingerprint, config_int, prompt_sha256
 from .extraction import extract_answer, is_correct
 from .prompts import DEMO_PARADIGMS, Paradigm, demo_prefix, target_block
 from .prompts import _PARADIGMS_BY_VALUE, paradigm_from_string  # exact value -> paradigm
@@ -258,7 +258,7 @@ class EvalConfig:
             )
             paradigms = tuple(paradigm_from_string(p) for p in config["paradigms"])
             backend = backend_from_config(config["backend"])
-            seed = int(config.get("seed", 0))
+            seed = config_int("seed", config.get("seed", 0))
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         if not datasets:
@@ -279,7 +279,9 @@ class EvalConfig:
         demos = {}
         for name, spec in demo_specs.items():
             try:
-                demos[name] = DemoSpec(path=spec["path"], k=int(spec.get("k", 1)))
+                demos[name] = DemoSpec(
+                    path=spec["path"], k=config_int(f"k for {name!r}", spec.get("k", 1))
+                )
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad demo spec for {name!r}: {exc}") from exc
             _require_text(f"demo path for {name!r}", demos[name].path)

@@ -13,11 +13,10 @@ from .errors import (
     UndefinedSymbolError,
 )
 
-# Values are exact. Python bool stands in for the 0/1 bit kind (it is
-# accepted wherever an integer is), ints are arbitrary precision, and
-# rationals are fractions.Fraction (normalized, denominator > 0 by
-# construction). No floats anywhere.
-Value = bool | int | Fraction | str
+# Values are exact, and each kind has one spelling: ints are arbitrary
+# precision (a bit is the int 0 or 1), rationals are fractions.Fraction with
+# a denominator > 1, strings are quoted. No floats anywhere.
+Value = int | Fraction | str
 
 SYMBOL_PATTERN = re.compile(r"[A-Z]{1,2}\Z")
 
@@ -32,11 +31,7 @@ def quote_string(text: str) -> str:
 
 def format_value(value: Value) -> str:
     """Render a value the way the canonical grammar spells it."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, Fraction)):
-        return str(value)
-    return quote_string(value)
+    return quote_string(value) if isinstance(value, str) else str(value)
 
 
 @dataclass(frozen=True)
@@ -166,7 +161,10 @@ def _check_symbol(sym: str) -> None:
 
 
 def _check_value(value: Value) -> None:
-    if not isinstance(value, (bool, int, Fraction, str)):
+    """An int (not a bool), a str, or a Fraction that is not an integer: the
+    kinds whose canonical spellings differ."""
+    kind = type(value)
+    if kind not in (int, Fraction, str) or kind is Fraction and value.denominator == 1:
         raise InvalidProgramError(f"unsupported value {value!r}")
 
 

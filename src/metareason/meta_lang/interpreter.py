@@ -45,11 +45,9 @@ def eval_program(program: MetaProgram) -> Trace:
 
 
 def _numeric(value: Value, context: str) -> int | Fraction:
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, Fraction)):
-        return value
-    raise EvalTypeError(f"{context} needs a numeric value, got {value!r}")
+    if isinstance(value, str):
+        raise EvalTypeError(f"{context} needs a numeric value, got {value!r}")
+    return value
 
 
 def _normalized(value: int | Fraction) -> int | Fraction:
@@ -71,12 +69,12 @@ def _apply(stmt: Statement, env: dict[str, Value]) -> None:
         case Swap(left=left, right=right):
             env[left], env[right] = env[right], env[left]
         case Says(speaker=speaker, target=target, claimed=claimed):
-            env[speaker] = bool(env[target] == claimed)
+            env[speaker] = int(env[target] == claimed)
         case Flip(sym=sym):
             value = env[sym]
-            if not isinstance(value, bool):
+            if value not in (0, 1):
                 raise EvalTypeError(f"Flip needs a 0/1 bit in {sym}, got {value!r}")
-            env[sym] = not value
+            env[sym] = 1 - value
         case LastOf(sym=sym, literal=literal):
             env[sym] = literal[-1]
 
@@ -89,12 +87,8 @@ def _answer(query: Query, env: dict[str, Value]) -> Value:
             return "yes" if env[sym] == value else "no"
         case OptionOf(sym=sym):
             value = env[sym]
-            if isinstance(value, bool):
-                return int(value)
             if isinstance(value, int):
                 return value
-            if isinstance(value, Fraction) and value.denominator == 1:
-                return int(value)
             raise EvalTypeError(f"option query needs an integer in {sym}, got {value!r}")
         case ConcatOf(syms=syms):
             parts = []

@@ -51,11 +51,9 @@ def _parse_value(text: str, index: int) -> Value:
         den = int(den_text.strip())
         if den == 0:
             raise ParseError(f"zero denominator in {text!r}", index, "a nonzero denominator")
-        return Fraction(int(num_text.strip()), den)
-    number = int(text)
-    if number in (0, 1):
-        return bool(number)
-    return number
+        value = Fraction(int(num_text.strip()), den)
+        return value.numerator if value.denominator == 1 else value
+    return int(text)
 
 
 # Per slot kind: its regex, its reader (text, sentence index -> value), and its hint.

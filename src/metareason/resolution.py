@@ -47,7 +47,6 @@ class Task(str, Enum):
 
 
 TSO_TASKS = (Task.TSO3, Task.TSO5, Task.TSO7)
-OPTION_TASKS = frozenset(TSO_TASKS)
 YES_NO_TASKS = frozenset({Task.CF, Task.WOL})
 NUMERIC_TASKS = frozenset({Task.MA, Task.AS})
 
@@ -393,14 +392,14 @@ def _resolve_wol(question: str, options: tuple[str, ...] | None) -> MetaQuestion
             raise TemplateMismatchError("speaker already introduced", sentence.text)
         table[speaker] = symbol_name(len(table))
         entries.append((_slot_span(says, "speaker", sentence.start), table[speaker]))
-        claimed = says["claim"] == templates.TRUTH
+        claimed = int(says["claim"] == templates.TRUTH)
         stmt = Says(speaker=table[speaker], target=table[target], claimed=claimed)
         steps.append((sentence, stmt))
     if last["person"] not in table:
         raise TemplateMismatchError("query names an unknown person", sentences[-1].text)
 
-    inits = [(symbol_name(0), first["claim"] == templates.TRUTH)]
-    query = IsEqual(sym=table[last["person"]], value=True)
+    inits = [(symbol_name(0), int(first["claim"] == templates.TRUTH))]
+    query = IsEqual(sym=table[last["person"]], value=1)
     return _meta_question(inits, steps, query, sentences[-1], entries)
 
 
@@ -419,8 +418,8 @@ def _resolve_cf(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
             raise TemplateMismatchError("bad flip sentence", sentence.text)
 
     entries = [(_slot_span(opening, "coin", sentences[0].start), sym)]
-    query = IsEqual(sym=sym, value=True)
-    return _meta_question([(sym, True)], steps, query, sentences[-1], entries)
+    query = IsEqual(sym=sym, value=1)
+    return _meta_question([(sym, 1)], steps, query, sentences[-1], entries)
 
 
 def _resolve_llc(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
@@ -510,7 +509,7 @@ def resolve(inst: TaskInstance) -> MetaQuestion:
                 f"free-form {inst.task.value} text needs an attached meta rewrite"
             ) from None
         raise
-    if inst.task in OPTION_TASKS:
+    if inst.task in TSO_TASKS:
         expected = tso_object_count(inst.task)
         if len(mq.program.inits) != expected:
             raise TemplateMismatchError(
@@ -557,13 +556,8 @@ def surface_answer(mq: MetaQuestion, trace: Trace) -> str:
             if candidate == value:
                 return letter
         raise ValueOutOfOptionRangeError(f"answer {value!r} indexes no option")
-    if isinstance(query, (IsEqual, ConcatOf)):
-        return str(trace.answer)
-    # ValueOf: exact decimal string; rationals stay exact ("7/2")
-    value = trace.answer
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
+    # IsEqual and ConcatOf answer a string; ValueOf an exact number ("7/2")
+    return str(trace.answer)
 
 
 def solve_surface(inst: TaskInstance) -> str:

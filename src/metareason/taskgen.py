@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import templates
-from .resolution import TSO_TASKS, Task, TaskInstance, TemplateMismatchError, tso_object_count
+from .resolution import NUMERIC_TASKS, TSO_TASKS, Task, TaskInstance, TemplateMismatchError
+from .resolution import tso_object_count
 
 
 class GenerationError(Exception):
@@ -85,7 +86,8 @@ class Lexicon:
     llc_words: tuple[str, ...] = DEFAULT_LLC_WORDS
 
 
-DEFAULT_LEXICON = Lexicon()
+# An arithmetic question's starting amount is drawn from this range, inclusive.
+ARITH_START_RANGE = (2, 30)
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,6 @@ class GenConfig:
     n_people: int = 4                   # coin flips: number of actors
     n_words: int = 2                    # last-letter: words per name
     n_ops: int = 3                      # arithmetic: operation count
-    value_range: tuple[int, int] = (2, 30)
     lexicon: Lexicon = field(default_factory=Lexicon)
 
 
@@ -119,12 +120,9 @@ def _validate(cfg: GenConfig) -> None:
     elif cfg.task is Task.LLC:
         if cfg.n_words < 1:
             raise InvalidParamsError("n_words must be >= 1")
-    elif cfg.task in (Task.MA, Task.AS):
+    elif cfg.task in NUMERIC_TASKS:
         if cfg.n_ops < 1:
             raise InvalidParamsError("n_ops must be >= 1")
-        lo, hi = cfg.value_range
-        if lo > hi or lo < 0:
-            raise InvalidParamsError("bad value_range")
 
 
 def child_rng(seed: int, task: Task, index: int) -> random.Random:
@@ -195,7 +193,7 @@ def _build_llc(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
 def _build_arith(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
     name = rng.choice(list(cfg.lexicon.person_names))
     noun = rng.choice(list(cfg.lexicon.object_nouns))
-    value = Fraction(rng.randint(*cfg.value_range))
+    value = Fraction(rng.randint(*ARITH_START_RANGE))
     slots = {"name": name, "noun": noun}
     sentences = [templates.ARITH_OPENING.render(**slots, amount=value)]
     kinds = ("add", "sub") if cfg.task is Task.AS else ("add", "sub", "mul", "div")

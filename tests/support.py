@@ -30,14 +30,19 @@ def random_word(rng: random.Random, max_len: int = 8) -> str:
     return "".join(rng.choice(_WORD_ALPHABET) for _ in range(rng.randint(1, max_len)))
 
 
+def exact(value: Fraction) -> int | Fraction:
+    """A rational as the language holds it: an int when the denominator is 1."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def random_value(rng: random.Random, allow_str: bool = True):
     roll = rng.random()
     if roll < 0.45:
         return rng.randint(-50, 50)
     if roll < 0.60:
-        return bool(rng.randint(0, 1))
+        return rng.randint(0, 1)  # a bit
     if roll < 0.80 or not allow_str:
-        return Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+        return exact(Fraction(rng.randint(-30, 30), rng.randint(1, 9)))
     return random_word(rng)
 
 
@@ -101,6 +106,16 @@ def random_program(rng: random.Random) -> MetaProgram:
     return MetaProgram(inits=inits, stmts=tuple(stmts), query=query)
 
 
+def value_kinds(program: MetaProgram) -> list[type]:
+    """The type of each value a program spells out: its init values, its
+    claims, and the value its query compares with."""
+    values = [value for _, value in program.inits]
+    values += [stmt.claimed for stmt in program.stmts if isinstance(stmt, Says)]
+    if isinstance(program.query, IsEqual):
+        values.append(program.query.value)
+    return [type(value) for value in values]
+
+
 def random_numeric_env(rng: random.Random, size: int) -> list[tuple[str, object]]:
     syms = _symbol_pool(rng, size)
     return [(s, random_value(rng, allow_str=False)) for s in syms]
@@ -117,9 +132,9 @@ def random_swap_sequence(rng: random.Random, syms: list[str], length: int) -> li
 def random_truth_chain(rng: random.Random, length: int) -> MetaProgram:
     """Linear chain: first symbol is a bit, each later one judges the previous."""
     syms = [symbol_name(i) for i in range(length)]
-    inits = ((syms[0], bool(rng.randint(0, 1))),)
+    inits = ((syms[0], rng.randint(0, 1)),)
     stmts = tuple(
-        Says(speaker=syms[i], target=syms[i - 1], claimed=bool(rng.randint(0, 1)))
+        Says(speaker=syms[i], target=syms[i - 1], claimed=rng.randint(0, 1))
         for i in range(1, length)
     )
-    return MetaProgram(inits=inits, stmts=stmts, query=IsEqual(sym=syms[-1], value=True))
+    return MetaProgram(inits=inits, stmts=stmts, query=IsEqual(sym=syms[-1], value=1))

@@ -46,10 +46,12 @@ from metareason.meta_lang import (
 from metareason.resolution import Task, resolve, save_instances, surface_answer
 from metareason.taskgen import GenConfig, generate, oracle_answer
 from support import (
+    exact,
     random_numeric_env,
     random_program,
     random_swap_sequence,
     random_truth_chain,
+    value_kinds,
 )
 
 from conftest import (
@@ -100,7 +102,7 @@ def test_criterion_03_golden_truth_chain_case(capsys, truth_chain_instance):
     started = time.perf_counter()
     mq = resolve(truth_chain_instance)
     trace = eval_program(mq.program)
-    assert trace.value_of("E") is False
+    assert trace.value_of("E") == 0 and type(trace.value_of("E")) is int
     assert surface_answer(mq, trace) == "no"
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -130,11 +132,13 @@ def test_criterion_05_round_trip_ten_thousand(capsys):
     rng = random.Random(1005)
     for _ in range(10_000):
         program = random_program(rng)
-        assert parse_meta(render_meta(program)) == program
+        parsed = parse_meta(render_meta(program))
+        assert parsed == program
+        assert value_kinds(parsed) == value_kinds(program), render_meta(program)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     with capsys.disabled():
-        _passed(5, f"10,000 round-trips, zero failures, {elapsed:.1f}s")
+        _passed(5, f"10,000 round-trips, values and their types kept, {elapsed:.1f}s")
 
 
 def test_criterion_06_algebraic_properties(capsys):
@@ -166,14 +170,15 @@ def test_criterion_06_algebraic_properties(capsys):
         )
 
     for _ in range(cases):  # flip parity
-        start = bool(rng.randint(0, 1))
+        start = rng.randint(0, 1)
         flips = rng.randint(0, 9)
         program = MetaProgram(
             inits=(("A", start),),
             stmts=tuple(Flip(sym="A") for _ in range(flips)),
             query=ValueOf(sym="A"),
         )
-        assert eval_program(program).answer == (start ^ (flips % 2 == 1))
+        answer = eval_program(program).answer
+        assert answer == start ^ (flips % 2) and type(answer) is int
 
     for _ in range(cases):  # negating one claim flips the chain verdict
         program = random_truth_chain(rng, rng.randint(2, 8))
@@ -181,14 +186,14 @@ def test_criterion_06_algebraic_properties(capsys):
         stmts = list(program.stmts)
         original = stmts[position]
         stmts[position] = Says(
-            speaker=original.speaker, target=original.target, claimed=not original.claimed
+            speaker=original.speaker, target=original.target, claimed=1 - original.claimed
         )
         mutated = MetaProgram(inits=program.inits, stmts=tuple(stmts), query=program.query)
         sym = program.query.sym
         assert eval_program(program).value_of(sym) != eval_program(mutated).value_of(sym)
 
     for _ in range(cases):  # exact-rational Div after Mul restores the value
-        start = Fraction(rng.randint(-100, 100), rng.randint(1, 20))
+        start = exact(Fraction(rng.randint(-100, 100), rng.randint(1, 20)))
         factor = rng.choice([n for n in range(-20, 21) if n != 0])
         program = MetaProgram(
             inits=(("A", start),),

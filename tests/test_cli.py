@@ -127,6 +127,16 @@ class TestBuildDemos:
         assert main(["build-demos", "--in", str(raw), "--out", str(out)]) == 0
         assert len(load_demonstrations(out)) == 2  # letter task default
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_validation_error(self, tmp_path, capsys, k):
+        raw = tmp_path / "raw.jsonl"
+        out = tmp_path / "demos.jsonl"
+        main(["generate", "--task", "CF", "--count", "5", "--seed", "4", "--out", str(raw)])
+        capsys.readouterr()
+        assert main(["build-demos", "--in", str(raw), "--k", k, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --k must be >= 1, got {k}\n"
+        assert not out.exists()
+
 
 class TestEvalReport:
     def _setup(self, tmp_path):

@@ -574,10 +574,19 @@ class TestBackendConfig:
             ("timeout", "nan"),
             ("max_tokens", 0),
             ("max_retries", -1),
+            # A bool or a fractional number is refused, not read as 1 or truncated.
+            ("parallelism", 2.9),
+            ("parallelism", True),
+            ("max_tokens", True),
+            ("max_tokens", 16.5),
+            ("max_retries", 1.5),
+            ("max_retries", False),
         ):
             with pytest.raises(ConfigError, match=key):
                 backend_from_config({**http, key: value})
         assert backend_from_config({**http, "max_retries": 0}).max_retries == 0
+        for key, value, read in (("parallelism", "2", 2), ("max_tokens", 16.0, 16), ("max_retries", 2, 2)):
+            assert getattr(backend_from_config({**http, key: value}), key) == read
         for path in (5, "", None, ["f"]):  # None reads as a missing key
             with pytest.raises(ConfigError, match="'fixture_path', a non-empty string"):
                 backend_from_config({"kind": "replay", "fixture_path": path})
@@ -605,11 +614,20 @@ class TestBackendConfig:
         for seed in (None, [1], "x", float("inf")):
             with pytest.raises(ConfigError, match="bad config"):
                 EvalConfig.from_json_dict({**evaluation, "seed": seed})
+        for seed in (2.5, True, False):
+            with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed}"):
+                EvalConfig.from_json_dict({**evaluation, "seed": seed})
+        assert EvalConfig.from_json_dict({**evaluation, "seed": "3"}).seed == 3
+        with pytest.raises(ConfigError, match="parallelism must be an integer, got 2.9"):
+            EvalConfig.from_json_dict({**evaluation, "backend": {**http, "parallelism": 2.9}})
         for demos in (["x"], "cf", 5):
             with pytest.raises(ConfigError, match="demos must map dataset names to demo specs"):
                 EvalConfig.from_json_dict({**evaluation, "demos": demos})
         for k in (-1, 0):
             with pytest.raises(ConfigError, match=f"k for 'cf' must be >= 1, got {k}"):
+                EvalConfig.from_json_dict({**evaluation, "demos": {"cf": {"path": "d", "k": k}}})
+        for k in (1.9, True):
+            with pytest.raises(ConfigError, match=f"k for 'cf' must be an integer, got {k}"):
                 EvalConfig.from_json_dict({**evaluation, "demos": {"cf": {"path": "d", "k": k}}})
         for spec in ({"path": "d", "k": float("inf")}, {"k": 2}, ["d"]):
             with pytest.raises(ConfigError, match="bad demo spec for 'cf'"):

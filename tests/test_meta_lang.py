@@ -41,7 +41,7 @@ from metareason.meta_lang import ast as meta_ast
 from metareason.meta_lang import interpreter as meta_interpreter
 from metareason.meta_lang import parser as meta_parser
 from metareason.meta_lang.renderer import QUERIES, STATEMENTS
-from support import random_program, random_swap_sequence, random_truth_chain
+from support import exact, random_program, random_swap_sequence, random_truth_chain, value_kinds
 
 from conftest import LOOSE_META_TEXT
 
@@ -90,7 +90,7 @@ class TestParse:
     def test_minimal_program(self):
         program = parse_meta("It is known A = 0. What is the value of A?")
         assert program.stmts == ()
-        assert program.inits == (("A", False),)
+        assert program.inits == (("A", 0),) and type(program.inits[0][1]) is int
 
     def test_malformed_sentence_reports_index_and_hint(self):
         with pytest.raises(ParseError) as excinfo:
@@ -129,6 +129,12 @@ class TestParse:
     def test_split_clauses_strips_connectives(self):
         for text, clauses in SPLIT_CASES:
             assert split_clauses(text) == clauses, text
+
+    @pytest.mark.parametrize("text, value", [("4/2", 2), ("-0", 0), ("-6/3", -2), ("0/5", 0), ("1", 1)])
+    def test_whole_numbers_read_as_ints(self, text, value):
+        program = parse_meta(f"It is known A = {text}. Is A = {text}?")
+        assert program.inits == (("A", value),) and type(program.inits[0][1]) is int
+        assert type(program.query.value) is int
 
     def test_two_letter_symbols(self):
         program = parse_meta("It is known AA = 1, AB = 2. AA and AB swap. Which option equals AA?")
@@ -187,9 +193,9 @@ class TestGrammarTable:
 
     def test_loose_spacing_and_optional_that(self):
         assert parse_meta('A = last( "x" ). What is the value of A?').stmts == (LastOf(sym="A", literal="x"),)
-        assert parse_meta("It is known A = 1. What is the value of A?").inits == (("A", True),)
+        assert parse_meta("It is known A = 1. What is the value of A?").inits == (("A", 1),)
         text = "It is known that A = 1,\nB = 2. What is the value of A?"
-        assert parse_meta(text).inits == (("A", True), ("B", 2))
+        assert parse_meta(text).inits == (("A", 1), ("B", 2))
 
 
 class TestRender:
@@ -210,9 +216,9 @@ class TestRender:
 
     def test_says_canonical_phrasing_round_trips(self):
         program = MetaProgram(
-            inits=(("A", True),),
-            stmts=(Says(speaker="B", target="A", claimed=False),),
-            query=IsEqual(sym="B", value=True),
+            inits=(("A", 1),),
+            stmts=(Says(speaker="B", target="A", claimed=0),),
+            query=IsEqual(sym="B", value=1),
         )
         text = render_meta(program)
         assert "B says A = 0." in text
@@ -241,7 +247,7 @@ class TestEval:
             "E says D = 0. Is E = 1?"
         )
         trace = eval_program(program)
-        assert trace.value_of("E") is False
+        assert trace.value_of("E") == 0 and type(trace.value_of("E")) is int
         assert trace.answer == "no"
 
     def test_double_flip_is_identity(self):
@@ -265,6 +271,13 @@ class TestEval:
         trace = eval_program(parse_meta("It is known A = 9. Divide A by 2. What is the value of A?"))
         assert trace.answer == Fraction(9, 2)
         assert format_value(trace.answer) == "9/2"
+
+    def test_built_and_parsed_flip_agree(self):
+        program = MetaProgram(inits=(("A", 1),), stmts=(Flip(sym="A"),), query=ValueOf(sym="A"))
+        parsed = parse_meta(render_meta(program))
+        assert parsed == program
+        answer = eval_program(program).answer
+        assert answer == eval_program(parsed).answer == 0 and type(answer) is int
 
     def test_flip_on_non_bit_raises(self):
         with pytest.raises(EvalTypeError):
@@ -314,7 +327,9 @@ class TestProperties:
     @given(st.integers(min_value=0))
     def test_round_trip_random_programs(self, seed):
         program = random_program(random.Random(seed))
-        assert parse_meta(render_meta(program)) == program
+        parsed = parse_meta(render_meta(program))
+        assert parsed == program
+        assert value_kinds(parsed) == value_kinds(program)
 
     @given(st.integers(min_value=0), st.integers(min_value=1, max_value=6))
     def test_swap_involution(self, seed, size):
@@ -348,14 +363,15 @@ class TestProperties:
             format_value(v) for _, v in env
         )
 
-    @given(st.booleans(), st.integers(min_value=0, max_value=9))
+    @given(st.integers(min_value=0, max_value=1), st.integers(min_value=0, max_value=9))
     def test_flip_parity(self, start, flips):
         program = MetaProgram(
             inits=(("A", start),),
             stmts=tuple(Flip(sym="A") for _ in range(flips)),
             query=ValueOf(sym="A"),
         )
-        assert eval_program(program).answer == (start ^ (flips % 2 == 1))
+        answer = eval_program(program).answer
+        assert answer == start ^ (flips % 2) and type(answer) is int
 
     @given(st.integers(min_value=0), st.integers(min_value=2, max_value=8))
     def test_negating_one_claim_flips_chain_result(self, seed, length):
@@ -367,7 +383,7 @@ class TestProperties:
         mutated_stmts[flipped_at] = Says(
             speaker=original.speaker,
             target=original.target,
-            claimed=not original.claimed,
+            claimed=1 - original.claimed,
         )
         mutated = MetaProgram(
             inits=program.inits, stmts=tuple(mutated_stmts), query=program.query
@@ -383,7 +399,7 @@ class TestProperties:
         st.integers(min_value=-20, max_value=20).filter(lambda n: n != 0),
     )
     def test_mul_then_div_restores_value(self, start, factor):
-        start = Fraction(start)
+        start = exact(Fraction(start))
         program = MetaProgram(
             inits=(("A", start),),
             stmts=(Mul(sym="A", factor=factor), Div(sym="A", divisor=factor)),
@@ -414,10 +430,20 @@ class TestValidation:
     def test_says_must_introduce_fresh_symbol(self):
         with pytest.raises(DuplicateSymbolError):
             MetaProgram(
-                inits=(("A", True), ("B", True)),
-                stmts=(Says(speaker="B", target="A", claimed=True),),
+                inits=(("A", 1), ("B", 1)),
+                stmts=(Says(speaker="B", target="A", claimed=1),),
                 query=ValueOf(sym="B"),
             )
+
+    @pytest.mark.parametrize("value", [True, False, Fraction(4, 2), Fraction(0, 3), 1.5, None])
+    def test_values_of_no_canonical_kind_are_refused(self, value):
+        with pytest.raises(InvalidProgramError, match="unsupported value"):
+            MetaProgram(inits=(("A", value),), stmts=(), query=ValueOf(sym="A"))
+        with pytest.raises(InvalidProgramError, match="unsupported value"):
+            MetaProgram(inits=(("A", 1),), stmts=(Says(speaker="B", target="A", claimed=value),),
+                        query=ValueOf(sym="B"))
+        with pytest.raises(InvalidProgramError, match="unsupported value"):
+            MetaProgram(inits=(("A", 1),), stmts=(), query=IsEqual(sym="A", value=value))
 
     def test_lastof_needs_nonempty_literal(self):
         with pytest.raises(InvalidProgramError):

@@ -34,6 +34,7 @@ from metareason.resolution import (
     symbol_name,
 )
 from metareason.taskgen import GenConfig, generate
+from support import value_kinds
 
 from conftest import COIN_QUESTION, SQUARE_DANCE_QUESTION, TRUTH_CHAIN_QUESTION
 
@@ -162,21 +163,23 @@ class TestTruthChainGolden:
             "Jerry": "E",
         }
         trace = eval_program(mq.program)
-        assert trace.value_of("E") is False
+        assert trace.value_of("E") == 0 and type(trace.value_of("E")) is int
         assert surface_answer(mq, trace) == "no"
 
     def test_claimed_bits(self, truth_chain_instance):
         mq = resolve(truth_chain_instance)
-        assert [stmt.claimed for stmt in mq.program.stmts] == [False, True, False, False]
-        assert mq.program.query == IsEqual(sym="E", value=True)
+        assert [stmt.claimed for stmt in mq.program.stmts] == [0, 1, 0, 0]
+        assert mq.program.query == IsEqual(sym="E", value=1)
+        assert value_kinds(mq.program) == [int] * 6
 
 
 class TestCoinGolden:
     def test_non_flips_emit_no_statement(self, coin_instance):
         mq = resolve(coin_instance)
-        assert mq.program.inits == (("A", True),)
+        assert mq.program.inits == (("A", 1),)
         assert mq.program.stmts == (Flip(sym="A"),)
-        assert mq.program.query == IsEqual(sym="A", value=True)
+        assert mq.program.query == IsEqual(sym="A", value=1)
+        assert value_kinds(mq.program) == [int, int]
 
     def test_parity_oracle_agreement(self, coin_instance):
         # independent oracle: count flip sentences, even count keeps heads
