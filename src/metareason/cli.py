@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 
 from . import demos as demos_mod
 from . import taskgen
@@ -24,6 +25,7 @@ from .harness import (
     run_eval,
     score,
 )
+from .harness.backends import config_text
 from .harness.runner import load_records
 from .meta_lang import MetaLangError, ParseError, eval_program, parse_meta
 from .resolution import (
@@ -164,8 +166,6 @@ def _cmd_generate(args) -> None:
 
 
 def _cmd_resolve(args) -> None:
-    from dataclasses import replace
-
     from .meta_lang import render_meta
 
     instances = load_instances(args.infile)
@@ -202,11 +202,10 @@ def _cmd_build_demos(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    config = EvalConfig.from_file(args.config)
-    if args.output_dir:
-        from dataclasses import replace
-
-        config = replace(config, output_dir=args.output_dir)
+    with open(args.config, "r", encoding="utf-8") as handle:
+        config = EvalConfig.from_json_dict(json.load(handle))
+    if args.output_dir is not None:
+        config = replace(config, output_dir=config_text(args.output_dir, "--output-dir"))
     report = run_eval(config, max_records=args.max_records)
     print(render_table(report))
 

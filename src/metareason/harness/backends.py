@@ -15,7 +15,7 @@ import time
 import urllib.parse
 import urllib.request
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .. import __version__
 from ..demos import build_from_trace
@@ -44,21 +44,77 @@ class ConfigError(HarnessError):
     """Malformed evaluation or backend configuration."""
 
 
+def setting(read, **default):
+    """A config dataclass field, read from the JSON key of its name by ``read(value, name)``;
+    its ``default`` or ``default_factory`` stands in for a missing key."""
+    return field(metadata={"read": read}, **default)
+
+
+def config_text(value, name: str) -> str:
+    """A name or path: a non-empty string (``open`` takes an int as a file descriptor)."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"bad config: {name} must be a non-empty string, got {value!r}")
+    return value
+
+
+def config_number(kind: type, low: float = -math.inf, above: bool = False):
+    """The rule for a finite number read by ``kind`` (int or float), at least ``low`` (above it
+    if ``above``). A bool is refused, not read as 1 or 0; so is a fraction for an int."""
+    wanted = "an integer" if kind is int else "a finite number"
+    wanted += f" {'>' if above else '>='} {low}" if low > -math.inf else ""
+
+    def read(value, name: str):
+        try:
+            number = math.nan if isinstance(value, bool) else kind(value)
+        except (OverflowError, TypeError, ValueError):
+            number = math.nan
+        # NaN fails every comparison: a bool, an unreadable value and NaN are refused.
+        fits = (low < number if above else low <= number) and number < math.inf
+        if not fits or isinstance(value, float) and number != value:  # 2.5 for an int
+            raise ConfigError(f"bad config: {name} must be {wanted}, got {value!r}")
+        return number
+
+    return read
+
+
+def read_config(cls, config: dict, name: str, extra: tuple[str, ...] = (), **given):
+    """The dataclass ``cls`` from the JSON object ``config``, which messages call ``name``
+    ("" for the whole config). Each ``setting`` is read from its key by its rule, or takes its
+    default when the key is missing (a null, when the default is None); ``given`` sets the
+    other fields. Any other key that is not in ``extra`` is refused."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"bad config: {name or 'the config'} must be a JSON object, got {config!r}")
+    prefix = f"{name}." if name else ""
+    settings = {f.name: f for f in fields(cls) if "read" in f.metadata}
+    for key in config:
+        if key not in settings and key not in extra:
+            raise ConfigError(f"bad config: {prefix}{key} is not a known field")
+    values = {}
+    for key, spec in settings.items():
+        if key in config:
+            value = config[key]
+            read = spec.metadata["read"]
+            values[key] = value if value is None is spec.default else read(value, prefix + key)
+        elif spec.default is MISSING and spec.default_factory is MISSING:
+            raise ConfigError(f"bad config: {prefix}{key} is missing")
+    return cls(**values, **given)
+
+
 @dataclass(frozen=True)
 class HttpBackend:
-    endpoint_url: str
-    model_name: str
-    auth_token_env_var: str | None = None
-    temperature: float = 0.0
-    max_tokens: int = 512
-    timeout: float = 60.0
-    max_retries: int = 3
-    parallelism: int = 1
+    endpoint_url: str = setting(config_text)
+    model_name: str = setting(config_text)
+    auth_token_env_var: str | None = setting(config_text, default=None)
+    temperature: float = setting(config_number(float, 0), default=0.0)
+    max_tokens: int = setting(config_number(int, 1), default=512)
+    timeout: float = setting(config_number(float, 0, above=True), default=60.0)
+    max_retries: int = setting(config_number(int, 0), default=3)
+    parallelism: int = setting(config_number(int, 1), default=1)
 
 
 @dataclass(frozen=True)
 class ReplayBackend:
-    fixture_path: str
+    fixture_path: str = setting(config_text)
     # prompt SHA-256 → completion, read from fixture_path at first use.
     _fixtures: dict[str, str] | None = field(
         default=None, init=False, compare=False, repr=False
@@ -79,54 +135,15 @@ class OracleBackend:
 BackendSpec = HttpBackend | ReplayBackend | OracleBackend
 
 
-def config_int(name: str, value) -> int:
-    """An integer setting, read by ``int``, except that a bool or a number with
-    a fractional part is refused rather than read as 1, 0 or truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and value != int(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def backend_from_config(config: dict) -> BackendSpec:
-    kind = config.get("kind")
-    if kind == "http":
-        for key in ("endpoint_url", "model_name"):
-            if key not in config:
-                raise ConfigError(f"http backend needs {key!r}")
-        spec = HttpBackend(
-            endpoint_url=config["endpoint_url"],
-            model_name=config["model_name"],
-            auth_token_env_var=config.get("auth_token_env_var"),
-            temperature=float(config.get("temperature", 0.0)),
-            max_tokens=config_int("max_tokens", config.get("max_tokens", 512)),
-            timeout=float(config.get("timeout", 60.0)),
-            max_retries=config_int("max_retries", config.get("max_retries", 3)),
-            parallelism=config_int("parallelism", config.get("parallelism", 1)),
-        )
-        if spec.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-        # Chained comparisons are false for NaN, so these reject it too.
-        if not 0 <= spec.temperature < math.inf:
-            raise ConfigError("temperature must be finite and >= 0")
-        if not 0 < spec.timeout < math.inf:
-            raise ConfigError("timeout must be finite and > 0")
-        if spec.max_tokens < 1:
-            raise ConfigError("max_tokens must be >= 1")
-        if spec.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        return spec
-    if kind == "replay":
-        path = config.get("fixture_path")
-        if not isinstance(path, str) or not path:  # open() takes an int as a descriptor
-            raise ConfigError(
-                f"replay backend needs 'fixture_path', a non-empty string, got {path!r}"
-            )
-        spec = ReplayBackend(fixture_path=path)
-    elif kind == "oracle":
-        spec = OracleBackend()
-    else:
-        raise ConfigError(f"unknown backend kind {kind!r}")
-    if "parallelism" in config:  # CPU-bound: threads would only contend for the GIL
+def backend_from_config(config: dict, name: str = "backend") -> BackendSpec:
+    kinds = {"http": HttpBackend, "replay": ReplayBackend, "oracle": OracleBackend}
+    kind = config.get("kind") if isinstance(config, dict) else "http"  # read_config refuses a non-object
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"bad config: {name}.kind must be one of {', '.join(kinds)}, got {kind!r}")
+    # Oracle and replay run on the calling thread: threads would only contend for the GIL.
+    extra = ("kind",) if kind == "http" else ("kind", "parallelism")
+    spec = read_config(kinds[kind], config, name, extra)
+    if kind != "http" and "parallelism" in config:
         value = config["parallelism"]
         log.warning(
             "the %s backend runs on the calling thread; ignoring parallelism=%r", kind, value,

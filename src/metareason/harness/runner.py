@@ -12,6 +12,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
 from typing import NamedTuple, TextIO
 
@@ -19,7 +20,8 @@ from ..demos import Demonstration, load_demonstrations, select_demos
 from ..resolution import TSO_TASKS, MalformedLineError, Task, TaskInstance, load_instances
 from ..resolution import task_from_string
 from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, complete
-from .backends import _HttpRequest, backend_fingerprint, config_int, prompt_sha256
+from .backends import _HttpRequest, backend_fingerprint, config_number, config_text, read_config
+from .backends import setting
 from .extraction import extract_answer, is_correct
 from .prompts import DEMO_PARADIGMS, Paradigm, demo_prefix, target_block
 from .prompts import _PARADIGMS_BY_VALUE, paradigm_from_string  # exact value -> paradigm
@@ -78,9 +80,7 @@ class EvalRecord:
         )
         dataset = record["dataset"]
         extracted = record.get("extracted", "")
-        digest = record.get("prompt_sha256")
-        if digest is None:  # a line from before records held the digest
-            digest = prompt_sha256(record.get("prompt", ""))
+        digest = record["prompt_sha256"]
         if type(dataset) is not str or type(extracted) is not str or type(digest) is not str:
             raise TypeError("dataset, extracted and prompt_sha256 must be strings")
         gold = str(record.get("gold", ""))
@@ -96,10 +96,10 @@ def _record_problem(fields) -> str:
     ``EvalRecord.from_json_dict`` has failed on it."""
     if not isinstance(fields, dict):
         return "not a JSON object"
-    for name in ("instance_id", "dataset", "task", "paradigm"):
+    for name in ("instance_id", "dataset", "task", "paradigm", "prompt_sha256"):
         if name not in fields:
             return f"field {name!r} is missing"
-    for name in ("dataset", "extracted", "prompt_sha256", "prompt"):
+    for name in ("dataset", "extracted", "prompt_sha256"):
         if not isinstance(fields.get(name, ""), str):
             return f"field {name!r} is not a string: {fields[name]!r}"
     for name, parse, wanted in (
@@ -221,80 +221,65 @@ class RecordStore:
         return self._records
 
 
-def _require_text(what: str, value) -> None:
-    """Names and paths from a config must be non-empty strings: ``open`` takes
-    an int as a file descriptor."""
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{what} must be a non-empty string, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DatasetSpec:
-    name: str
-    path: str
+    name: str = setting(config_text)
+    path: str = setting(config_text)
 
 
 @dataclass(frozen=True)
 class DemoSpec:
-    path: str
-    k: int = 1
+    path: str = setting(config_text)
+    k: int = setting(config_number(int, 1), default=1)
+
+
+def _config_list(read, key):
+    """The rule for a non-empty JSON array of items that ``read`` reads, no two alike in ``key``."""
+
+    def read_list(value, name: str) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"bad config: {name} must be a non-empty list, got {value!r}")
+        items = tuple(read(item, f"{name}[{i}]") for i, item in enumerate(value))
+        keys = [getattr(item, key) for item in items]
+        for i, item_key in enumerate(keys):
+            if item_key in keys[:i]:
+                raise ConfigError(f"bad config: {name}[{i}]: {item_key!r} is listed twice")
+        return items
+
+    return read_list
+
+
+def _paradigm(value, name: str) -> Paradigm:
+    try:
+        return paradigm_from_string(value)
+    except (AttributeError, ValueError):  # AttributeError: not a string
+        raise ConfigError(f"bad config: {name} must be a paradigm name, got {value!r}") from None
+
+
+def _demo_specs(value, name: str) -> dict[str, DemoSpec]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"bad config: {name} must map dataset names to demo specs, got {value!r}")
+    return {key: read_config(DemoSpec, spec, f"{name}[{key!r}]") for key, spec in value.items()}
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    datasets: tuple[DatasetSpec, ...]
-    paradigms: tuple[Paradigm, ...]
-    backend: BackendSpec
-    demos: dict[str, DemoSpec] = field(default_factory=dict)
-    seed: int = 0
-    output_dir: str = "eval-out"
+    datasets: tuple[DatasetSpec, ...] = setting(_config_list(partial(read_config, DatasetSpec), "name"))
+    paradigms: tuple[Paradigm, ...] = setting(_config_list(_paradigm, "value"))
+    backend: BackendSpec = setting(backend_from_config)
+    demos: dict[str, DemoSpec] = setting(_demo_specs, default_factory=dict)
+    seed: int = setting(config_number(int), default=0)
+    output_dir: str = setting(config_text, default="eval-out")
     snapshot: dict = field(default_factory=dict)
 
     @classmethod
     def from_json_dict(cls, config: dict) -> "EvalConfig":
-        try:
-            datasets = tuple(
-                DatasetSpec(name=d["name"], path=d["path"]) for d in config["datasets"]
-            )
-            paradigms = tuple(paradigm_from_string(p) for p in config["paradigms"])
-            backend = backend_from_config(config["backend"])
-            seed = config_int("seed", config.get("seed", 0))
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad config: {exc}") from exc
-        if not datasets:
-            raise ConfigError("config names no datasets")
-        for dataset in datasets:
-            _require_text("dataset name", dataset.name)
-            _require_text(f"path of dataset {dataset.name!r}", dataset.path)
-        if not paradigms:
-            raise ConfigError("config names no paradigms")
-        if len(set(paradigms)) != len(paradigms):
-            repeated = next(p for i, p in enumerate(paradigms) if p in paradigms[:i])
-            raise ConfigError(f"paradigms must be unique, but {repeated.value!r} is listed twice")
-        if len({d.name for d in datasets}) != len(datasets):
-            raise ConfigError("dataset names must be unique")
-        demo_specs = config.get("demos") or {}
-        if not isinstance(demo_specs, dict):
-            raise ConfigError(f"demos must map dataset names to demo specs, got {demo_specs!r}")
-        demos = {}
-        for name, spec in demo_specs.items():
-            try:
-                demos[name] = DemoSpec(
-                    path=spec["path"], k=config_int(f"k for {name!r}", spec.get("k", 1))
-                )
-            except (KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad demo spec for {name!r}: {exc}") from exc
-            _require_text(f"demo path for {name!r}", demos[name].path)
-            if demos[name].k < 1:
-                raise ConfigError(f"k for {name!r} must be >= 1, got {demos[name].k}")
-        output_dir = config.get("output_dir", "eval-out")
-        _require_text("output_dir", output_dir)
-        return cls(datasets, paradigms, backend, demos, seed, output_dir, snapshot=config)
-
-    @classmethod
-    def from_file(cls, path) -> "EvalConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json_dict(json.load(handle))
+        evaluation = read_config(cls, config, "", snapshot=config)
+        names = [dataset.name for dataset in evaluation.datasets]
+        for name in evaluation.demos:
+            if name not in names:
+                raise ConfigError(f"bad config: demos[{name!r}] names no dataset of this config")
+        return evaluation
 
 
 @dataclass(frozen=True)
@@ -466,12 +451,8 @@ def _check_backend(run_path: str, run_text: str, has_records: bool, output_dir: 
     try:
         with open(run_path, "r", encoding="utf-8") as handle:
             stored = handle.read()
-    except FileNotFoundError:  # made before run.json was written
-        log.warning(
-            "%s holds records but no run.json, so the backend that made them is unknown; "
-            "taking it to be this config's", output_dir, extra={"path": run_path},
-        )
-        return True
+    except FileNotFoundError:
+        stored = "an unknown backend (there is no run.json)"
     if stored != run_text:
         raise ConfigError(
             f"{run_path}: the stored records were made by {stored.strip()}, but this config "

@@ -143,7 +143,7 @@ class MalformedLineError(ValueError):
 
 
 def check_field(name: str, value, kind, wanted: str) -> None:
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):  # true is no integer
         raise TypeError(f"field {name!r} is not {wanted}: {value!r}")
 
 
@@ -209,8 +209,7 @@ class TaskInstance:
         if options is not None and not (isinstance(options, list) and all(isinstance(o, str) for o in options)):
             raise TypeError(f"field 'options' is not a list of strings: {options!r}")
         for name in ("id", "answer"):  # str() would turn null, a bool or a list into text
-            if type(record[name]) is not int:
-                check_field(name, record[name], str, "a string or an integer")
+            check_field(name, record[name], (str, int), "a string or an integer")
         return cls(
             id=str(record["id"]),
             task=task_from_string(record["task"]),

@@ -106,6 +106,32 @@ class TestMalformedInput:
         assert main([command] + args) == 1
         assert capsys.readouterr().err == f"error: {data}: line 3: {problem}\n"
 
+    @pytest.mark.parametrize("change, problem", [
+        ({"n_substeps": True}, "field 'n_substeps' is not an integer: True"),
+        ({"n_substeps": 2.0}, "field 'n_substeps' is not an integer: 2.0"),
+        ({"rationale": 5}, "field 'rationale' is not a string: 5"),
+    ], ids=["n_substeps-bool", "n_substeps-float", "rationale"])
+    def test_a_demonstration_line_names_file_and_line_and_exits_1(
+        self, tmp_path, capsys, change, problem
+    ):
+        data, demos = tmp_path / "cf.jsonl", tmp_path / "demos.jsonl"
+        main(["generate", "--task", "CF", "--count", "2", "--seed", "6", "--out", str(data)])
+        main(["build-demos", "--in", str(data), "--k", "1", "--out", str(demos)])
+        good = json.loads(demos.read_text(encoding="utf-8"))
+        demos.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n")
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({
+            "datasets": [{"name": "cf", "path": str(data)}],
+            "paradigms": ["few-shot"],
+            "backend": {"kind": "oracle"},
+            "demos": {"cf": {"path": str(demos)}},
+            "output_dir": str(tmp_path / "out"),
+        }))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"error: {demos}: line 2: {problem}\n"
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
 
 class TestBuildDemos:
     def test_build_and_count(self, tmp_path):
@@ -217,6 +243,14 @@ class TestEvalReport:
         config_path = tmp_path / "cfg.json"
         config_path.write_text(json.dumps({"datasets": [], "paradigms": [], "backend": {"kind": "oracle"}}))
         assert main(["eval", "--config", str(config_path)]) == 1
+
+    def test_an_empty_output_dir_flag_is_validation_error(self, tmp_path, capsys):
+        config_path = self._setup(tmp_path)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path), "--output-dir", ""]) == 1
+        message = "error: bad config: --output-dir must be a non-empty string, got ''\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_exits_1_without_a_traceback(self, tmp_path):
         config_path = self._setup(tmp_path)

@@ -559,80 +559,127 @@ class TestBackendConfig:
         assert http.parallelism == 4 and http.max_tokens == 512
 
     def test_bad_configs(self):
-        with pytest.raises(ConfigError):
-            backend_from_config({"kind": "warp"})
-        with pytest.raises(ConfigError):
-            backend_from_config({"kind": "http", "endpoint_url": "u"})
+        def refused(read, config, message):
+            """``read(config)`` raises a ConfigError that is ``bad config: `` plus ``message``."""
+            with pytest.raises(ConfigError, match="^" + re.escape(f"bad config: {message}") + "$"):
+                read(config)
+
+        refused(backend_from_config, {"kind": "warp"},
+                "backend.kind must be one of http, replay, oracle, got 'warp'")
+        refused(backend_from_config, {"kind": "http", "endpoint_url": "u"},
+                "backend.model_name is missing")
         http = {"kind": "http", "endpoint_url": "u", "model_name": "m"}
-        for key, value in (
-            ("parallelism", 0),
-            ("temperature", "nan"),
-            ("temperature", "inf"),
-            ("temperature", -0.5),
-            ("timeout", -1),
-            ("timeout", 0),
-            ("timeout", "nan"),
-            ("max_tokens", 0),
-            ("max_retries", -1),
+        for key, value, wanted in (
+            ("parallelism", 0, "an integer >= 1"),
+            ("temperature", "nan", "a finite number >= 0"),
+            ("temperature", "inf", "a finite number >= 0"),
+            ("temperature", -0.5, "a finite number >= 0"),
+            ("timeout", -1, "a finite number > 0"),
+            ("timeout", 0, "a finite number > 0"),
+            ("timeout", "nan", "a finite number > 0"),
+            ("max_tokens", 0, "an integer >= 1"),
+            ("max_retries", -1, "an integer >= 0"),
             # A bool or a fractional number is refused, not read as 1 or truncated.
-            ("parallelism", 2.9),
-            ("parallelism", True),
-            ("max_tokens", True),
-            ("max_tokens", 16.5),
-            ("max_retries", 1.5),
-            ("max_retries", False),
+            ("parallelism", 2.9, "an integer >= 1"),
+            ("parallelism", True, "an integer >= 1"),
+            ("max_tokens", True, "an integer >= 1"),
+            ("max_tokens", 16.5, "an integer >= 1"),
+            ("max_retries", 1.5, "an integer >= 0"),
+            ("max_retries", False, "an integer >= 0"),
+            ("temperature", True, "a finite number >= 0"),  # float() reads true as 1.0
+            ("timeout", True, "a finite number > 0"),
+            ("max_tokens", "x", "an integer >= 1"),
+            # A text setting is a non-empty string: urlsplit(5) and environ.get(5) raise.
+            ("endpoint_url", 5, "a non-empty string"),
+            ("auth_token_env_var", 5, "a non-empty string"),
+            ("model_name", None, "a non-empty string"),
         ):
-            with pytest.raises(ConfigError, match=key):
-                backend_from_config({**http, key: value})
+            refused(backend_from_config, {**http, key: value},
+                    f"backend.{key} must be {wanted}, got {value!r}")
+        refused(backend_from_config, {**http, "temprature": 0.7},
+                "backend.temprature is not a known field")
+        refused(backend_from_config, {"kind": "replay", "fixture_path": "f", "timeout": 5},
+                "backend.timeout is not a known field")
+        refused(backend_from_config, ["oracle"], "backend must be a JSON object, got ['oracle']")
         assert backend_from_config({**http, "max_retries": 0}).max_retries == 0
-        for key, value, read in (("parallelism", "2", 2), ("max_tokens", 16.0, 16), ("max_retries", 2, 2)):
-            assert getattr(backend_from_config({**http, key: value}), key) == read
-        for path in (5, "", None, ["f"]):  # None reads as a missing key
-            with pytest.raises(ConfigError, match="'fixture_path', a non-empty string"):
-                backend_from_config({"kind": "replay", "fixture_path": path})
+        for key, value, read in (
+            ("parallelism", "2", 2), ("max_tokens", 16.0, 16), ("max_retries", 2, 2),
+            ("temperature", "0.5", 0.5), ("timeout", 30, 30.0), ("auth_token_env_var", None, None),
+        ):
+            read_value = getattr(backend_from_config({**http, key: value}), key)
+            assert read_value == read and type(read_value) is type(read)
+        for path in (5, "", None, ["f"]):
+            refused(backend_from_config, {"kind": "replay", "fixture_path": path},
+                    f"backend.fixture_path must be a non-empty string, got {path!r}")
         evaluation = {
             "datasets": [{"name": "cf", "path": "cf.jsonl"}],
             "paradigms": ["zero-shot"],
             "backend": {"kind": "oracle"},
         }
+        read = EvalConfig.from_json_dict
         for name in (5, "", None, ["cf"]):
-            with pytest.raises(ConfigError, match="dataset name must be a non-empty string"):
-                EvalConfig.from_json_dict(
-                    {**evaluation, "datasets": [{"name": name, "path": "cf.jsonl"}]}
-                )
-        with pytest.raises(ConfigError, match="bad config"):
-            EvalConfig.from_json_dict({**evaluation, "paradigms": [5]})
+            refused(read, {**evaluation, "datasets": [{"name": name, "path": "cf.jsonl"}]},
+                    f"datasets[0].name must be a non-empty string, got {name!r}")
+        refused(read, {**evaluation, "paradigms": [5]}, "paradigms[0] must be a paradigm name, got 5")
         # open() takes an int path as a file descriptor: 5 is EBADF, 0 reads stdin.
         for path in (5, 0, "", None, ["cf.jsonl"]):
-            with pytest.raises(ConfigError, match="path of dataset 'cf' must be a non-empty string"):
-                EvalConfig.from_json_dict({**evaluation, "datasets": [{"name": "cf", "path": path}]})
-            with pytest.raises(ConfigError, match="demo path for 'cf' must be a non-empty string"):
-                EvalConfig.from_json_dict({**evaluation, "demos": {"cf": {"path": path, "k": 1}}})
-            with pytest.raises(ConfigError, match="output_dir must be a non-empty string"):
-                EvalConfig.from_json_dict({**evaluation, "output_dir": path})
+            refused(read, {**evaluation, "datasets": [{"name": "cf", "path": path}]},
+                    f"datasets[0].path must be a non-empty string, got {path!r}")
+            refused(read, {**evaluation, "demos": {"cf": {"path": path, "k": 1}}},
+                    f"demos['cf'].path must be a non-empty string, got {path!r}")
+            refused(read, {**evaluation, "output_dir": path},
+                    f"output_dir must be a non-empty string, got {path!r}")
         # JSON reads 1e400 as inf, which int() refuses with an OverflowError.
-        for seed in (None, [1], "x", float("inf")):
-            with pytest.raises(ConfigError, match="bad config"):
-                EvalConfig.from_json_dict({**evaluation, "seed": seed})
-        for seed in (2.5, True, False):
-            with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed}"):
-                EvalConfig.from_json_dict({**evaluation, "seed": seed})
-        assert EvalConfig.from_json_dict({**evaluation, "seed": "3"}).seed == 3
-        with pytest.raises(ConfigError, match="parallelism must be an integer, got 2.9"):
-            EvalConfig.from_json_dict({**evaluation, "backend": {**http, "parallelism": 2.9}})
+        for seed in (None, [1], "x", float("inf"), 2.5, True, False):
+            refused(read, {**evaluation, "seed": seed}, f"seed must be an integer, got {seed!r}")
+        assert read({**evaluation, "seed": "3"}).seed == 3
+        refused(read, {**evaluation, "backend": {**http, "parallelism": 2.9}},
+                "backend.parallelism must be an integer >= 1, got 2.9")
         for demos in (["x"], "cf", 5):
-            with pytest.raises(ConfigError, match="demos must map dataset names to demo specs"):
-                EvalConfig.from_json_dict({**evaluation, "demos": demos})
-        for k in (-1, 0):
-            with pytest.raises(ConfigError, match=f"k for 'cf' must be >= 1, got {k}"):
-                EvalConfig.from_json_dict({**evaluation, "demos": {"cf": {"path": "d", "k": k}}})
-        for k in (1.9, True):
-            with pytest.raises(ConfigError, match=f"k for 'cf' must be an integer, got {k}"):
-                EvalConfig.from_json_dict({**evaluation, "demos": {"cf": {"path": "d", "k": k}}})
-        for spec in ({"path": "d", "k": float("inf")}, {"k": 2}, ["d"]):
-            with pytest.raises(ConfigError, match="bad demo spec for 'cf'"):
-                EvalConfig.from_json_dict({**evaluation, "demos": {"cf": spec}})
+            refused(read, {**evaluation, "demos": demos},
+                    f"demos must map dataset names to demo specs, got {demos!r}")
+        for k in (-1, 0, 1.9, True, float("inf")):
+            refused(read, {**evaluation, "demos": {"cf": {"path": "d", "k": k}}},
+                    f"demos['cf'].k must be an integer >= 1, got {k!r}")
+        refused(read, {**evaluation, "demos": {"cf": {"k": 2}}}, "demos['cf'].path is missing")
+        refused(read, {**evaluation, "demos": {"cf": ["d"]}},
+                "demos['cf'] must be a JSON object, got ['d']")
+        refused(read, {**evaluation, "demos": {"cf": {"path": "d", "k": 1, "n": 2}}},
+                "demos['cf'].n is not a known field")
+        # A misspelled or stray key anywhere is refused, not ignored.
+        refused(read, {**evaluation, "sed": 3}, "sed is not a known field")
+        refused(read, {**evaluation, "snapshot": {}}, "snapshot is not a known field")
+        refused(read, {**evaluation, "datasets": [{"name": "cf", "path": "p", "task": "CF"}]},
+                "datasets[0].task is not a known field")
+        refused(read, {**evaluation, "demos": {"cf": {"path": "d"}, "tso7": {"path": "d"}}},
+                "demos['tso7'] names no dataset of this config")
+        for key in ("datasets", "paradigms", "backend"):
+            refused(read, {k: v for k, v in evaluation.items() if k != key}, f"{key} is missing")
+        for key, value in (("paradigms", "zero-shot"), ("paradigms", []), ("datasets", []),
+                           ("datasets", {"name": "cf", "path": "p"})):
+            refused(read, {**evaluation, key: value},
+                    f"{key} must be a non-empty list, got {value!r}")
+        refused(read, {**evaluation, "datasets": ["cf.jsonl"]},
+                "datasets[0] must be a JSON object, got 'cf.jsonl'")
+        refused(read, {**evaluation, "datasets": [{"name": "cf", "path": "a"}, {"name": "cf", "path": "b"}]},
+                "datasets[1]: 'cf' is listed twice")
+        refused(read, {**evaluation, "backend": ["oracle"]},
+                "backend must be a JSON object, got ['oracle']")
+        refused(read, [evaluation], f"the config must be a JSON object, got {[evaluation]!r}")
 
+    def test_an_int_in_a_float_setting_reads_as_a_float(self, tmp_path, no_proxy_env):
+        with _CompletionServer(text="So the answer is Yes.") as server:
+            backend = {"kind": "http", "endpoint_url": server.url, "model_name": "m",
+                       "temperature": 0, "timeout": 30}
+            config, _ = _write_eval_setup(tmp_path, count=2, backend=backend)
+            config.update(paradigms=["zero-shot"], demos={})
+            run_eval(EvalConfig.from_json_dict(config))
+        fingerprint = {"kind": "http", "endpoint_url": server.url, "model_name": "m",
+                       "temperature": 0.0, "max_tokens": 512}
+        run_text = (tmp_path / "out" / "run.json").read_text(encoding="utf-8")
+        assert run_text == json.dumps({"backend": fingerprint}, sort_keys=True) + "\n"
+        assert '"temperature": 0.0' in run_text
+        assert [payload["temperature"] for _, _, payload in server.requests] == [0.0, 0.0]
 
     def test_the_fingerprint_holds_what_shapes_completions(self):
         from metareason.harness.backends import backend_fingerprint
@@ -1171,7 +1218,7 @@ class TestPromptDigest:
             run_eval(EvalConfig.from_json_dict(config))
         assert stored == {name: (out_dir / name).read_bytes() for name in stored}
 
-    def test_a_resume_under_another_backend_is_refused(self, tmp_path, caplog):
+    def test_a_resume_under_another_backend_is_refused(self, tmp_path):
         config, _ = _write_eval_setup(tmp_path, count=10)
         run_eval(EvalConfig.from_json_dict(config))
         out_dir = tmp_path / "out"
@@ -1186,13 +1233,16 @@ class TestPromptDigest:
             assert part in message
         assert f"Delete {config['output_dir']} to start over" in message
         assert stored == {name: (out_dir / name).read_bytes() for name in names}
-        # A directory made before run.json resumes with one warning, and gets one.
+        # Records without run.json were made by an unknown backend: refused the same way.
         (out_dir / "run.json").unlink()
-        with caplog.at_level(logging.WARNING, logger="metareason.harness.runner"):
+        with pytest.raises(ConfigError) as raised:
             run_eval(EvalConfig.from_json_dict(config))
-        [warning] = [r for r in caplog.records if r.name == "metareason.harness.runner"]
-        assert "holds records but no run.json" in warning.getMessage()
-        assert stored == {name: (out_dir / name).read_bytes() for name in names}
+        message = str(raised.value)
+        assert f"{out_dir / 'run.json'}: the stored records were made by an unknown backend" in message
+        assert f"Delete {config['output_dir']} to start over" in message
+        assert not (out_dir / "run.json").exists()
+        del stored["run.json"]
+        assert stored == {name: (out_dir / name).read_bytes() for name in stored}
 
     def test_a_changed_question_under_the_same_id_is_refused(self, tmp_path):
         config, instances = _write_eval_setup(tmp_path)
@@ -1204,27 +1254,19 @@ class TestPromptDigest:
         save_instances(tmp_path / "cf.jsonl", instances)
         self._refused(config, tmp_path / "out" / "records.jsonl", ("cf", "meta-reasoning", changed.id))
 
-    def test_a_parent_format_file_resumes_with_nothing_to_run(self, tmp_path, monkeypatch):
-        from metareason.harness import runner
-
-        config, instances = _write_eval_setup(tmp_path)
-        config["paradigms"] = [paradigm.value for paradigm in Paradigm]
+    def test_a_record_line_without_its_prompt_digest_is_refused(self, tmp_path, capsys):
+        config, _ = _write_eval_setup(tmp_path)
         run_eval(EvalConfig.from_json_dict(config))
-        out_dir = tmp_path / "out"
-        report = (out_dir / "report.json").read_bytes()
-        records_path = out_dir / "records.jsonl"
+        records_path = tmp_path / "out" / "records.jsonl"
         _to_parent_format(records_path, _rebuilt_prompts(config))
-        assert all("prompt" in json.loads(line) for line in records_path.read_text().splitlines())
-        (out_dir / "report.json").unlink()
-
-        def no_completion(backend, prompt, digest):
-            raise AssertionError("a complete run has nothing left to run")
-
-        monkeypatch.setattr(runner, "complete", no_completion)
-        run_eval(EvalConfig.from_json_dict(config))
-        assert (out_dir / "report.json").read_bytes() == report
-        config["demos"]["cf"]["k"] = 1
-        self._refused(config, records_path, ("cf", "few-shot", instances[0].id))
+        before = records_path.read_bytes()
+        problem = f"{records_path}: line 1: field 'prompt_sha256' is missing"
+        with pytest.raises(RecordLineError, match=re.escape(problem)):
+            run_eval(EvalConfig.from_json_dict(config))
+        capsys.readouterr()
+        assert main(["report", "--records", str(records_path)]) == 1
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert records_path.read_bytes() == before
 
 
 class TestReportJson:
