@@ -25,12 +25,14 @@ from .harness import (
     run_eval,
     score,
 )
-from .harness.backends import config_text
+from .harness.backends import bad_config
 from .harness.runner import load_records
 from .meta_lang import MetaLangError, ParseError, eval_program, parse_meta
 from .resolution import (
     ResolutionError,
     Task,
+    config_number,
+    config_text,
     load_instances,
     resolve,
     save_instances,
@@ -188,8 +190,8 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_build_demos(args) -> None:
-    if args.k is not None and args.k < 1:
-        raise ConfigError(f"--k must be >= 1, got {args.k}")
+    if args.k is not None:
+        config_number(int, 1)(args.k, "--k")
     instances = load_instances(args.infile)
     if not instances:
         raise ConfigError(f"no instances in {args.infile}")
@@ -205,7 +207,8 @@ def _cmd_eval(args) -> None:
     with open(args.config, "r", encoding="utf-8") as handle:
         config = EvalConfig.from_json_dict(json.load(handle))
     if args.output_dir is not None:
-        config = replace(config, output_dir=config_text(args.output_dir, "--output-dir"))
+        with bad_config():
+            config = replace(config, output_dir=config_text(args.output_dir, "--output-dir"))
     report = run_eval(config, max_records=args.max_records)
     print(render_table(report))
 

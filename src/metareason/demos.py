@@ -45,12 +45,12 @@ from .resolution import (
     Span,
     Task,
     TaskInstance,
-    check_field,
     read_jsonl,
     resolve,
     surface_answer,
     write_jsonl,
 )
+from .resolution import config_number, config_rule, config_string, json_fields, read_config, setting
 
 
 class DemoError(Exception):
@@ -86,34 +86,18 @@ class Demonstration:
     """A (question, rationale, answer) exemplar; question text includes any
     rendered options so the exemplar is self-contained in a prompt."""
 
-    question: str
-    rationale: str
-    answer: str
-    mode: FusionMode
-    n_substeps: int | None = None
+    question: str = setting(config_string)
+    rationale: str = setting(config_string)
+    answer: str = setting(config_string)
+    mode: FusionMode = setting(config_rule("a fusion mode name", read=FusionMode))
+    n_substeps: int | None = setting(config_number(int, exact=True), default=None)
 
     def to_json_dict(self) -> dict:
-        return {
-            "question": self.question,
-            "rationale": self.rationale,
-            "answer": self.answer,
-            "mode": self.mode.value,
-            "n_substeps": self.n_substeps,
-        }
+        return json_fields(self)
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "Demonstration":
-        for name in ("question", "rationale", "answer"):
-            check_field(name, record[name], str, "a string")
-        n_substeps = record.get("n_substeps")
-        check_field("n_substeps", n_substeps, (int, type(None)), "an integer")
-        return cls(
-            question=record["question"],
-            rationale=record["rationale"],
-            answer=record["answer"],
-            mode=FusionMode(record["mode"]),
-            n_substeps=n_substeps,
-        )
+        return read_config(cls, record)
 
 
 def load_demonstrations(path) -> list[Demonstration]:

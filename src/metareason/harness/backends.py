@@ -7,7 +7,6 @@ import hashlib
 import http.client
 import json
 import logging
-import math
 import os
 import select
 import threading
@@ -15,13 +14,16 @@ import time
 import urllib.parse
 import urllib.request
 import weakref
-from dataclasses import MISSING, dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from functools import partial
 
 from .. import __version__
 from ..demos import build_from_trace
 from ..meta_lang import eval_program
-from ..resolution import TaskInstance, TemplateMismatchError, check_field, read_jsonl, resolve_any
-from ..resolution import write_jsonl
+from ..resolution import FieldError, TaskInstance, TemplateMismatchError, config_number
+from ..resolution import config_string, config_text, read_config, read_fields, read_jsonl
+from ..resolution import resolve_any, setting, write_jsonl
 from .prompts import COT_TRIGGER, HarnessError
 
 
@@ -44,60 +46,13 @@ class ConfigError(HarnessError):
     """Malformed evaluation or backend configuration."""
 
 
-def setting(read, **default):
-    """A config dataclass field, read from the JSON key of its name by ``read(value, name)``;
-    its ``default`` or ``default_factory`` stands in for a missing key."""
-    return field(metadata={"read": read}, **default)
-
-
-def config_text(value, name: str) -> str:
-    """A name or path: a non-empty string (``open`` takes an int as a file descriptor)."""
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"bad config: {name} must be a non-empty string, got {value!r}")
-    return value
-
-
-def config_number(kind: type, low: float = -math.inf, above: bool = False):
-    """The rule for a finite number read by ``kind`` (int or float), at least ``low`` (above it
-    if ``above``). A bool is refused, not read as 1 or 0; so is a fraction for an int."""
-    wanted = "an integer" if kind is int else "a finite number"
-    wanted += f" {'>' if above else '>='} {low}" if low > -math.inf else ""
-
-    def read(value, name: str):
-        try:
-            number = math.nan if isinstance(value, bool) else kind(value)
-        except (OverflowError, TypeError, ValueError):
-            number = math.nan
-        # NaN fails every comparison: a bool, an unreadable value and NaN are refused.
-        fits = (low < number if above else low <= number) and number < math.inf
-        if not fits or isinstance(value, float) and number != value:  # 2.5 for an int
-            raise ConfigError(f"bad config: {name} must be {wanted}, got {value!r}")
-        return number
-
-    return read
-
-
-def read_config(cls, config: dict, name: str, extra: tuple[str, ...] = (), **given):
-    """The dataclass ``cls`` from the JSON object ``config``, which messages call ``name``
-    ("" for the whole config). Each ``setting`` is read from its key by its rule, or takes its
-    default when the key is missing (a null, when the default is None); ``given`` sets the
-    other fields. Any other key that is not in ``extra`` is refused."""
-    if not isinstance(config, dict):
-        raise ConfigError(f"bad config: {name or 'the config'} must be a JSON object, got {config!r}")
-    prefix = f"{name}." if name else ""
-    settings = {f.name: f for f in fields(cls) if "read" in f.metadata}
-    for key in config:
-        if key not in settings and key not in extra:
-            raise ConfigError(f"bad config: {prefix}{key} is not a known field")
-    values = {}
-    for key, spec in settings.items():
-        if key in config:
-            value = config[key]
-            read = spec.metadata["read"]
-            values[key] = value if value is None is spec.default else read(value, prefix + key)
-        elif spec.default is MISSING and spec.default_factory is MISSING:
-            raise ConfigError(f"bad config: {prefix}{key} is missing")
-    return cls(**values, **given)
+@contextmanager
+def bad_config():
+    """Raise a ``FieldError`` of the block as a ``ConfigError`` that starts ``bad config: ``."""
+    try:
+        yield
+    except FieldError as exc:
+        raise ConfigError(f"bad config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -138,11 +93,12 @@ BackendSpec = HttpBackend | ReplayBackend | OracleBackend
 def backend_from_config(config: dict, name: str = "backend") -> BackendSpec:
     kinds = {"http": HttpBackend, "replay": ReplayBackend, "oracle": OracleBackend}
     kind = config.get("kind") if isinstance(config, dict) else "http"  # read_config refuses a non-object
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(f"bad config: {name}.kind must be one of {', '.join(kinds)}, got {kind!r}")
     # Oracle and replay run on the calling thread: threads would only contend for the GIL.
     extra = ("kind",) if kind == "http" else ("kind", "parallelism")
-    spec = read_config(kinds[kind], config, name, extra)
+    with bad_config():
+        if not isinstance(kind, str) or kind not in kinds:
+            raise FieldError(f"{name}.kind must be one of {', '.join(kinds)}, got {kind!r}")
+        spec = read_config(kinds[kind], config, name, extra)
     if kind != "http" and "parallelism" in config:
         value = config["parallelism"]
         log.warning(
@@ -173,14 +129,15 @@ def prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-def _fixture(fields: dict) -> tuple[str, str]:
-    for name in ("prompt_sha256", "completion"):
-        check_field(name, fields[name], str, "a string")
-    return fields["prompt_sha256"], fields["completion"]
+@dataclass(frozen=True)
+class _Fixture:  # the table of a fixture line
+    prompt_sha256: str = setting(config_string)
+    completion: str = setting(config_string)
 
 
 def load_fixtures(path) -> dict[str, str]:
-    return dict(read_jsonl(path, _fixture))
+    lines = read_jsonl(path, partial(read_fields, _Fixture))
+    return {fixture["prompt_sha256"]: fixture["completion"] for fixture in lines}
 
 
 def save_fixtures(path, pairs: dict[str, str]) -> None:
@@ -199,9 +156,6 @@ def _replay_complete(backend: ReplayBackend, digest: str) -> str:
 
 
 _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
-
-
-_USER_AGENT = f"metareason/{__version__}"
 
 
 class _ThreadConnection:
@@ -272,17 +226,23 @@ def _thread_connection(backend: HttpBackend) -> _ThreadConnection:
     return current
 
 
+def request_headers(backend: HttpBackend) -> dict[str, str]:
+    """The headers of every request to ``backend``. A token variable that is named but unset
+    or empty is a ``ConfigError`` here, not a 401 from the server after every retry."""
+    headers = {"Content-Type": "application/json", "User-Agent": f"metareason/{__version__}"}
+    if variable := backend.auth_token_env_var:
+        if not os.environ.get(variable):
+            raise ConfigError(f"backend.auth_token_env_var names {variable}, which is not set")
+        headers["Authorization"] = f"Bearer {os.environ[variable]}"
+    return headers
+
+
 class _HttpRequest:
     """One prompt's completion request, sent one attempt at a time: the body
-    and headers are built once, and the caller waits out each backoff."""
+    is built once, and the caller waits out each backoff."""
 
-    def __init__(self, backend: HttpBackend, prompt: str):
-        self.backend = backend
-        self.headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
-        if backend.auth_token_env_var:
-            token = os.environ.get(backend.auth_token_env_var, "")
-            if token:
-                self.headers["Authorization"] = f"Bearer {token}"
+    def __init__(self, backend: HttpBackend, prompt: str, headers: dict[str, str]):
+        self.backend, self.headers = backend, headers
         payload = {"model": backend.model_name, "prompt": prompt,
                    "temperature": backend.temperature, "max_tokens": backend.max_tokens}
         self.body = json.dumps(payload).encode("utf-8")
@@ -318,7 +278,7 @@ class _HttpRequest:
 
 
 def _http_complete(backend: HttpBackend, prompt: str) -> str:
-    request = _HttpRequest(backend, prompt)
+    request = _HttpRequest(backend, prompt, request_headers(backend))
     while not isinstance(result := request.attempt(), str):
         time.sleep(result)
     return result

@@ -8,21 +8,12 @@ import io
 import json
 from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
 
-from ..resolution import Task
+from ..resolution import TSO_TASKS, Task
 from .prompts import DISPLAY_NAMES, Paradigm
 from .runner import EvalReport
 
 _COLUMN_TASKS = tuple(Task)  # the paper's column order is Task's order
-_COLUMN_HEADERS = {
-    Task.MA: "MA",
-    Task.AS: "AS",
-    Task.LLC: "LLC",
-    Task.CF: "CF",
-    Task.WOL: "WoL",
-    Task.TSO3: "TSO(3)",
-    Task.TSO5: "TSO(5)",
-    Task.TSO7: "TSO(7)",
-}
+_COLUMN_HEADERS = {t: f"TSO({t.value[3:]})" if t in TSO_TASKS else t.value for t in Task}
 
 # One element of report.json's "records" array, as json.dumps(indent=2,
 # sort_keys=True) lays it out at that depth.

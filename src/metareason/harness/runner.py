@@ -14,14 +14,15 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
+from math import isfinite
 from typing import NamedTuple, TextIO
 
 from ..demos import Demonstration, load_demonstrations, select_demos
-from ..resolution import TSO_TASKS, MalformedLineError, Task, TaskInstance, load_instances
-from ..resolution import task_from_string
-from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, complete
-from .backends import _HttpRequest, backend_fingerprint, config_number, config_text, read_config
-from .backends import setting
+from ..resolution import TSO_TASKS, FieldError, MalformedLineError, Task, TaskInstance, config_number
+from ..resolution import config_rule, config_string, config_task, config_text, load_instances
+from ..resolution import read_config, read_fields, setting, task_from_string
+from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, bad_config
+from .backends import _HttpRequest, backend_fingerprint, complete, request_headers
 from .extraction import extract_answer, is_correct
 from .prompts import DEMO_PARADIGMS, Paradigm, demo_prefix, target_block
 from .prompts import _PARADIGMS_BY_VALUE, paradigm_from_string  # exact value -> paradigm
@@ -39,6 +40,7 @@ class RecordLineError(MalformedLineError):
 
 # Exact stored values; anything else goes through the folding *_from_string.
 _TASKS_BY_VALUE = {task.value: task for task in Task}
+_paradigm_name = config_rule("a paradigm name", read=paradigm_from_string)
 
 
 @dataclass(frozen=True, init=False)
@@ -47,16 +49,16 @@ class EvalRecord:
     once: when the item is run, or when its stored record is loaded (the
     stored copy is not trusted). ``prompt_sha256`` is the digest of its prompt."""
 
-    instance_id: str
-    dataset: str
-    task: Task
-    paradigm: Paradigm
-    prompt_sha256: str
-    completion: str
-    extracted: str
-    gold: str
-    correct: bool
-    latency_ms: float
+    instance_id: str = setting(config_string)
+    dataset: str = setting(config_string)
+    task: Task = setting(config_task)
+    paradigm: Paradigm = setting(_paradigm_name)
+    prompt_sha256: str = setting(config_string)
+    completion: str = setting(config_string, default="")
+    extracted: str = setting(config_string, default="")
+    gold: str = setting(config_string, default="")
+    correct: bool = False  # a stored verdict is allowed, not read
+    latency_ms: float = setting(config_number(float, exact=True), default=0.0)
 
     def __init__(self, instance_id, dataset, task, paradigm, prompt_sha256,
                  completion, extracted, gold, correct, latency_ms):
@@ -72,46 +74,34 @@ class EvalRecord:
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "EvalRecord":
-        """Raises KeyError, TypeError, AttributeError or ValueError for a
-        value that is not a record (``_record_problem`` says which field)."""
-        task = _TASKS_BY_VALUE.get(record["task"]) or task_from_string(record["task"])
-        paradigm = _PARADIGMS_BY_VALUE.get(record["paradigm"]) or paradigm_from_string(
-            record["paradigm"]
-        )
-        dataset = record["dataset"]
-        extracted = record.get("extracted", "")
-        digest = record["prompt_sha256"]
-        if type(dataset) is not str or type(extracted) is not str or type(digest) is not str:
-            raise TypeError("dataset, extracted and prompt_sha256 must be strings")
-        gold = str(record.get("gold", ""))
-        return cls(  # positional, in field order: a resume makes one per stored line
-            str(record["instance_id"]), dataset, task, paradigm, digest,
-            record.get("completion", ""), extracted, gold, is_correct(task, extracted, gold),
-            float(record.get("latency_ms", 0.0)),
-        )
-
-
-def _record_problem(fields) -> str:
-    """Which field keeps ``fields`` from being a record; called only once
-    ``EvalRecord.from_json_dict`` has failed on it."""
-    if not isinstance(fields, dict):
-        return "not a JSON object"
-    for name in ("instance_id", "dataset", "task", "paradigm", "prompt_sha256"):
-        if name not in fields:
-            return f"field {name!r} is missing"
-    for name in ("dataset", "extracted", "prompt_sha256"):
-        if not isinstance(fields.get(name, ""), str):
-            return f"field {name!r} is not a string: {fields[name]!r}"
-    for name, parse, wanted in (
-        ("task", task_from_string, "a task name"),
-        ("paradigm", paradigm_from_string, "a paradigm name"),
-        ("latency_ms", float, "a number"),
-    ):
+        """The record of a records.jsonl line: the table above, decoded by hand as a resume reads
+        every stored line. A line this refuses is read by the table, which names the field."""
         try:
-            parse(fields.get(name, 0.0))
-        except (AttributeError, TypeError, ValueError):
-            return f"field {name!r} is not {wanted}: {fields[name]!r}"
-    return "not a record"
+            task = _TASKS_BY_VALUE.get(record["task"]) or task_from_string(record["task"])
+            paradigm = _PARADIGMS_BY_VALUE.get(record["paradigm"]) or paradigm_from_string(
+                record["paradigm"]
+            )
+            instance_id, dataset = record["instance_id"], record["dataset"]
+            digest, completion = record["prompt_sha256"], record.get("completion", "")
+            extracted, gold = record.get("extracted", ""), record.get("gold", "")
+            latency = record.get("latency_ms", 0.0)
+            latency = float(latency) if type(latency) is int else latency
+            if (
+                type(instance_id) is str and type(dataset) is str and type(digest) is str
+                and type(completion) is str and type(extracted) is str and type(gold) is str
+                and type(latency) is float and isfinite(latency) and _RECORD_KEYS.issuperset(record)
+            ):
+                return cls(  # positional, in field order
+                    instance_id, dataset, task, paradigm, digest, completion, extracted, gold,
+                    is_correct(task, extracted, gold), latency,
+                )
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+            pass
+        read_fields(cls, record, extra=("correct",))
+        raise FieldError("not a record")  # the table reads what the decode refused
+
+
+_RECORD_KEYS = frozenset(EvalRecord.__annotations__)
 
 
 def _read_records(path) -> tuple[list[EvalRecord], int]:
@@ -142,8 +132,8 @@ def _read_records(path) -> tuple[list[EvalRecord], int]:
                     continue
                 try:
                     records.append(EvalRecord.from_json_dict(fields))
-                except (AttributeError, KeyError, TypeError, ValueError):
-                    raise RecordLineError(path, number, _record_problem(fields)) from None
+                except FieldError as exc:
+                    raise RecordLineError(path, number, str(exc)) from None
             complete_bytes += len(line)
     if torn is not None:
         log.warning(
@@ -158,13 +148,10 @@ def load_records(path) -> list[EvalRecord]:
     return _read_records(path)[0]
 
 
-# One records.jsonl line: json.dumps(fields, ensure_ascii=False) of a
-# record's fields in this order, written with the C string escaper. The
-# latency is a measured duration, so finite: repr is json's spelling of it.
-_RECORD_LINE = (
-    '{"instance_id": %s, "dataset": %s, "task": %s, "paradigm": %s, "prompt_sha256": %s, '
-    '"completion": %s, "extracted": %s, "gold": %s, "correct": %s, "latency_ms": %r}\n'
-)
+# One records.jsonl line: json.dumps(fields, ensure_ascii=False) of a record's fields in
+# table order, written with the C string escaper. The latency is a measured duration, so
+# finite: str() is json's spelling of it.
+_RECORD_LINE = "{%s}\n" % ", ".join(f'"{name}": %s' for name in EvalRecord.__annotations__)
 
 
 class RecordStore:
@@ -238,35 +225,28 @@ def _config_list(read, key):
 
     def read_list(value, name: str) -> tuple:
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"bad config: {name} must be a non-empty list, got {value!r}")
+            raise FieldError(f"{name} must be a non-empty list, got {value!r}")
         items = tuple(read(item, f"{name}[{i}]") for i, item in enumerate(value))
         keys = [getattr(item, key) for item in items]
         for i, item_key in enumerate(keys):
             if item_key in keys[:i]:
-                raise ConfigError(f"bad config: {name}[{i}]: {item_key!r} is listed twice")
+                raise FieldError(f"{name}[{i}]: {item_key!r} is listed twice")
         return items
 
     return read_list
 
 
-def _paradigm(value, name: str) -> Paradigm:
-    try:
-        return paradigm_from_string(value)
-    except (AttributeError, ValueError):  # AttributeError: not a string
-        raise ConfigError(f"bad config: {name} must be a paradigm name, got {value!r}") from None
-
-
 def _demo_specs(value, name: str) -> dict[str, DemoSpec]:
     if not isinstance(value, dict):
-        raise ConfigError(f"bad config: {name} must map dataset names to demo specs, got {value!r}")
+        raise FieldError(f"{name} must map dataset names to demo specs, got {value!r}")
     return {key: read_config(DemoSpec, spec, f"{name}[{key!r}]") for key, spec in value.items()}
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     datasets: tuple[DatasetSpec, ...] = setting(_config_list(partial(read_config, DatasetSpec), "name"))
-    paradigms: tuple[Paradigm, ...] = setting(_config_list(_paradigm, "value"))
-    backend: BackendSpec = setting(backend_from_config)
+    paradigms: tuple[Paradigm, ...] = setting(_config_list(_paradigm_name, "value"))
+    backend: BackendSpec = setting(backend_from_config)  # its ConfigError passes through as it is
     demos: dict[str, DemoSpec] = setting(_demo_specs, default_factory=dict)
     seed: int = setting(config_number(int), default=0)
     output_dir: str = setting(config_text, default="eval-out")
@@ -274,11 +254,12 @@ class EvalConfig:
 
     @classmethod
     def from_json_dict(cls, config: dict) -> "EvalConfig":
-        evaluation = read_config(cls, config, "", snapshot=config)
-        names = [dataset.name for dataset in evaluation.datasets]
-        for name in evaluation.demos:
-            if name not in names:
-                raise ConfigError(f"bad config: demos[{name!r}] names no dataset of this config")
+        with bad_config():
+            evaluation = read_config(cls, config, whole="the config", snapshot=config)
+            names = [dataset.name for dataset in evaluation.datasets]
+            for name in evaluation.demos:
+                if name not in names:
+                    raise FieldError(f"demos[{name!r}] names no dataset of this config")
         return evaluation
 
 
@@ -405,7 +386,9 @@ class _Job(NamedTuple):
         )
 
 
-def _run_http(backend: HttpBackend, jobs: list[_Job], store: RecordStore) -> None:
+def _run_http(
+    backend: HttpBackend, headers: dict[str, str], jobs: list[_Job], store: RecordStore
+) -> None:
     """Run ``jobs`` with at most ``parallelism`` attempts in flight, one per
     worker thread; records are built and appended on this thread. A backoff
     waits here, and its retry, once due, goes ahead of new items. A lone
@@ -422,7 +405,7 @@ def _run_http(backend: HttpBackend, jobs: list[_Job], store: RecordStore) -> Non
                 # Attempts in flight and items backing off stay within slots + 1.
                 elif len(running) + len(backoffs) <= slots and (job := next(pending, None)):
                     prompt, digest = job.prompt()
-                    entry = (_HttpRequest(backend, prompt), job, digest, time.perf_counter())
+                    entry = (_HttpRequest(backend, prompt, headers), job, digest, time.perf_counter())
                 else:
                     break
                 running[pool.submit(entry[0].attempt)] = entry
@@ -470,8 +453,9 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
     ``run.json`` (the fingerprint of the backend that made the records),
     ``report.json``, and ``report.txt`` under the output directory.
     """
-    if max_records is not None and max_records < 0:
-        raise ConfigError(f"max_records must be >= 0, got {max_records}")
+    if max_records is not None:
+        max_records = config_number(int, 0)(max_records, "max_records")
+    headers = request_headers(config.backend) if isinstance(config.backend, HttpBackend) else None
     os.makedirs(config.output_dir, exist_ok=True)
     datasets: list[tuple[DatasetSpec, list[TaskInstance]]] = []
     for spec in config.datasets:
@@ -525,7 +509,7 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
     budget = len(jobs) if max_records is None else min(max_records, len(jobs))
     with store:
         if isinstance(config.backend, HttpBackend):
-            _run_http(config.backend, jobs[:budget], store)
+            _run_http(config.backend, headers, jobs[:budget], store)
         else:  # oracle and replay do not wait, so they run on this thread
             for job in jobs[:budget]:
                 prompt, digest = job.prompt()

@@ -10,9 +10,11 @@ carry an externally authored meta rewrite as canonical DSL text.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -142,82 +144,153 @@ class MalformedLineError(ValueError):
         self.line_number = line_number
 
 
-def check_field(name: str, value, kind, wanted: str) -> None:
-    if not isinstance(value, kind) or isinstance(value, bool):  # true is no integer
-        raise TypeError(f"field {name!r} is not {wanted}: {value!r}")
+class FieldError(ValueError):
+    """A JSON object, or a field of one, that is not what its rule reads; the message names it."""
+
+
+def setting(read, key: str | None = None, **default):
+    """A dataclass field read by ``read(value, name)`` from the JSON key ``key`` (the field's
+    own name if None); its ``default`` or ``default_factory`` stands in for a missing key."""
+    return field(metadata={"read": read, "key": key}, **default)
+
+
+def config_rule(wanted: str, fits: Callable | None = None, read: Callable | None = None):
+    """The rule for a value that ``fits`` (any, if None), read by ``read`` (as it is, if None).
+    A value that does not fit, or that ``read`` refuses with an AttributeError, TypeError or
+    ValueError, is a FieldError that names the field."""
+
+    def rule(value, name: str):
+        try:
+            if fits is None or fits(value):
+                return value if read is None else read(value)
+        except (AttributeError, TypeError, ValueError):  # AttributeError: a name that is no string
+            pass
+        raise FieldError(f"{name} must be {wanted}, got {value!r}")
+
+    return rule
+
+
+config_string = config_rule("a string", lambda value: type(value) is str)
+# A name or path: ``open`` takes an int as a file descriptor.
+config_text = config_rule("a non-empty string", lambda value: type(value) is str and value != "")
+# str() would turn null, a bool or a list into text.
+config_text_or_int = config_rule("a string or an integer", lambda value: type(value) in (str, int), str)
+config_strings = config_rule(
+    "a list of strings", lambda value: type(value) is list and all(type(item) is str for item in value),
+    tuple,
+)
+config_task = config_rule("a task name", read=task_from_string)
+
+
+def config_number(kind: type, low: float = -math.inf, above: bool = False, exact: bool = False):
+    """The rule for a finite number read by ``kind`` (int or float), at least ``low`` (above it
+    if ``above``). A bool is refused, not read as 1 or 0; so is a fraction for an int. Unless
+    ``exact``, a numeric string or a whole float is read too (``"3"`` or ``3.0`` as the int 3)."""
+    wanted = "an integer" if kind is int else "a finite number"
+    wanted += f" {'>' if above else '>='} {low}" if low > -math.inf else ""
+    kinds = (int,) if kind is int else (int, float)
+
+    def read(value, name: str):
+        try:
+            refused = isinstance(value, bool) or exact and type(value) not in kinds
+            number = math.nan if refused else kind(value)
+        except (OverflowError, TypeError, ValueError):
+            number = math.nan
+        # NaN fails every comparison: a bool, an unreadable value and NaN are refused.
+        fits = (low < number if above else low <= number) and number < math.inf
+        if not fits or isinstance(value, float) and number != value:  # 2.5 for an int
+            raise FieldError(f"{name} must be {wanted}, got {value!r}")
+        return number
+
+    return read
+
+
+@functools.cache
+def _settings(cls) -> tuple[tuple, frozenset[str]]:
+    """Each setting of ``cls`` as (key, field, rule, required, null reads as None); the keys."""
+    rows = tuple(
+        (spec.metadata["key"] or spec.name, spec.name, spec.metadata["read"],
+         spec.default is MISSING and spec.default_factory is MISSING, spec.default is None)
+        for spec in fields(cls) if "read" in spec.metadata
+    )
+    return rows, frozenset(row[0] for row in rows)
+
+
+def read_fields(cls, config, name: str = "", extra: tuple = (), whole: str = "the line") -> dict:
+    """The settings of the dataclass ``cls`` read from the JSON object ``config`` that messages
+    call ``name`` (``whole`` if empty), by field. A missing key leaves out a setting that has a
+    default, and a null reads as None if that is its default. Keys not in ``cls`` or ``extra``
+    are refused."""
+    if not isinstance(config, dict):
+        raise FieldError(f"{name or whole} must be a JSON object, got {config!r}")
+    rows, keys = _settings(cls)
+    prefix = f"{name}." if name else ""
+    if not keys.issuperset(config):
+        for key in config:
+            if key not in keys and key not in extra:
+                raise FieldError(f"{prefix}{key} is not a known field")
+    values = {}
+    for key, attr, read, required, nullable in rows:
+        value = config.get(key, MISSING)
+        if value is not MISSING:
+            values[attr] = None if value is None and nullable else read(value, prefix + key)
+        elif required:
+            raise FieldError(f"{prefix}{key} is missing")
+    return values
+
+
+def read_config(cls, config, name: str = "", extra: tuple = (), whole: str = "the line", **given):
+    """The dataclass ``cls`` read by ``read_fields``; ``given`` sets its other fields."""
+    return cls(**read_fields(cls, config, name, extra, whole), **given)
+
+
+def json_fields(obj, drop_none: bool = False) -> dict:
+    """The settings of the dataclass ``obj`` by JSON key, ``read_fields`` reversed (json writes
+    a tuple as a list and a str enum as its value); a None is left out if ``drop_none``."""
+    values = {key: getattr(obj, attr) for key, attr, _, _, _ in _settings(type(obj))[0]}
+    return {key: value for key, value in values.items() if value is not None} if drop_none else values
 
 
 def read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
-    """Yield ``parse(fields)`` for the JSON object on each non-blank line. A line that
-    is not one, or that ``parse`` rejects (KeyError, TypeError, ValueError), raises
-    MalformedLineError."""
+    """Yield ``parse(fields)`` for the JSON value on each non-blank line. A line that is not
+    JSON, or that ``parse`` refuses with a ValueError, raises MalformedLineError."""
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                fields = json.loads(line)
-                if not isinstance(fields, dict):
-                    raise TypeError("not a JSON object")
-                item = parse(fields)
+                item = parse(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise MalformedLineError(path, number, f"not JSON: {exc.msg}") from None
-            except KeyError as exc:
-                raise MalformedLineError(path, number, f"field {exc.args[0]!r} is missing") from None
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise MalformedLineError(path, number, str(exc)) from None
             yield item
 
 
 def write_jsonl(path, items: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for fields in items:
-            handle.write(json.dumps(fields, ensure_ascii=False) + "\n")
+        for item in items:
+            handle.write(json.dumps(item, ensure_ascii=False) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TaskInstance:
     """One benchmark item. ``meta`` optionally carries canonical DSL text."""
 
-    id: str
-    task: Task
-    question: str
-    options: tuple[str, ...] | None
-    gold: str
-    meta: str | None = None
+    id: str = setting(config_text_or_int)
+    task: Task = setting(config_task)
+    question: str = setting(config_string)
+    options: tuple[str, ...] | None = setting(config_strings, default=None)
+    gold: str = setting(config_text_or_int, key="answer")
+    meta: str | None = setting(config_string, default=None)
 
     def to_json_dict(self) -> dict:
-        record: dict = {
-            "id": self.id,
-            "task": self.task.value,
-            "question": self.question,
-        }
-        if self.options is not None:
-            record["options"] = list(self.options)
-        record["answer"] = self.gold
-        if self.meta is not None:
-            record["meta"] = self.meta
-        return record
+        return json_fields(self, drop_none=True)
 
     @classmethod
     def from_json_dict(cls, record: dict) -> "TaskInstance":
-        options, meta = record.get("options"), record.get("meta")
-        check_field("task", record["task"], str, "a string")
-        check_field("question", record["question"], str, "a string")
-        check_field("meta", meta, (str, type(None)), "a string")
-        if options is not None and not (isinstance(options, list) and all(isinstance(o, str) for o in options)):
-            raise TypeError(f"field 'options' is not a list of strings: {options!r}")
-        for name in ("id", "answer"):  # str() would turn null, a bool or a list into text
-            check_field(name, record[name], (str, int), "a string or an integer")
-        return cls(
-            id=str(record["id"]),
-            task=task_from_string(record["task"]),
-            question=record["question"],
-            options=tuple(options) if options is not None else None,
-            gold=str(record["answer"]),
-            meta=meta,
-        )
+        return read_config(cls, record)
 
 
 def load_instances(path) -> list[TaskInstance]:

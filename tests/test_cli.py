@@ -90,15 +90,20 @@ _FREE_FORM_ITEM = {
 class TestMalformedInput:
     @pytest.mark.parametrize("command", ["solve", "build-demos"])
     @pytest.mark.parametrize("line, problem", [
-        ({**_FREE_FORM_ITEM, "options": 5}, "field 'options' is not a list of strings: 5"),
-        ({**_FREE_FORM_ITEM, "question": 5}, "field 'question' is not a string: 5"),
-        ({**_FREE_FORM_ITEM, "meta": 5}, "field 'meta' is not a string: 5"),
-        ({**_FREE_FORM_ITEM, "task": 3}, "field 'task' is not a string: 3"),
-        ([_FREE_FORM_ITEM], "not a JSON object"),
-        ({k: v for k, v in _FREE_FORM_ITEM.items() if k != "question"}, "field 'question' is missing"),
-        ({**_FREE_FORM_ITEM, "answer": None}, "field 'answer' is not a string or an integer: None"),
-        ({**_FREE_FORM_ITEM, "id": [1]}, "field 'id' is not a string or an integer: [1]"),
-    ], ids=["options", "question", "meta", "task", "list", "missing", "answer", "id"])
+        ({**_FREE_FORM_ITEM, "options": 5}, "options must be a list of strings, got 5"),
+        ({**_FREE_FORM_ITEM, "question": 5}, "question must be a string, got 5"),
+        ({**_FREE_FORM_ITEM, "meta": 5}, "meta must be a string, got 5"),
+        ({**_FREE_FORM_ITEM, "task": 3}, "task must be a task name, got 3"),
+        ({**_FREE_FORM_ITEM, "task": "MB"}, "task must be a task name, got 'MB'"),
+        ([_FREE_FORM_ITEM], f"the line must be a JSON object, got {[_FREE_FORM_ITEM]!r}"),
+        ({k: v for k, v in _FREE_FORM_ITEM.items() if k != "question"}, "question is missing"),
+        ({**_FREE_FORM_ITEM, "answer": None}, "answer must be a string or an integer, got None"),
+        ({**_FREE_FORM_ITEM, "id": [1]}, "id must be a string or an integer, got [1]"),
+        # A misspelled or stray key is refused, not read as a missing optional field.
+        ({**_FREE_FORM_ITEM, "optoins": ["a"]}, "optoins is not a known field"),
+        ({**_FREE_FORM_ITEM, "mtea": "x"}, "mtea is not a known field"),
+    ], ids=["options", "question", "meta", "task", "task-name", "list", "missing", "answer", "id",
+            "optoins", "mtea"])
     def test_names_file_and_line_and_exits_1(self, tmp_path, capsys, command, line, problem):
         data = tmp_path / "data.jsonl"
         data.write_text(json.dumps(_FREE_FORM_ITEM) + "\n\n" + json.dumps(line) + "\n")
@@ -107,10 +112,12 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"error: {data}: line 3: {problem}\n"
 
     @pytest.mark.parametrize("change, problem", [
-        ({"n_substeps": True}, "field 'n_substeps' is not an integer: True"),
-        ({"n_substeps": 2.0}, "field 'n_substeps' is not an integer: 2.0"),
-        ({"rationale": 5}, "field 'rationale' is not a string: 5"),
-    ], ids=["n_substeps-bool", "n_substeps-float", "rationale"])
+        ({"n_substeps": True}, "n_substeps must be an integer, got True"),
+        ({"n_substeps": 2.0}, "n_substeps must be an integer, got 2.0"),
+        ({"rationale": 5}, "rationale must be a string, got 5"),
+        ({"mode": "serial"}, "mode must be a fusion mode name, got 'serial'"),
+        ({"n_subteps": 2}, "n_subteps is not a known field"),
+    ], ids=["n_substeps-bool", "n_substeps-float", "rationale", "mode", "n_subteps"])
     def test_a_demonstration_line_names_file_and_line_and_exits_1(
         self, tmp_path, capsys, change, problem
     ):
@@ -160,7 +167,7 @@ class TestBuildDemos:
         main(["generate", "--task", "CF", "--count", "5", "--seed", "4", "--out", str(raw)])
         capsys.readouterr()
         assert main(["build-demos", "--in", str(raw), "--k", k, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: --k must be >= 1, got {k}\n"
+        assert capsys.readouterr().err == f"error: --k must be an integer >= 1, got {k}\n"
         assert not out.exists()
 
 
@@ -221,11 +228,12 @@ class TestEvalReport:
         # Both dispatch paths: the refusal comes before any request is made.
         http = {"kind": "http", "endpoint_url": "http://127.0.0.1:9/v1/completions",
                 "model_name": "m", "max_retries": 0, "parallelism": 2}
+        capsys.readouterr()
         for backend in ({"kind": "oracle"}, http):
             config["backend"] = backend
             config_path.write_text(json.dumps(config))
             assert main(["eval", "--config", str(config_path), "--max-records", "-2"]) == 1
-            assert "max_records must be >= 0" in capsys.readouterr().err
+            assert capsys.readouterr().err == "error: max_records must be an integer >= 0, got -2\n"
             assert not (tmp_path / "out" / "records.jsonl").exists()
 
     def test_zero_max_records_rescores_an_existing_run(self, tmp_path, capsys):
@@ -300,7 +308,7 @@ class TestEvalReport:
         }))
         capsys.readouterr()
         assert main(["eval", "--config", str(config_path)]) == 1
-        problem = "field 'completion' is not a string: 5"
+        problem = "completion must be a string, got 5"
         assert capsys.readouterr().err == f"error: {fixtures}: line 1: {problem}\n"
 
 

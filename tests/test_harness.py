@@ -10,9 +10,12 @@ import re
 import socket
 import threading
 import time
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metareason
 from metareason.cli import _configure_logging, main
@@ -53,8 +56,8 @@ from metareason.harness import (
     save_fixtures,
     score,
 )
-from metareason.resolution import MalformedLineError, Task, load_instances, save_instances
-from metareason.resolution import task_from_string
+from metareason.resolution import FieldError, MalformedLineError, Task, load_instances
+from metareason.resolution import read_fields, save_instances, task_from_string
 from metareason.taskgen import GenConfig, generate
 
 
@@ -199,9 +202,10 @@ class TestReplayBackend:
             complete(backend, "prompt one", absent)
 
     @pytest.mark.parametrize("line, problem", [
-        ({"prompt_sha256": "d", "completion": 5}, "field 'completion' is not a string: 5"),
-        ({"prompt_sha256": None, "completion": "c"}, "field 'prompt_sha256' is not a string: None"),
-    ], ids=["completion", "prompt_sha256"])
+        ({"prompt_sha256": "d", "completion": 5}, "completion must be a string, got 5"),
+        ({"prompt_sha256": None, "completion": "c"}, "prompt_sha256 must be a string, got None"),
+        ({"prompt_sha256": "d", "completion": "c", "prompt": "p"}, "prompt is not a known field"),
+    ], ids=["completion", "prompt_sha256", "stray"])
     def test_a_fixture_that_is_not_text_names_its_line(self, tmp_path, line, problem):
         path = tmp_path / "fixtures.jsonl"
         save_fixtures(path, {"p": "c"})
@@ -681,6 +685,28 @@ class TestBackendConfig:
         assert '"temperature": 0.0' in run_text
         assert [payload["temperature"] for _, _, payload in server.requests] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("token", [None, ""], ids=["unset", "empty"])
+    def test_an_auth_variable_that_is_not_set_stops_the_run_first(
+        self, tmp_path, capsys, no_proxy_env, token
+    ):
+        if token is None:
+            no_proxy_env.delenv("METAREASON_TEST_TOKEN", raising=False)
+        else:
+            no_proxy_env.setenv("METAREASON_TEST_TOKEN", token)
+        with _CompletionServer() as server:
+            backend = {"kind": "http", "endpoint_url": server.url, "model_name": "m",
+                       "auth_token_env_var": "METAREASON_TEST_TOKEN"}
+            config, _ = _write_eval_setup(tmp_path, count=2, backend=backend)
+            config.update(paradigms=["zero-shot"], demos={})
+            config_path = tmp_path / "cfg.json"
+            config_path.write_text(json.dumps(config))
+            capsys.readouterr()
+            assert main(["eval", "--config", str(config_path)]) == 1
+        message = "backend.auth_token_env_var names METAREASON_TEST_TOKEN, which is not set"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert server.requests == []
+        assert not (tmp_path / "out" / "run.json").exists()
+
     def test_the_fingerprint_holds_what_shapes_completions(self):
         from metareason.harness.backends import backend_fingerprint
 
@@ -772,6 +798,9 @@ class TestScore:
         assert lines[1] == "cf,CF,zero-shot,1,1,100.0"
 
 
+_DROPPED = object()  # a record field left out of its line
+
+
 def _write_eval_setup(tmp_path, count=12, backend=None):
     dataset_path = tmp_path / "cf.jsonl"
     instances = generate(GenConfig(task=Task.CF, count=count, seed=51))
@@ -855,15 +884,25 @@ class TestRunEval:
     @pytest.mark.parametrize(
         "edit, problem",
         [
-            (lambda fields: [1], "not a JSON object"),
-            (lambda fields: {**fields, "task": 5}, "field 'task' is not a task name: 5"),
-            (lambda fields: {**fields, "extracted": 5}, "field 'extracted' is not a string: 5"),
+            (lambda fields: [1], "the line must be a JSON object, got [1]"),
+            (lambda fields: {**fields, "task": 5}, "task must be a task name, got 5"),
+            (lambda fields: {**fields, "extracted": 5}, "extracted must be a string, got 5"),
             (
                 lambda fields: {k: v for k, v in fields.items() if k != "instance_id"},
-                "field 'instance_id' is missing",
+                "instance_id is missing",
             ),
+            # Each was once read as str() or float() of itself: 'None', '[1]', 5 and 1.0.
+            (lambda fields: {**fields, "gold": None}, "gold must be a string, got None"),
+            (lambda fields: {**fields, "instance_id": [1]}, "instance_id must be a string, got [1]"),
+            (lambda fields: {**fields, "completion": 5}, "completion must be a string, got 5"),
+            (
+                lambda fields: {**fields, "latency_ms": True},
+                "latency_ms must be a finite number, got True",
+            ),
+            (lambda fields: {**fields, "glod": "yes"}, "glod is not a known field"),
         ],
-        ids=["array", "int-task", "int-extracted", "no-instance-id"],
+        ids=["array", "int-task", "int-extracted", "no-instance-id", "null-gold", "list-id",
+             "int-completion", "bool-latency", "stray-key"],
     )
     def test_a_line_that_is_not_a_record_names_its_line_and_field(
         self, tmp_path, capsys, restore_logging, edit, problem
@@ -882,6 +921,32 @@ class TestRunEval:
         capsys.readouterr()
         assert main(["report", "--records", str(records_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from([spec.name for spec in fields(EvalRecord)] + ["glod"]),
+        value=st.sampled_from([None, True, 5, 2.5, float("nan"), float("inf"), "x", [], {}, _DROPPED]),
+    )
+    def test_the_record_decode_refuses_what_the_field_table_refuses(self, name, value):
+        """``EvalRecord.from_json_dict`` decodes a line by hand for speed; it must refuse
+        exactly the lines that the record's field table refuses, with the table's message."""
+        line = {
+            "instance_id": "cf-1", "dataset": "cf", "task": "CF", "paradigm": "zero-shot",
+            "prompt_sha256": "0" * 64, "completion": "So the answer is Yes.", "extracted": "yes",
+            "gold": "yes", "correct": True, "latency_ms": 1.5,
+        }
+        if value is _DROPPED:
+            line.pop(name, None)
+        else:
+            line[name] = value
+        try:
+            read_fields(EvalRecord, line, extra=("correct",))
+        except FieldError as exc:
+            with pytest.raises(FieldError, match="^" + re.escape(str(exc)) + "$"):
+                EvalRecord.from_json_dict(line)
+        else:
+            record = EvalRecord.from_json_dict(line)
+            assert record.correct is is_correct(record.task, record.extracted, record.gold)
 
     def test_an_unparseable_middle_line_names_its_line(self, tmp_path):
         config, _ = _write_eval_setup(tmp_path)
@@ -1260,7 +1325,7 @@ class TestPromptDigest:
         records_path = tmp_path / "out" / "records.jsonl"
         _to_parent_format(records_path, _rebuilt_prompts(config))
         before = records_path.read_bytes()
-        problem = f"{records_path}: line 1: field 'prompt_sha256' is missing"
+        problem = f"{records_path}: line 1: prompt is not a known field"
         with pytest.raises(RecordLineError, match=re.escape(problem)):
             run_eval(EvalConfig.from_json_dict(config))
         capsys.readouterr()

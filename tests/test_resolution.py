@@ -276,7 +276,7 @@ class TestInstanceLines:
         path = tmp_path / "items.jsonl"
         item = {"id": "x", "task": "CF", "question": "q", "answer": "yes", field: value}
         path.write_text(json.dumps(item) + "\n")
-        problem = f"field {field!r} is not a string or an integer: {value!r}"
+        problem = f"{field} must be a string or an integer, got {value!r}"
         with pytest.raises(MalformedLineError, match=re.escape(f"{path}: line 1: {problem}")):
             load_instances(path)
 
