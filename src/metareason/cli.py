@@ -181,7 +181,7 @@ def _cmd_solve(args) -> None:
         raise ConfigError("solve needs exactly one of --meta or --in")
     if args.meta:
         trace = eval_program(parse_meta(args.meta))
-        for line in demos_mod.chain_lines(trace.program, trace):
+        for line in demos_mod.chain_lines(trace):
             print(line)
         print(trace.answer)
         return
@@ -208,7 +208,10 @@ def _cmd_eval(args) -> None:
         config = EvalConfig.from_json_dict(json.load(handle))
     if args.output_dir is not None:
         with bad_config():
-            config = replace(config, output_dir=config_text(args.output_dir, "--output-dir"))
+            output_dir = config_text(args.output_dir, "--output-dir")
+        # The report's copy of the config names the directory the run writes to.
+        snapshot = {**config.snapshot, "output_dir": output_dir}
+        config = replace(config, output_dir=output_dir, snapshot=snapshot)
     report = run_eval(config, max_records=args.max_records)
     print(render_table(report))
 

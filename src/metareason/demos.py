@@ -22,7 +22,6 @@ from .meta_lang import (
     Flip,
     IsEqual,
     LastOf,
-    MetaProgram,
     Mul,
     OptionOf,
     Says,
@@ -42,7 +41,6 @@ from .meta_lang import (
 from .resolution import (
     NUMERIC_TASKS,
     MetaQuestion,
-    Span,
     Task,
     TaskInstance,
     read_jsonl,
@@ -121,9 +119,9 @@ def _check_trace(mq: MetaQuestion, trace: Trace) -> None:
         raise TraceMismatchError("trace was not produced by this program")
 
 
-def _environments(program: MetaProgram, trace: Trace) -> list[dict[str, Value]]:
+def _environments(trace: Trace) -> list[dict[str, Value]]:
     """Environment before each statement, then the final one."""
-    return [dict(program.inits)] + [dict(step.env) for step in trace.steps]
+    return [dict(trace.program.inits)] + [dict(env) for env in trace.steps]
 
 
 def _env_text(env: dict[str, Value]) -> str:
@@ -249,10 +247,11 @@ def _answer_block(mq: MetaQuestion, trace: Trace, query_fragment: str | None) ->
     return f"Therefore, the value of {query.sym} is {value}, so the answer is {value}."
 
 
-def chain_lines(program: MetaProgram, trace: Trace) -> list[str]:
+def chain_lines(trace: Trace) -> list[str]:
     """The initial environment (when there are inits), then one ``chain_line``
     per executed statement."""
-    envs = _environments(program, trace)
+    program = trace.program
+    envs = _environments(trace)
     lines = [_env_text(envs[0])] if program.inits else []
     return lines + [chain_line(stmt, envs[i], envs[i + 1]) for i, stmt in enumerate(program.stmts)]
 
@@ -262,7 +261,7 @@ def build_completely_serial(inst: TaskInstance, mq: MetaQuestion, trace: Trace) 
     _check_trace(mq, trace)
     program = mq.program
     lines = ["The question can be simplified to: " + render_meta(program)]
-    lines += chain_lines(program, trace)
+    lines += chain_lines(trace)
     lines.append(_answer_block(mq, trace, None))
     return Demonstration(
         question=render_question(inst.question, inst.options),
@@ -277,26 +276,24 @@ def build_cross_serial(inst: TaskInstance, mq: MetaQuestion, trace: Trace) -> De
     update, environment snapshot; the final block back-maps the answer."""
     _check_trace(mq, trace)
     program = mq.program
-    fragments: dict[int, Span] = {index: span for span, index in mq.table.op_spans}
-    envs = _environments(program, trace)
+    spans, count = mq.table.op_spans, len(program.stmts)
+    if len(spans) < count:
+        raise AlignmentError(f"statement {len(spans)} has no surface fragment")
+    envs = _environments(trace)
     if program.inits:
         opening = render_inits(program.inits)
     else:
         opening = render_query(program.query)
     lines = ["The question can be simplified to: " + opening]
     for index, stmt in enumerate(program.stmts):
-        span = fragments.get(index)
-        if span is None:
-            raise AlignmentError(f"statement {index} has no surface fragment")
-        lines.append(_sub_block(stmt, span.text, mq, envs[index], envs[index + 1]))
-    query_span = fragments.get(len(program.stmts))
-    lines.append(_answer_block(mq, trace, query_span.text if query_span else None))
+        lines.append(_sub_block(stmt, spans[index].text, mq, envs[index], envs[index + 1]))
+    lines.append(_answer_block(mq, trace, spans[count].text if len(spans) > count else None))
     return Demonstration(
         question=render_question(inst.question, inst.options),
         rationale="\n".join(lines),
         answer=surface_answer(mq, trace),
         mode=FusionMode.CROSS_SERIAL,
-        n_substeps=len(program.stmts),
+        n_substeps=count,
     )
 
 

@@ -108,9 +108,8 @@ def _read_records(path) -> tuple[list[EvalRecord], int]:
     """The records of a JSONL file and the byte length of the lines they
     came from. A torn last line (no final newline, or JSON that does not
     parse), left by an interrupted append, is skipped with a warning; an
-    unparseable line before the last raises ``json.JSONDecodeError`` (or
-    ``RecordLineError`` if it is not UTF-8), and a parsed line that is not
-    a record raises ``RecordLineError``. Each names its 1-based line."""
+    unparseable line before the last, or a parsed line that is not a
+    record, raises ``RecordLineError``, which names its 1-based line."""
     records: list[EvalRecord] = []
     complete_bytes = 0
     torn: ValueError | None = None
@@ -118,8 +117,7 @@ def _read_records(path) -> tuple[list[EvalRecord], int]:
         for number, line in enumerate(handle, 1):
             if torn is not None:  # the unparseable line was not the last
                 if isinstance(torn, json.JSONDecodeError):
-                    message = f"{path}: line {number - 1}: {torn.msg}"
-                    raise json.JSONDecodeError(message, torn.doc, torn.pos)
+                    raise RecordLineError(path, number - 1, f"not JSON: {torn.msg}")
                 raise RecordLineError(path, number - 1, f"not UTF-8 ({torn})")
             if not line.endswith(b"\n"):
                 torn = ValueError("no final newline")
@@ -167,7 +165,8 @@ class RecordStore:
         self.path = path
         self._handle: TextIO | None = None
         self._records: list[EvalRecord] = []
-        self.digests: dict[tuple[str, str, str], str] = {}  # key -> stored prompt_sha256
+        # key -> prompt_sha256 of each stored record; run_eval pops each key it checks.
+        self.digests: dict[tuple[str, str, str], str] = {}
         self._torn_at: int | None = None
         if os.path.exists(path):
             self._records, complete_bytes = _read_records(path)
@@ -202,7 +201,6 @@ class RecordStore:
         self._handle.write(line)
         self._handle.flush()
         self._records.append(record)
-        self.digests[record.key()] = record.prompt_sha256
 
     def records(self) -> list[EvalRecord]:
         return self._records
@@ -474,7 +472,6 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
     run_path = os.path.join(config.output_dir, "run.json")
     run_text = json.dumps({"backend": backend_fingerprint(config.backend)}, sort_keys=True) + "\n"
     write_run = _check_backend(run_path, run_text, bool(store.digests), config.output_dir)
-    unchecked = dict(store.digests)  # the stored keys this config has not reached yet
     jobs = []
     for spec, instances in datasets:
         for paradigm in config.paradigms:
@@ -484,11 +481,10 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
             prefix_hash = hashlib.sha256(prefix.encode("utf-8"))
             for inst in instances:
                 key = (spec.name, paradigm.value, inst.id)
-                stored = store.digests.get(key)
+                stored = store.digests.pop(key, None)
                 if stored is None:
                     jobs.append(_Job(spec.name, paradigm, prefix, prefix_hash, inst))
                     continue
-                del unchecked[key]
                 digest = _prompt_digest(prefix_hash, target_block(paradigm, inst))
                 if digest != stored:
                     raise ConfigError(
@@ -496,9 +492,9 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
                         f"but this config assembles {digest}: the config or its input "
                         f"files changed. Delete {config.output_dir} to start over"
                     )
-    if unchecked:
+    if store.digests:  # the stored keys this config does not reach
         raise ConfigError(
-            f"{store.path}: record {next(iter(unchecked))} is not one this config runs: a "
+            f"{store.path}: record {next(iter(store.digests))} is not one this config runs: a "
             f"dataset, paradigm or item was dropped. Delete {config.output_dir} to start over"
         )
 

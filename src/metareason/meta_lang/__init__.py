@@ -16,7 +16,6 @@ from .ast import (
     Sub,
     Swap,
     Trace,
-    TraceStep,
     Value,
     ValueOf,
     format_value,

@@ -130,26 +130,19 @@ class MetaProgram:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    stmt: Statement
-    env: tuple[tuple[str, Value], ...]
-
-
-@dataclass(frozen=True)
 class Trace:
-    """Step-by-step execution record: one environment snapshot per statement,
-    and the program that was run."""
+    """Step-by-step execution record of the program that was run: ``steps[i]``
+    is the environment after ``program.stmts[i]``."""
 
-    steps: tuple[TraceStep, ...]
-    final_env: tuple[tuple[str, Value], ...]
+    steps: tuple[tuple[tuple[str, Value], ...], ...]
     answer: Value
     program: MetaProgram
 
     def final(self) -> dict[str, Value]:
-        return dict(self.final_env)
+        return dict(self.steps[-1] if self.steps else self.program.inits)
 
     def value_of(self, sym: str) -> Value:
-        env = dict(self.final_env)
+        env = self.final()
         if sym not in env:
             raise UndefinedSymbolError(f"symbol {sym} is not defined")
         return env[sym]

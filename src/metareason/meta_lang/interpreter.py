@@ -20,7 +20,6 @@ from .ast import (
     Sub,
     Swap,
     Trace,
-    TraceStep,
     Value,
     ValueOf,
 )
@@ -37,11 +36,8 @@ def eval_program(program: MetaProgram) -> Trace:
     steps = []
     for stmt in program.stmts:
         _apply(stmt, env)
-        steps.append(TraceStep(stmt=stmt, env=tuple(env.items())))
-    answer = _answer(program.query, env)
-    return Trace(
-        steps=tuple(steps), final_env=tuple(env.items()), answer=answer, program=program
-    )
+        steps.append(tuple(env.items()))
+    return Trace(steps=tuple(steps), answer=_answer(program.query, env), program=program)
 
 
 def _numeric(value: Value, context: str) -> int | Fraction:

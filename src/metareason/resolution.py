@@ -111,13 +111,12 @@ class EntityTable:
     """Per-instance realization of the entity and operation mappings.
 
     ``entries`` assigns symbols to surface entity spans in first-mention
-    order. ``op_spans`` carries one surface span per statement (indexed by
-    statement position) plus, when known, a final span for the query
-    clause indexed one past the last statement.
+    order. ``op_spans`` holds one surface span per statement, in statement
+    order, then, when known, the span of the query clause.
     """
 
     entries: tuple[tuple[Span, str], ...] = ()
-    op_spans: tuple[tuple[Span, int], ...] = ()
+    op_spans: tuple[Span, ...] = ()
 
     def symbol_for(self, text: str) -> str:
         for span, sym in self.entries:
@@ -303,11 +302,12 @@ def save_instances(path, instances: Iterable[TaskInstance]) -> None:
 
 @dataclass(frozen=True)
 class MetaQuestion:
-    """A resolved instance: program, entity table, and the option back-map."""
+    """A resolved instance: program, entity table, and the option back-map:
+    ``option_letters[p - 1]`` is the letter of the option at position ``p``."""
 
     program: MetaProgram
     table: EntityTable
-    option_map: tuple[tuple[int, str], ...] | None = None
+    option_letters: tuple[str, ...] | None = None
 
 
 def symbol_name(index: int) -> str:
@@ -358,15 +358,15 @@ def _slot_span(match: re.Match, slot: str, base: int) -> Span:
 
 
 def _meta_question(
-    inits, steps: list[tuple[Span, Statement]], query, query_span: Span, entries, option_map=None
+    inits, steps: list[tuple[Span, Statement]], query, query_span: Span, entries, letters=None
 ) -> MetaQuestion:
     """Assemble a resolved instance; ``steps`` pairs each statement with its surface span."""
     stmts = tuple(stmt for _, stmt in steps)
-    op_spans = tuple((span, index) for index, (span, _) in enumerate(steps))
+    op_spans = tuple(span for span, _ in steps) + (query_span,)
     return MetaQuestion(
         program=MetaProgram(inits=tuple(inits), stmts=stmts, query=query),
-        table=EntityTable(entries=tuple(entries), op_spans=op_spans + ((query_span, len(stmts)),)),
-        option_map=option_map,
+        table=EntityTable(entries=tuple(entries), op_spans=op_spans),
+        option_letters=letters,
     )
 
 
@@ -436,14 +436,13 @@ def _resolve_tso(question: str, options: tuple[str, ...] | None) -> MetaQuestion
     if query_span is None:
         raise TemplateMismatchError("no query clause", sentences[-1].text)
 
-    option_map = []
-    for position, obj in enumerate(objects, start=1):
-        # options may carry truncated text; fall back to position
-        index = options.index(obj) if obj in options else position - 1
-        option_map.append((position, chr(ord("A") + index)))
-
+    # options may carry truncated text; fall back to position
+    letters = tuple(
+        chr(ord("A") + (options.index(obj) if obj in options else index))
+        for index, obj in enumerate(objects)
+    )
     inits = [(sym, value) for value, (_, sym) in enumerate(entries, start=1)]
-    return _meta_question(inits, steps, query, query_span, entries, tuple(option_map))
+    return _meta_question(inits, steps, query, query_span, entries, letters)
 
 
 def _resolve_wol(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
@@ -544,13 +543,10 @@ def _resolve_arith(question: str, options: tuple[str, ...] | None) -> MetaQuesti
 
 def _from_attached_meta(inst: TaskInstance) -> MetaQuestion:
     program = parse_meta(inst.meta)
-    option_map = None
+    letters = None
     if isinstance(program.query, OptionOf) and inst.options:
-        option_map = tuple(
-            (position, chr(ord("A") + position - 1))
-            for position in range(1, len(inst.options) + 1)
-        )
-    return MetaQuestion(program=program, table=EntityTable(), option_map=option_map)
+        letters = tuple(chr(ord("A") + index) for index in range(len(inst.options)))
+    return MetaQuestion(program=program, table=EntityTable(), option_letters=letters)
 
 
 _RESOLVERS = {
@@ -621,13 +617,13 @@ def surface_answer(mq: MetaQuestion, trace: Trace) -> str:
     """Map a trace's symbolic answer back to the surface answer string."""
     query = mq.program.query
     if isinstance(query, OptionOf):
-        if not mq.option_map:
+        letters = mq.option_letters
+        if not letters:
             raise MissingOptionMapError("option query without an option map")
         value = trace.answer
-        for candidate, letter in mq.option_map:
-            if candidate == value:
-                return letter
-        raise ValueOutOfOptionRangeError(f"answer {value!r} indexes no option")
+        if not 1 <= value <= len(letters):  # letters[-1] would answer 0
+            raise ValueOutOfOptionRangeError(f"answer {value!r} indexes no option")
+        return letters[value - 1]
     # IsEqual and ConcatOf answer a string; ValueOf an exact number ("7/2")
     return str(trace.answer)
 

@@ -10,14 +10,15 @@ interpreter, so the two answer routes stay independent.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import templates
-from .resolution import NUMERIC_TASKS, TSO_TASKS, Task, TaskInstance, TemplateMismatchError
-from .resolution import tso_object_count
+from .resolution import TSO_TASKS, FieldError, Task, TaskInstance, TemplateMismatchError
+from .resolution import config_number, json_fields, read_fields, setting, tso_object_count
 
 
 class GenerationError(Exception):
@@ -29,7 +30,7 @@ class LexiconTooSmallError(GenerationError):
 
 
 class InvalidParamsError(GenerationError):
-    """Config parameters are out of range for the task."""
+    """A generation parameter breaks its rule; the message names it."""
 
 
 DEFAULT_PERSON_NAMES = (
@@ -90,39 +91,25 @@ class Lexicon:
 ARITH_START_RANGE = (2, 30)
 
 
+def _param(low: float = -math.inf, **default):
+    """A generation parameter: an integer of at least ``low``."""
+    return setting(config_number(int, low, exact=True), **default)
+
+
 @dataclass(frozen=True)
 class GenConfig:
-    """Generation parameters. Only the fields for ``task`` are read."""
+    """Generation parameters. Only the fields for ``task`` are used, but every
+    rule is checked whatever the task."""
 
     task: Task
-    count: int
-    seed: int
-    n_swaps: int | None = None          # tracking tasks; default = object count
-    chain_len: int = 5                  # truth chains: number of persons
-    n_people: int = 4                   # coin flips: number of actors
-    n_words: int = 2                    # last-letter: words per name
-    n_ops: int = 3                      # arithmetic: operation count
+    count: int = _param(1)
+    seed: int = _param()
+    n_swaps: int | None = _param(0, default=None)  # tracking tasks; default = object count
+    chain_len: int = _param(2, default=5)          # truth chains: number of persons
+    n_people: int = _param(1, default=4)           # coin flips: number of actors
+    n_words: int = _param(1, default=2)            # last-letter: words per name
+    n_ops: int = _param(1, default=3)              # arithmetic: operation count
     lexicon: Lexicon = field(default_factory=Lexicon)
-
-
-def _validate(cfg: GenConfig) -> None:
-    if cfg.count < 1:
-        raise InvalidParamsError("count must be >= 1")
-    if cfg.task in TSO_TASKS:
-        if cfg.n_swaps is not None and cfg.n_swaps < 0:
-            raise InvalidParamsError("n_swaps must be >= 0")
-    elif cfg.task is Task.WOL:
-        if cfg.chain_len < 2:
-            raise InvalidParamsError("chain_len must be >= 2")
-    elif cfg.task is Task.CF:
-        if cfg.n_people < 1:
-            raise InvalidParamsError("n_people must be >= 1")
-    elif cfg.task is Task.LLC:
-        if cfg.n_words < 1:
-            raise InvalidParamsError("n_words must be >= 1")
-    elif cfg.task in NUMERIC_TASKS:
-        if cfg.n_ops < 1:
-            raise InvalidParamsError("n_ops must be >= 1")
 
 
 def child_rng(seed: int, task: Task, index: int) -> random.Random:
@@ -235,7 +222,10 @@ _BUILDERS = {
 
 def generate(cfg: GenConfig) -> list[TaskInstance]:
     """Deterministically generate ``cfg.count`` instances with oracle gold."""
-    _validate(cfg)
+    try:
+        read_fields(GenConfig, json_fields(cfg))
+    except FieldError as exc:
+        raise InvalidParamsError(str(exc)) from None
     builder = _BUILDERS[cfg.task]
     instances = []
     for index in range(cfg.count):

@@ -62,6 +62,20 @@ class TestGenerate:
         assert rc == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--count", "0"], "count must be an integer >= 1, got 0"),
+            # a truth-chain parameter, refused for coin flips too
+            (["--chain-len", "1"], "chain_len must be an integer >= 2, got 1"),
+        ],
+    )
+    def test_a_parameter_below_its_bound_is_validation_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "cf.jsonl"
+        assert main(["generate", "--task", "CF", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestResolveSolve:
     def test_resolve_attaches_meta_and_solve_prints_gold(self, tmp_path, capsys):
@@ -259,6 +273,15 @@ class TestEvalReport:
         message = "error: bad config: --output-dir must be a non-empty string, got ''\n"
         assert capsys.readouterr().err == message
         assert not (tmp_path / "out").exists()
+
+    def test_the_report_names_the_output_dir_flag(self, tmp_path):
+        config_path = self._setup(tmp_path)
+        other = tmp_path / "other"
+        assert main(["eval", "--config", str(config_path), "--output-dir", str(other)]) == 0
+        assert not (tmp_path / "out").exists()
+        config = json.loads((other / "report.json").read_text())["config"]
+        assert config["output_dir"] == str(other)
+        assert config == {**json.loads(config_path.read_text()), "output_dir": str(other)}
 
     def test_malformed_config_exits_1_without_a_traceback(self, tmp_path):
         config_path = self._setup(tmp_path)

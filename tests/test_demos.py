@@ -13,6 +13,7 @@ from metareason.demos import (
     build_completely_serial,
     build_cross_serial,
     build_demonstration,
+    chain_lines,
     default_mode,
     load_demonstrations,
     render_question,
@@ -151,6 +152,30 @@ class TestCrossSerial:
         assert lines[1] == "Ka flips the coin: flip → (A = 1 → A = 0) → A = 0."
         assert lines[-1] == "Since A = 0, so the answer is: no."
 
+    def test_a_coin_nobody_flips_has_no_statements(self):
+        inst = TaskInstance(
+            id="cf-no-flips",
+            task=Task.CF,
+            question=(
+                "A coin is heads up. Ka does not flip the coin. Sherrie doesn't flip the coin. "
+                "Is the coin still heads up?"
+            ),
+            gold="yes",
+        )
+        mq, trace = _resolved(inst)
+        assert mq.program.stmts == () and trace.steps == ()
+        assert trace.final() == dict(mq.program.inits) == {"A": 1}
+        assert chain_lines(trace) == ["A = 1"]
+        serial = build_completely_serial(inst, mq, trace)
+        assert serial.rationale.splitlines()[1:] == ["A = 1", "Since A = 1, so the answer is: yes."]
+        cross = build_cross_serial(inst, mq, trace)
+        assert cross.n_substeps == 0
+        assert cross.rationale.splitlines() == [
+            "The question can be simplified to: It is known that A = 1.",
+            "Since A = 1, so the answer is: yes.",
+        ]
+        assert serial.answer == cross.answer == "yes"
+
     def test_last_letter_blocks(self):
         inst = TaskInstance(
             id="llc-demo",
@@ -167,8 +192,8 @@ class TestCrossSerial:
     def test_snapshots_match_trace(self, dance_instance):
         mq, trace = _resolved(dance_instance)
         demo = build_cross_serial(dance_instance, mq, trace)
-        for step, line in zip(trace.steps, demo.rationale.splitlines()[1:]):
-            snapshot = ", ".join(f"{s} = {format_value(v)}" for s, v in step.env)
+        for env, line in zip(trace.steps, demo.rationale.splitlines()[1:]):
+            snapshot = ", ".join(f"{s} = {format_value(v)}" for s, v in env)
             assert line.endswith(snapshot + ".")
 
     def test_alignment_error_without_fragments(self, dance_instance):

@@ -876,9 +876,9 @@ class TestRunEval:
         assert len(load_records(records_path)) == 3
         assert len(records_path.read_bytes().splitlines()) == 4  # reading leaves the file
         records_path.write_bytes(lines[0] + b"{not json}\n" + b"".join(lines[1:]))
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(RecordLineError):
             load_records(records_path)
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(RecordLineError):
             run_eval(EvalConfig.from_json_dict(config))
 
     @pytest.mark.parametrize(
@@ -954,7 +954,7 @@ class TestRunEval:
         records_path = tmp_path / "out" / "records.jsonl"
         lines = records_path.read_bytes().splitlines(keepends=True)
         records_path.write_bytes(lines[0] + lines[1] + b"{not json}\n" + lines[2])
-        with pytest.raises(json.JSONDecodeError, match=re.escape(f"{records_path}: line 3: ")):
+        with pytest.raises(RecordLineError, match=re.escape(f"{records_path}: line 3: not JSON: ")):
             load_records(records_path)
         records_path.write_bytes(lines[0] + b'{"task": "\xff"}\n' + lines[1] + lines[2])
         with pytest.raises(RecordLineError, match=re.escape(f"{records_path}: line 2: not UTF-8")):

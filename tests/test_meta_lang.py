@@ -238,7 +238,7 @@ class TestRender:
 class TestEval:
     def test_arithmetic_chain(self):
         trace = eval_program(parse_meta(LOOSE_META_TEXT))
-        assert [dict(step.env)["A"] for step in trace.steps] == [13, 9, 18]
+        assert [dict(env)["A"] for env in trace.steps] == [13, 9, 18]
         assert trace.answer == 18
 
     def test_truth_chain(self):
@@ -301,8 +301,8 @@ class TestEval:
         trace = eval_program(program)
         before = dict(program.inits)
         touched = [{"B"}, {"A", "C"}]
-        for step, expected_touched in zip(trace.steps, touched):
-            after = dict(step.env)
+        for env, expected_touched in zip(trace.steps, touched):
+            after = dict(env)
             changed = {sym for sym in after if after[sym] != before[sym]}
             assert changed <= expected_touched
             before = after

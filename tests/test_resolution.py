@@ -138,7 +138,7 @@ class TestTrackingGolden:
 
     def test_swap_statements_mirror_surface_order(self, dance_instance):
         mq = resolve(dance_instance)
-        swap_spans = [span.text for span, idx in mq.table.op_spans if idx < 3]
+        swap_spans = [span.text for span in mq.table.op_spans[:3]]
         assert swap_spans == [
             "First, Alice and Bob switch partners.",
             "Then, Claire and Bob switch partners.",
@@ -296,7 +296,7 @@ class TestSurfaceAnswer:
         from dataclasses import replace
 
         mq = resolve(dance_instance)
-        broken = replace(mq, option_map=None)
+        broken = replace(mq, option_letters=None)
         with pytest.raises(MissingOptionMapError):
             surface_answer(broken, eval_program(mq.program))
 
@@ -304,9 +304,21 @@ class TestSurfaceAnswer:
         from dataclasses import replace
 
         mq = resolve(dance_instance)
-        broken = replace(mq, option_map=((7, "A"),))
+        broken = replace(mq, option_letters=("A",))
         with pytest.raises(ValueOutOfOptionRangeError):
             surface_answer(broken, eval_program(mq.program))
+
+
+    @pytest.mark.parametrize("value", [0, 4])
+    def test_an_option_value_outside_one_to_n_raises(self, dance_instance, value):
+        from dataclasses import replace
+
+        mq = resolve(dance_instance)
+        trace = eval_program(mq.program)
+        letters = [surface_answer(mq, replace(trace, answer=v)) for v in (1, 2, 3)]
+        assert letters == ["A", "B", "C"]
+        with pytest.raises(ValueOutOfOptionRangeError, match=f"^answer {value} indexes no option$"):
+            surface_answer(mq, replace(trace, answer=value))
 
 
 class TestResolveAny:
@@ -357,10 +369,10 @@ class TestProperties:
     def test_mirror_fidelity_on_generated_tracking(self):
         for inst in generate(GenConfig(task=Task.TSO5, count=25, seed=9)):
             mq = resolve(inst)
-            swaps = [span for span, idx in mq.table.op_spans if idx < len(mq.program.stmts)]
+            swaps = mq.table.op_spans[: len(mq.program.stmts)]
             positions = [span.start for span in swaps]
             assert positions == sorted(positions)
-            for span, idx in mq.table.op_spans[:-1]:
+            for span in mq.table.op_spans[:-1]:
                 assert inst.question[span.start : span.end] == span.text
 
     def test_attached_meta_round_trips_through_jsonl(self, tmp_path, dance_instance):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -210,6 +211,24 @@ class TestErrors:
             generate(GenConfig(task=Task.WOL, count=1, seed=15, chain_len=1))
         with pytest.raises(InvalidParamsError):
             generate(GenConfig(task=Task.MA, count=0, seed=15))
+
+    # Each parameter with its least allowed value (None: no bound), then values its rule
+    # refuses: one below the bound, a bool and a fraction. Every rule is checked whatever
+    # the task, so a coin-flip config is refused a tracking or truth-chain parameter too.
+    @pytest.mark.parametrize(
+        "name, low, value",
+        [
+            (name, low, value)
+            for name, low in [("count", 1), ("seed", None), ("n_swaps", 0), ("chain_len", 2),
+                              ("n_people", 1), ("n_words", 1), ("n_ops", 1)]
+            for value in ([] if low is None else [low - 1]) + [True, 2.5]
+        ],
+    )
+    def test_each_parameter_rule_names_its_field(self, name, low, value):
+        wanted = "an integer" if low is None else f"an integer >= {low}"
+        message = f"{name} must be {wanted}, got {value!r}"
+        with pytest.raises(InvalidParamsError, match="^" + re.escape(message) + "$"):
+            generate(GenConfig(**{"task": Task.CF, "count": 1, "seed": 0, name: value}))
 
     def test_wordlist_loading(self, tmp_path):
         path = tmp_path / "names.txt"
