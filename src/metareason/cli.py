@@ -14,20 +14,13 @@ from dataclasses import replace
 
 from . import demos as demos_mod
 from . import taskgen
-from .harness import (
-    ConfigError,
-    EvalConfig,
-    HarnessError,
-    IncompatibleDemosError,
-    render_table,
-    report_csv,
-    report_json,
-    run_eval,
-    score,
-)
-from .harness.backends import bad_config
-from .harness.runner import load_records
-from .meta_lang import MetaLangError, ParseError, eval_program, parse_meta
+from .harness.backends import ConfigError, bad_config
+from .harness.prompts import HarnessError, IncompatibleDemosError
+from .harness.reporting import render_table, report_csv, report_json
+from .harness.runner import EvalConfig, load_records, run_eval, score
+from .meta_lang.errors import MetaLangError, ParseError
+from .meta_lang.interpreter import eval_program
+from .meta_lang.parser import parse_meta
 from .resolution import (
     ResolutionError,
     Task,
@@ -69,6 +62,9 @@ DEFAULT_DEMO_K = {
     Task.TSO7: 1,
 }
 
+# The generation parameters that have a flag of their own.
+_GEN_PARAMS = ("n_swaps", "chain_len", "n_people", "n_words", "n_ops")
+
 _VALIDATION_ERRORS = (
     ConfigError,
     IncompatibleDemosError,
@@ -106,11 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, default=None, help="instances (default per task)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--n-swaps", type=int, default=None)
-    gen.add_argument("--chain-len", type=int, default=5)
-    gen.add_argument("--n-people", type=int, default=4)
-    gen.add_argument("--n-words", type=int, default=2)
-    gen.add_argument("--n-ops", type=int, default=3)
+    for name in _GEN_PARAMS:  # a flag not given is left out, so GenConfig gives its default
+        gen.add_argument("--" + name.replace("_", "-"), type=int, default=argparse.SUPPRESS)
     gen.set_defaults(func=_cmd_generate)
 
     res = commands.add_parser("resolve", help="attach canonical meta text to instances")
@@ -156,11 +149,7 @@ def _cmd_generate(args) -> None:
         task=args.task,
         count=count,
         seed=args.seed,
-        n_swaps=args.n_swaps,
-        chain_len=args.chain_len,
-        n_people=args.n_people,
-        n_words=args.n_words,
-        n_ops=args.n_ops,
+        **{name: getattr(args, name) for name in _GEN_PARAMS if hasattr(args, name)},
     )
     instances = taskgen.generate(cfg)
     save_instances(args.out, instances)
@@ -168,7 +157,7 @@ def _cmd_generate(args) -> None:
 
 
 def _cmd_resolve(args) -> None:
-    from .meta_lang import render_meta
+    from .meta_lang.renderer import render_meta
 
     instances = load_instances(args.infile)
     resolved = [replace(inst, meta=render_meta(resolve(inst).program)) for inst in instances]

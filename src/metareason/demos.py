@@ -12,10 +12,11 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable, Sequence
 
 from . import templates
-from .meta_lang import (
+from .meta_lang.ast import (
     Add,
     ConcatOf,
     Div,
@@ -30,14 +31,11 @@ from .meta_lang import (
     Swap,
     Trace,
     Value,
-    eval_program,
     format_value,
     quote_string,
-    render_inits,
-    render_meta,
-    render_query,
-    render_statement,
 )
+from .meta_lang.interpreter import eval_program
+from .meta_lang.renderer import render_inits, render_meta, render_query, render_statement
 from .resolution import (
     NUMERIC_TASKS,
     MetaQuestion,
@@ -90,20 +88,13 @@ class Demonstration:
     mode: FusionMode = setting(config_rule("a fusion mode name", read=FusionMode))
     n_substeps: int | None = setting(config_number(int, exact=True), default=None)
 
-    def to_json_dict(self) -> dict:
-        return json_fields(self)
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "Demonstration":
-        return read_config(cls, record)
-
 
 def load_demonstrations(path) -> list[Demonstration]:
-    return list(read_jsonl(path, Demonstration.from_json_dict))
+    return list(read_jsonl(path, partial(read_config, Demonstration)))
 
 
 def save_demonstrations(path, demos: Iterable[Demonstration]) -> None:
-    write_jsonl(path, (demo.to_json_dict() for demo in demos))
+    write_jsonl(path, (json_fields(demo) for demo in demos))
 
 
 def render_question(question: str, options: Sequence[str] | None) -> str:

@@ -20,7 +20,7 @@ from functools import partial
 
 from .. import __version__
 from ..demos import build_from_trace
-from ..meta_lang import eval_program
+from ..meta_lang.interpreter import eval_program
 from ..resolution import FieldError, TaskInstance, TemplateMismatchError, config_number
 from ..resolution import config_string, config_text, read_config, read_fields, read_jsonl
 from ..resolution import resolve_any, setting, write_jsonl
@@ -295,11 +295,12 @@ def _completion_text(data: bytes) -> str:
         if isinstance(body, dict) and isinstance(body.get("text"), str):
             return body["text"]
         raise TransportError("completion response has no choices") from None
-    if isinstance(choice.get("text"), str):
-        return choice["text"]
-    message = choice.get("message")
-    if isinstance(message, dict) and isinstance(message.get("content"), str):
-        return message["content"]
+    if isinstance(choice, dict):
+        if isinstance(choice.get("text"), str):
+            return choice["text"]
+        message = choice.get("message")
+        if isinstance(message, dict) and isinstance(message.get("content"), str):
+            return message["content"]
     raise TransportError("completion choice has no text")
 
 

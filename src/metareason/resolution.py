@@ -19,22 +19,25 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import templates
-from .meta_lang import (
+from .meta_lang.ast import (
+    Add,
     ConcatOf,
+    Div,
     Flip,
     IsEqual,
     LastOf,
     MetaProgram,
+    Mul,
     OptionOf,
     Says,
     Statement,
+    Sub,
     Swap,
     Trace,
     ValueOf,
-    eval_program,
-    parse_meta,
 )
-from .meta_lang.ast import Add, Div, Mul, Sub, Value
+from .meta_lang.interpreter import eval_program
+from .meta_lang.parser import parse_meta
 
 
 class Task(str, Enum):
@@ -252,14 +255,16 @@ def json_fields(obj, drop_none: bool = False) -> dict:
 
 def read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
     """Yield ``parse(fields)`` for the JSON value on each non-blank line. A line that is not
-    JSON, or that ``parse`` refuses with a ValueError, raises MalformedLineError."""
-    with open(path, "r", encoding="utf-8") as handle:
+    UTF-8 or not JSON, or that ``parse`` refuses with a ValueError, raises MalformedLineError."""
+    with open(path, "rb") as handle:
         for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
                 item = parse(json.loads(line))
+            except UnicodeDecodeError as exc:
+                raise MalformedLineError(path, number, f"not UTF-8 ({exc})") from None
             except json.JSONDecodeError as exc:
                 raise MalformedLineError(path, number, f"not JSON: {exc.msg}") from None
             except ValueError as exc:
@@ -284,20 +289,13 @@ class TaskInstance:
     gold: str = setting(config_text_or_int, key="answer")
     meta: str | None = setting(config_string, default=None)
 
-    def to_json_dict(self) -> dict:
-        return json_fields(self, drop_none=True)
-
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "TaskInstance":
-        return read_config(cls, record)
-
 
 def load_instances(path) -> list[TaskInstance]:
-    return list(read_jsonl(path, TaskInstance.from_json_dict))
+    return list(read_jsonl(path, functools.partial(read_config, TaskInstance)))
 
 
 def save_instances(path, instances: Iterable[TaskInstance]) -> None:
-    write_jsonl(path, (inst.to_json_dict() for inst in instances))
+    write_jsonl(path, (json_fields(inst, drop_none=True) for inst in instances))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from metareason.meta_lang import (
+from metareason.meta_lang.ast import (
     Add,
     ConcatOf,
     Div,

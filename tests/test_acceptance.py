@@ -18,19 +18,12 @@ import pytest
 
 from metareason.cli import main
 from metareason.demos import build_completely_serial, build_cross_serial, build_demonstration, save_demonstrations
-from metareason.harness import (
-    EvalConfig,
-    EvalRecord,
-    Paradigm,
-    assemble_prompt,
-    extract_answer,
-    format_pct,
-    normalize_answer,
-    run_eval,
-    save_fixtures,
-    score,
-)
-from metareason.meta_lang import (
+from metareason.harness.backends import save_fixtures
+from metareason.harness.extraction import extract_answer, normalize_answer
+from metareason.harness.prompts import Paradigm, assemble_prompt
+from metareason.harness.reporting import format_pct
+from metareason.harness.runner import EvalConfig, EvalRecord, run_eval, score
+from metareason.meta_lang.ast import (
     Div,
     Flip,
     MetaProgram,
@@ -38,11 +31,11 @@ from metareason.meta_lang import (
     Says,
     Swap,
     ValueOf,
-    eval_program,
     format_value,
-    parse_meta,
-    render_meta,
 )
+from metareason.meta_lang.interpreter import eval_program
+from metareason.meta_lang.parser import parse_meta
+from metareason.meta_lang.renderer import render_meta
 from metareason.resolution import Task, resolve, save_instances, surface_answer
 from metareason.taskgen import GenConfig, generate, oracle_answer
 from support import (

@@ -125,6 +125,15 @@ class TestMalformedInput:
         assert main([command] + args) == 1
         assert capsys.readouterr().err == f"error: {data}: line 3: {problem}\n"
 
+    @pytest.mark.parametrize("command", ["solve", "build-demos"])
+    def test_a_line_that_is_not_utf8_names_file_and_line_and_exits_1(self, tmp_path, capsys, command):
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(json.dumps(_FREE_FORM_ITEM).encode() + b'\n{"id": "\xff"}\n')
+        args = ["--in", str(data)] + (["--out", str(tmp_path / "out.jsonl")] if command != "solve" else [])
+        assert main([command] + args) == 1
+        problem = "not UTF-8 ('utf-8' codec can't decode byte 0xff in position 8: invalid start byte)"
+        assert capsys.readouterr().err == f"error: {data}: line 2: {problem}\n"
+
     @pytest.mark.parametrize("change, problem", [
         ({"n_substeps": True}, "n_substeps must be an integer, got True"),
         ({"n_substeps": 2.0}, "n_substeps must be an integer, got 2.0"),
@@ -378,3 +387,19 @@ class TestDependencies:
         assert "metareason" in loaded
         assert not loaded & {"requests", "urllib3"}
         assert loaded - set(sys.stdlib_module_names) == {"metareason"}
+
+    def test_the_benchmark_imports_and_traces_the_packages(self):
+        """The benchmark imports names from the package ``__init__``s and traces reporting."""
+        script = (
+            "import inputs, tracing, worker; tracing.instrument(tracing.Tracer()); "
+            "from metareason.harness.reporting import report_json; "
+            "assert report_json.__wrapped__ and worker.meta_lang.render_meta.__wrapped__"
+        )
+        root = Path(__file__).resolve().parents[1]
+        src = str(Path(metareason.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, str(root / "perfbench")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -20,8 +20,9 @@ from metareason.demos import (
     save_demonstrations,
     select_demos,
 )
-from metareason.harness import extract_answer
-from metareason.meta_lang import eval_program, format_value
+from metareason.harness.extraction import extract_answer
+from metareason.meta_lang.ast import format_value
+from metareason.meta_lang.interpreter import eval_program
 from metareason.resolution import EntityTable, Task, TaskInstance, resolve
 from metareason.taskgen import GenConfig, generate
 

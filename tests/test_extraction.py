@@ -7,7 +7,13 @@ import re
 
 import pytest
 
-from metareason.harness import AnswerKind, answer_kind, extract_answer, is_correct, normalize_answer
+from metareason.harness.extraction import (
+    AnswerKind,
+    answer_kind,
+    extract_answer,
+    is_correct,
+    normalize_answer,
+)
 from metareason.resolution import Task
 from metareason.taskgen import GenConfig, generate
 

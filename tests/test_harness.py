@@ -25,35 +25,38 @@ from metareason.demos import (
     save_demonstrations,
     select_demos,
 )
-from metareason.harness import (
-    COT_TRIGGER,
+from metareason.harness.backends import (
     ConfigError,
+    FixtureMissError,
+    HttpBackend,
+    OracleBackend,
+    OracleUnresolvableError,
+    ReplayBackend,
+    TransportError,
+    _completion_text,
+    backend_from_config,
+    complete,
+    load_fixtures,
+    prompt_sha256,
+    save_fixtures,
+)
+from metareason.harness.extraction import is_correct
+from metareason.harness.prompts import (
+    COT_TRIGGER,
+    IncompatibleDemosError,
+    Paradigm,
+    assemble_prompt,
+    paradigm_from_string,
+)
+from metareason.harness.reporting import format_pct, render_table, report_csv, report_json
+from metareason.harness.runner import (
     EvalConfig,
     EvalRecord,
     EvalReport,
-    FixtureMissError,
-    HttpBackend,
-    IncompatibleDemosError,
-    OracleBackend,
-    OracleUnresolvableError,
-    Paradigm,
     RecordLineError,
     RecordStore,
-    ReplayBackend,
-    TransportError,
-    assemble_prompt,
-    backend_from_config,
-    complete,
-    format_pct,
-    is_correct,
     load_records,
-    paradigm_from_string,
-    prompt_sha256,
-    render_table,
-    report_csv,
-    report_json,
     run_eval,
-    save_fixtures,
     score,
 )
 from metareason.resolution import FieldError, MalformedLineError, Task, load_instances
@@ -325,6 +328,15 @@ def sleeps(monkeypatch):
     return calls
 
 
+class TestInputLines:
+    @pytest.mark.parametrize("load", [load_instances, load_demonstrations, load_fixtures])
+    def test_a_line_that_is_not_utf8_names_its_file_and_line(self, tmp_path, load):
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(b'\r\n\n{"id": "\xff"}\n')  # blank lines count
+        problem = "not UTF-8 ('utf-8' codec can't decode byte 0xff in position 8: invalid start byte)"
+        with pytest.raises(MalformedLineError, match=re.escape(f"{path}: line 3: {problem}")):
+            load(path)
+
 class TestHttpBackend:
     def test_retries_then_transport_error(self, no_proxy_env, sleeps):
         dials = []
@@ -369,6 +381,34 @@ class TestHttpBackend:
                 complete(backend, "p", prompt_sha256("p"))
         assert len(server.requests) == 1
         assert sleeps == []
+
+    @pytest.mark.parametrize(
+        ("body", "problem"),
+        [
+            (b"not json", "non-JSON completion response"),
+            (b"[]", "completion response has no choices"),
+            (b"{}", "completion response has no choices"),
+            (b'{"choices": []}', "completion response has no choices"),
+            (b'{"choices": ["x"]}', "completion choice has no text"),
+            (b'{"choices": [null]}', "completion choice has no text"),
+            (b'{"choices": "abc"}', "completion choice has no text"),
+            (b'{"choices": [{"text": 5}]}', "completion choice has no text"),
+        ],
+    )
+    def test_a_malformed_completion_body_is_a_transport_error(self, body, problem):
+        with pytest.raises(TransportError, match=problem):
+            _completion_text(body)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"choices": [{"text": "yes"}]}',
+            b'{"choices": [{"message": {"content": "yes"}}]}',
+            b'{"text": "yes"}',
+        ],
+    )
+    def test_each_completion_body_form_gives_its_text(self, body):
+        assert _completion_text(body) == "yes"
 
     def test_parallel_run_keeps_one_connection_per_worker(self, tmp_path, no_proxy_env):
         with _CompletionServer(text="So the answer is Yes.") as server:
@@ -774,7 +814,7 @@ class TestScore:
         assert [r.key() for r in score(shuffled).records] == sorted(r.key() for r in records)
 
     def test_empty_records_rejected(self):
-        from metareason.harness import EmptyDatasetError
+        from metareason.harness.runner import EmptyDatasetError
 
         with pytest.raises(EmptyDatasetError):
             score([])
@@ -1055,7 +1095,7 @@ class TestRunEval:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         config["datasets"] = [{"name": "cf", "path": str(empty)}]
-        from metareason.harness import EmptyDatasetError
+        from metareason.harness.runner import EmptyDatasetError
 
         with pytest.raises(EmptyDatasetError):
             run_eval(EvalConfig.from_json_dict(config))

@@ -10,37 +10,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metareason.meta_lang import (
+from metareason.meta_lang import ast as meta_ast
+from metareason.meta_lang import interpreter as meta_interpreter
+from metareason.meta_lang import parser as meta_parser
+from metareason.meta_lang.ast import (
     Add,
     ConcatOf,
     Div,
-    DivideByZeroError,
-    DuplicateSymbolError,
-    EvalTypeError,
     Flip,
-    InvalidProgramError,
     IsEqual,
     LastOf,
     MetaProgram,
     Mul,
     OptionOf,
-    ParseError,
     Says,
     Sub,
     Swap,
-    UndefinedSymbolError,
     ValueOf,
-    eval_program,
     format_value,
-    parse_meta,
-    render_meta,
-    split_clauses,
     validate_program,
 )
-from metareason.meta_lang import ast as meta_ast
-from metareason.meta_lang import interpreter as meta_interpreter
-from metareason.meta_lang import parser as meta_parser
-from metareason.meta_lang.renderer import QUERIES, STATEMENTS
+from metareason.meta_lang.errors import (
+    DivideByZeroError,
+    DuplicateSymbolError,
+    EvalTypeError,
+    InvalidProgramError,
+    ParseError,
+    UndefinedSymbolError,
+)
+from metareason.meta_lang.interpreter import eval_program
+from metareason.meta_lang.parser import parse_meta, split_clauses
+from metareason.meta_lang.renderer import QUERIES, STATEMENTS, render_meta
 from support import exact, random_program, random_swap_sequence, random_truth_chain, value_kinds
 
 from conftest import LOOSE_META_TEXT

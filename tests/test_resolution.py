@@ -7,15 +7,10 @@ import re
 
 import pytest
 
-from metareason.meta_lang import (
-    Flip,
-    IsEqual,
-    OptionOf,
-    Swap,
-    eval_program,
-    parse_meta,
-    render_meta,
-)
+from metareason.meta_lang.ast import Flip, IsEqual, OptionOf, Swap
+from metareason.meta_lang.interpreter import eval_program
+from metareason.meta_lang.parser import parse_meta
+from metareason.meta_lang.renderer import render_meta
 from metareason.resolution import (
     MalformedLineError,
     MissingOptionMapError,
@@ -27,6 +22,7 @@ from metareason.resolution import (
     ValueOutOfOptionRangeError,
     allocate_symbols,
     load_instances,
+    read_config,
     resolve,
     resolve_any,
     solve_surface,
@@ -281,9 +277,9 @@ class TestInstanceLines:
             load_instances(path)
 
     def test_strings_stay_and_ints_become_text(self):
-        inst = TaskInstance.from_json_dict({"id": 7, "task": "MA", "question": "q", "answer": 18})
+        inst = read_config(TaskInstance, {"id": 7, "task": "MA", "question": "q", "answer": 18})
         assert (inst.id, inst.gold) == ("7", "18")
-        inst = TaskInstance.from_json_dict({"id": "7", "task": "CF", "question": "q", "answer": "no"})
+        inst = read_config(TaskInstance, {"id": "7", "task": "CF", "question": "q", "answer": "no"})
         assert (inst.id, inst.gold) == ("7", "no")
 
 

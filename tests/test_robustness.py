@@ -13,7 +13,10 @@ import random
 import pytest
 
 from metareason import taskgen
-from metareason.meta_lang import MetaLangError, eval_program, parse_meta, render_meta
+from metareason.meta_lang.errors import MetaLangError
+from metareason.meta_lang.interpreter import eval_program
+from metareason.meta_lang.parser import parse_meta
+from metareason.meta_lang.renderer import render_meta
 from metareason.resolution import ResolutionError, Task, resolve, resolve_any
 from support import random_program
 
