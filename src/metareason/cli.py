@@ -16,7 +16,7 @@ from . import demos as demos_mod
 from . import taskgen
 from .harness.backends import ConfigError, bad_config
 from .harness.prompts import HarnessError, IncompatibleDemosError
-from .harness.reporting import render_table, report_csv, report_json
+from .harness.reporting import render_table, report_csv, report_pieces
 from .harness.runner import EvalConfig, load_records, run_eval, score
 from .meta_lang.errors import MetaLangError, ParseError
 from .meta_lang.interpreter import eval_program
@@ -209,16 +209,16 @@ def _cmd_report(args) -> None:
     records = load_records(args.records)
     report = score(records)
     if args.format == "table":
-        text = render_table(report) + "\n"
+        pieces = [render_table(report) + "\n"]
     elif args.format == "json":
-        text = report_json(report)
+        pieces = report_pieces(report)  # as run_eval writes report.json
     else:
-        text = report_csv(report)
+        pieces = [report_csv(report)]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 # Attributes every LogRecord has; anything else on a record came from ``extra=``.

@@ -4,16 +4,11 @@ replay fixtures, and a template-solving oracle."""
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import os
-import select
 import threading
 import time
-import urllib.parse
-import urllib.request
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -158,6 +153,18 @@ def _replay_complete(backend: ReplayBackend, digest: str) -> str:
 _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
 
+def load_transport() -> None:
+    """Import the modules of the transport below into this module. Call it on the thread that
+    starts the requests, before the first: an oracle or replay run, and an HTTP run with
+    nothing left to send, never pay for http.client and the ssl and email modules it loads."""
+    global http, select, urllib, weakref
+    import http.client
+    import select
+    import urllib.parse
+    import urllib.request
+    import weakref
+
+
 class _ThreadConnection:
     """The calling thread's keep-alive connection to one endpoint.
 
@@ -278,6 +285,7 @@ class _HttpRequest:
 
 
 def _http_complete(backend: HttpBackend, prompt: str) -> str:
+    load_transport()
     request = _HttpRequest(backend, prompt, request_headers(backend))
     while not isinstance(result := request.attempt(), str):
         time.sleep(result)

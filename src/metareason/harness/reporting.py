@@ -7,6 +7,7 @@ from __future__ import annotations
 import io
 import json
 from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
+from typing import Iterator
 
 from ..resolution import TSO_TASKS, Task
 from .prompts import DISPLAY_NAMES, Paradigm
@@ -15,10 +16,10 @@ from .runner import EvalReport
 _COLUMN_TASKS = tuple(Task)  # the paper's column order is Task's order
 _COLUMN_HEADERS = {t: f"TSO({t.value[3:]})" if t in TSO_TASKS else t.value for t in Task}
 
-# One element of report.json's "records" array, as json.dumps(indent=2,
-# sort_keys=True) lays it out at that depth.
+# One element of report.json's "records" array after its separator (a newline, with a comma
+# before all but the first), as json.dumps(indent=2, sort_keys=True) lays it out at that depth.
 _RECORD_ITEM = """\
-    {
+%s    {
       "correct": %s,
       "dataset": %s,
       "extracted": %s,
@@ -70,8 +71,9 @@ def render_table(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def report_json(report: EvalReport) -> str:
-    """Deterministic JSON document: accuracies, per-item verdicts, config.
+def report_pieces(report: EvalReport) -> Iterator[str]:
+    """The text of report.json in pieces: the head up to ``"records": [``, each record's
+    item with its separator, then the tail. Nothing holds more than one item at a time.
 
     The text is ``json.dumps(document, indent=2, sort_keys=True,
     ensure_ascii=False)`` plus a newline. Prompt digests, completions and
@@ -79,16 +81,22 @@ def report_json(report: EvalReport) -> str:
     uninterrupted runs byte-identical. ``indent`` sends ``json.dumps`` to
     its pure-Python encoder, so the per-item block, most of the document,
     is formatted from ``_RECORD_ITEM`` with the C string escaper (its
-    record fields must be ``str``) and spliced in.
+    record fields must be ``str``) and yielded between the head and the tail.
     """
     summary = {paradigm.value: _summary_row(report, paradigm) for paradigm in report.paradigms()}
     document = {"cells": _cell_rows(report), "summary": summary, "records": [], "config": report.config}
     text = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     if not report.records:
-        return text
-    items = [
-        _RECORD_ITEM
-        % (
+        yield text
+        return
+    # Only the document's own keys sit at a two-space indent (a string never
+    # holds a raw newline), so this finds the top-level "records" alone.
+    head, _, tail = text.partition(_NO_RECORDS)
+    yield head + '\n  "records": ['
+    separator = "\n"
+    for record in report.records:
+        yield _RECORD_ITEM % (
+            separator,
             "true" if record.correct else "false",
             encode_basestring(record.dataset),
             encode_basestring(record.extracted),
@@ -96,11 +104,13 @@ def report_json(report: EvalReport) -> str:
             encode_basestring(record.instance_id),
             encode_basestring(record.paradigm.value),
         )
-        for record in report.records
-    ]
-    # Only the document's own keys sit at a two-space indent (a string never
-    # holds a raw newline), so this matches the top-level "records" alone.
-    return text.replace(_NO_RECORDS, '\n  "records": [\n' + ",\n".join(items) + "\n  ]", 1)
+        separator = ",\n"
+    yield "\n  ]" + tail
+
+
+def report_json(report: EvalReport) -> str:
+    """The text of report.json: ``report_pieces`` joined."""
+    return "".join(report_pieces(report))
 
 
 def report_csv(report: EvalReport) -> str:

@@ -226,6 +226,21 @@ class TestEvalReport:
                      "--out", str(tmp_path / "r.json")]) == 0
         assert json.loads((tmp_path / "r.json").read_text())["summary"]
 
+    def test_the_json_report_is_report_json_of_the_records(self, tmp_path, capsys):
+        from metareason.harness.reporting import report_json
+        from metareason.harness.runner import load_records, score
+
+        config_path = self._setup(tmp_path)
+        assert main(["eval", "--config", str(config_path)]) == 0
+        records = tmp_path / "out" / "records.jsonl"
+        expected = report_json(score(load_records(records)))
+        capsys.readouterr()
+        assert main(["report", "--records", str(records), "--format", "json"]) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "r.json"
+        assert main(["report", "--records", str(records), "--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+
     def test_report_verdicts_agree_with_the_cell_counts(self, tmp_path):
         config_path = self._setup(tmp_path)
         assert main(["eval", "--config", str(config_path)]) == 0

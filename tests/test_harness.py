@@ -425,6 +425,37 @@ class TestHttpBackend:
         assert len(server.requests) == 40
         assert 1 <= server.connections <= 2
 
+    @pytest.mark.parametrize("kind", ["oracle", "http"])
+    def test_a_run_that_sends_no_request_loads_no_http_module(self, tmp_path, no_proxy_env, kind):
+        """A fresh interpreter runs ``metareason eval``: a fresh oracle run, or an HTTP run
+        resumed with nothing left to send."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        config, _ = _write_eval_setup(tmp_path, count=3)
+        config.update(paradigms=["zero-shot"], demos={})
+        if kind == "http":
+            with _CompletionServer(text="So the answer is Yes.") as server:
+                config["backend"] = {"kind": "http", "endpoint_url": server.url, "model_name": "m"}
+                run_eval(EvalConfig.from_json_dict(config))
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        script = (
+            "import sys, metareason.cli; "
+            f"assert metareason.cli.main(['--quiet', 'eval', '--config', {str(config_path)!r}]) == 0; "
+            "loaded = [m for m in ('http.client', 'ssl', 'email', 'urllib.request') if m in sys.modules]; "
+            "assert not loaded, loaded"
+        )
+        src = str(Path(metareason.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(load_records(tmp_path / "out" / "records.jsonl")) == 3
+
     def test_threaded_dispatch_matches_sequential(self, tmp_path, no_proxy_env):
         config, _ = _write_eval_setup(tmp_path)
         config["paradigms"] = [paradigm.value for paradigm in Paradigm]
@@ -1262,6 +1293,11 @@ class TestPromptDigest:
         assert len({record, copy}) == 1
         assert dataclasses.replace(record, prompt_sha256="q") != record
 
+    def test_a_record_has_slots_and_no_dict(self):
+        record = _record("cf", Task.CF, Paradigm.FEW_SHOT, "cf-1", "A", "A")
+        assert not hasattr(record, "__dict__")
+        assert EvalRecord.__slots__ == tuple(field.name for field in fields(EvalRecord))
+
     def test_a_fresh_run_stores_each_prompts_digest_and_no_prompt(self, tmp_path):
         config, _ = _write_eval_setup(tmp_path)
         config["paradigms"] = [paradigm.value for paradigm in Paradigm]
@@ -1459,6 +1495,89 @@ class TestReportJson:
         empty = EvalReport(records=[], cells={}, dataset_tasks={}, config=None)
         assert report_json(empty) == self._reference(empty)
         assert '\n  "records": [],\n' in report_json(empty)
+
+    def test_run_eval_writes_report_json_of_its_records(self, tmp_path):
+        """Awkward dataset names, ids and gold answers, and empty extractions, as run_eval
+        writes them."""
+        import dataclasses
+
+        texts = ('say "hi"', "back\\slash", "café 中文 🙂", "sep\u2028par\u2029", "two\nlines")
+        instances = [
+            dataclasses.replace(inst, id=f"id {text}", gold=text)
+            for inst, text in zip(generate(GenConfig(task=Task.CF, count=len(texts), seed=3)), texts)
+        ]
+        dataset_path = tmp_path / "cf.jsonl"
+        save_instances(dataset_path, instances)
+        paradigms = [Paradigm.ZERO_SHOT, Paradigm.ZERO_SHOT_COT]
+        completions = {
+            assemble_prompt(paradigm, [], inst): "So the answer is yes." if index % 2 else "中\u2028?"
+            for index, inst in enumerate(instances)
+            for paradigm in paradigms
+        }
+        fixture_path = tmp_path / "fixtures.jsonl"
+        save_fixtures(fixture_path, completions)
+        config = {
+            "datasets": [{"name": 'set "\\" 中\u2028', "path": str(dataset_path)}],
+            "paradigms": [paradigm.value for paradigm in paradigms],
+            "backend": {"kind": "replay", "fixture_path": str(fixture_path)},
+            "output_dir": str(tmp_path / "out"),
+        }
+        run_eval(EvalConfig.from_json_dict(config))
+        written = (tmp_path / "out" / "report.json").read_bytes()
+        records = load_records(tmp_path / "out" / "records.jsonl")
+        assert written == report_json(score(records, config=config)).encode("utf-8")
+        items = json.loads(written)["records"]
+        assert {item["gold"] for item in items} == set(texts)
+        assert {item["extracted"] for item in items} == {"", "yes"}
+
+    def test_an_interrupted_write_leaves_the_previous_report(self, tmp_path, monkeypatch):
+        from metareason.harness import reporting
+
+        class Interrupted(Exception):
+            pass
+
+        config, _ = _write_eval_setup(tmp_path)
+        run_eval(EvalConfig.from_json_dict(config), max_records=3)
+        report_path = tmp_path / "out" / "report.json"
+        before = report_path.read_bytes()
+        real_pieces = reporting.report_pieces
+
+        def interrupted_pieces(report):
+            pieces = real_pieces(report)
+            yield next(pieces)
+            yield next(pieces)
+            raise Interrupted
+
+        monkeypatch.setattr(reporting, "report_pieces", interrupted_pieces)
+        with pytest.raises(Interrupted):
+            run_eval(EvalConfig.from_json_dict(config))
+        assert report_path.read_bytes() == before
+
+    def test_writing_a_paper_sized_report_holds_no_copy_of_it(self, tmp_path):
+        """The paper mix under five paradigms, 14,975 records: writing its reports adds less
+        than a quarter of report.json's size to the peak of traced memory."""
+        import tracemalloc
+
+        from metareason.cli import DEFAULT_COUNTS
+        from metareason.harness.runner import _write_reports
+
+        records = [
+            _record(task.value, task, paradigm, f"{task.value}-{n:04d}", str(n % 7), str(n % 5))
+            for task, count in DEFAULT_COUNTS.items()
+            for n in range(count)
+            for paradigm in Paradigm
+        ]
+        assert len(records) == 14_975
+        report = score(records, config={"seed": 7})
+        tracemalloc.start()
+        try:
+            _write_reports(report, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "report.json").stat().st_size
+        assert size > 2_000_000
+        assert peak < size / 4, (peak, size)
 
 
 @pytest.fixture
