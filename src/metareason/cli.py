@@ -31,6 +31,7 @@ from .resolution import (
     save_instances,
     solve_surface,
     task_from_string,
+    write_atomically,
 )
 
 log = logging.getLogger("metareason")
@@ -215,8 +216,7 @@ def _cmd_report(args) -> None:
     else:
         pieces = [report_csv(report)]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+        write_atomically(args.out, pieces)
     else:
         sys.stdout.writelines(pieces)
 

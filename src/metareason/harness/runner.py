@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
 from math import isfinite
-from typing import Iterable, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 from ..demos import Demonstration, load_demonstrations, select_demos
 from ..resolution import TSO_TASKS, FieldError, MalformedLineError, Task, TaskInstance, config_number
 from ..resolution import config_rule, config_string, config_task, config_text, load_instances
-from ..resolution import read_config, read_fields, setting, task_from_string
+from ..resolution import read_config, read_fields, setting, task_from_string, write_atomically
 from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, bad_config
 from .backends import _HttpRequest, backend_fingerprint, complete, load_transport, request_headers
 from .extraction import extract_answer, is_correct
@@ -435,11 +435,10 @@ def _run_http(
                     heapq.heappush(backoffs, (time.monotonic() + result, id(entry), entry))
 
 
-def _check_backend(run_path: str, run_text: str, has_records: bool, output_dir: str) -> bool:
-    """Refuse to add to records that another backend made; True when
-    ``run_path`` does not hold ``run_text`` yet."""
+def _check_backend(run_path: str, run_text: str, has_records: bool, output_dir: str) -> None:
+    """Refuse to add to records that another backend made."""
     if not has_records:  # nothing another backend could have made
-        return True
+        return
     try:
         with open(run_path, "r", encoding="utf-8") as handle:
             stored = handle.read()
@@ -450,7 +449,6 @@ def _check_backend(run_path: str, run_text: str, has_records: bool, output_dir: 
             f"{run_path}: the stored records were made by {stored.strip()}, but this config "
             f"runs {run_text.strip()}. Delete {output_dir} to start over"
         )
-    return False
 
 
 def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
@@ -482,7 +480,7 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
     store = RecordStore(os.path.join(config.output_dir, "records.jsonl"))
     run_path = os.path.join(config.output_dir, "run.json")
     run_text = json.dumps({"backend": backend_fingerprint(config.backend)}, sort_keys=True) + "\n"
-    write_run = _check_backend(run_path, run_text, bool(store.digests), config.output_dir)
+    _check_backend(run_path, run_text, bool(store.digests), config.output_dir)
     jobs = []
     for spec, instances in datasets:
         for paradigm in config.paradigms:
@@ -509,8 +507,7 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
             f"dataset, paradigm or item was dropped. Delete {config.output_dir} to start over"
         )
 
-    if write_run:  # before the first append, so records never outlive their backend's name
-        _write_atomically(run_path, [run_text])  # never a torn run.json beside records
+    write_atomically(run_path, [run_text])  # before the first append, so records never outlive it
     budget = len(jobs) if max_records is None else min(max_records, len(jobs))
     with store:
         if isinstance(config.backend, HttpBackend):
@@ -532,16 +529,8 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
     return report
 
 
-def _write_atomically(path: str, pieces: Iterable[str]) -> None:
-    """Write ``pieces`` to ``path`` + ".tmp" and move it into place: an interruption
-    leaves ``path`` as it was."""
-    with open(path + ".tmp", "w", encoding="utf-8") as handle:
-        handle.writelines(pieces)
-    os.replace(path + ".tmp", path)
-
-
 def _write_reports(report: EvalReport, output_dir: str) -> None:
     from .reporting import render_table, report_pieces
 
-    _write_atomically(os.path.join(output_dir, "report.json"), report_pieces(report))
-    _write_atomically(os.path.join(output_dir, "report.txt"), [render_table(report) + "\n"])
+    write_atomically(os.path.join(output_dir, "report.json"), report_pieces(report))
+    write_atomically(os.path.join(output_dir, "report.txt"), [render_table(report) + "\n"])

@@ -13,7 +13,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import re
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
@@ -272,10 +274,23 @@ def read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
             yield item
 
 
+def write_atomically(path, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to ``path`` + ".tmp" and move it into place, so ``path`` is
+    always whole: the previous file until the new one is complete, or none. If a piece
+    raises, the ".tmp" file is removed and ``path`` stays as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):  # open() itself failed
+            os.remove(tmp)
+        raise
+
+
 def write_jsonl(path, items: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for item in items:
-            handle.write(json.dumps(item, ensure_ascii=False) + "\n")
+    write_atomically(path, (json.dumps(item, ensure_ascii=False) + "\n" for item in items))
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -69,12 +69,6 @@ DEFAULT_LLC_WORDS = (
 )
 
 
-def load_wordlist(path) -> tuple[str, ...]:
-    """Read a one-entry-per-line lexicon file, skipping blanks."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return tuple(line.strip() for line in handle if line.strip())
-
-
 @dataclass(frozen=True)
 class Lexicon:
     """Surface vocabulary for the templates; entries must be unique."""

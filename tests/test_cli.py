@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +77,45 @@ class TestGenerate:
         assert main(["generate", "--task", "CF", *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_a_kill_during_the_write_leaves_the_previous_file_or_none(self, tmp_path):
+        """A child ``generate`` is SIGKILLed after the i-th item reaches the writer, at seeded
+        points: the target is the previous file, or absent, never a prefix of the new one."""
+        script = (
+            "import os, signal, sys\n"
+            "from metareason import cli, taskgen\n"
+            "kill_after, real = int(sys.argv[1]), taskgen.generate\n"
+            "class Killing(list):\n"
+            "    def __iter__(self):\n"
+            "        for n, item in enumerate(list.__iter__(self), 1):\n"
+            "            yield item\n"
+            "            if n == kill_after:\n"
+            "                os.kill(os.getpid(), signal.SIGKILL)\n"
+            "taskgen.generate = lambda cfg: Killing(real(cfg))\n"
+            "cli.main(sys.argv[2:])\n"
+        )
+        src = str(Path(metareason.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = tmp_path / "tso7.jsonl"
+        generate = ["--quiet", "generate", "--task", "TSO7", "--count", "120", "--out", str(out)]
+        rng = random.Random(21)
+        for over_a_file in (True, True, True, False):
+            if over_a_file:
+                assert main(generate + ["--seed", str(rng.randrange(100))]) == 0
+            else:
+                out.unlink()
+            before = out.read_bytes() if over_a_file else None
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(rng.randrange(1, 120)), *generate, "--seed", "1"],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == -signal.SIGKILL, proc.stderr
+            assert (out.read_bytes() if out.exists() else None) == before
+        # The next write replaces what the kill left behind.
+        assert main(generate + ["--seed", "1"]) == 0
+        assert len(load_instances(out)) == 120
+        assert sorted(os.listdir(tmp_path)) == ["tso7.jsonl"]
 
 
 class TestResolveSolve:

@@ -12,6 +12,7 @@ import threading
 import time
 from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,37 @@ class TestReplayBackend:
         record = json.loads(path.read_text().strip())
         assert record["prompt_sha256"] == prompt_sha256("p")
         assert len(record["prompt_sha256"]) == 64
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _raising_after(items, count):
+    yield from list(items)[:count]
+    raise _Interrupted
+
+
+def _instances():
+    return generate(GenConfig(task=Task.CF, count=4, seed=5))
+
+
+@pytest.mark.parametrize("save, items, failing", [
+    (save_instances, _instances, lambda items: _raising_after(items, 2)),
+    (save_demonstrations, lambda: [build_demonstration(inst) for inst in _instances()],
+     lambda items: _raising_after(items, 2)),
+    # save_fixtures reads the pairs through .items()
+    (save_fixtures, lambda: {f"prompt {n}": f"completion {n}" for n in range(4)},
+     lambda pairs: SimpleNamespace(items=lambda: _raising_after(pairs.items(), 2))),
+], ids=["instances", "demonstrations", "fixtures"])
+def test_a_save_that_raises_leaves_the_previous_file(tmp_path, save, items, failing):
+    path = tmp_path / "out.jsonl"
+    save(path, items())
+    before = path.read_bytes()
+    with pytest.raises(_Interrupted):
+        save(path, failing(items()))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.jsonl"]
 
 
 class _CompletionServer(ThreadingHTTPServer):
@@ -1552,6 +1584,68 @@ class TestReportJson:
         with pytest.raises(Interrupted):
             run_eval(EvalConfig.from_json_dict(config))
         assert report_path.read_bytes() == before
+        assert not (tmp_path / "out" / "report.json.tmp").exists()
+
+    def test_a_killed_run_resumes_to_the_reports_of_an_uninterrupted_one(self, tmp_path):
+        """Child interpreters are SIGKILLed at seeded moments, in a backend call or in the
+        middle of report.json, and each run is then resumed in this process."""
+        import shutil
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        config, _ = _write_eval_setup(tmp_path)
+        config["paradigms"] = [paradigm.value for paradigm in Paradigm]  # 60 records
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        names = ("report.json", "report.txt", "run.json")
+        run_eval(EvalConfig.from_json_dict(config))  # at the same path: the report names it
+        reference = {name: (out / name).read_bytes() for name in names}
+        shutil.move(out, tmp_path / "reference")
+        script = (
+            "import json, os, signal, sys\n"
+            "from metareason.harness import reporting, runner\n"
+            "with open(sys.argv[1], encoding='utf-8') as handle:\n"
+            "    config = runner.EvalConfig.from_json_dict(json.load(handle))\n"
+            "where, count, calls = sys.argv[2], int(sys.argv[3]), []\n"
+            "def tick():  # the count-th tick kills this process\n"
+            "    calls.append(None)\n"
+            "    if len(calls) == count:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "real_complete, real_pieces = runner.complete, reporting.report_pieces\n"
+            "def complete(*args):\n"
+            "    tick()\n"
+            "    return real_complete(*args)\n"
+            "def report_pieces(report):\n"
+            "    for piece in real_pieces(report):\n"
+            "        yield piece\n"
+            "        tick()\n"
+            "if where == 'complete':\n"
+            "    runner.complete = complete\n"
+            "else:\n"
+            "    reporting.report_pieces = report_pieces\n"
+            "runner.run_eval(config)\n"
+        )
+        src = str(Path(metareason.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        rng = random.Random(21)
+        kills = [("complete", n) for n in rng.sample(range(1, 61), 2)]
+        kills += [("report_pieces", k) for k in rng.sample(range(1, 62), 2)]  # 60 items + 2
+        for where, count in kills:
+            if out.exists():
+                shutil.rmtree(out)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(config_path), where, str(count)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == -signal.SIGKILL, (where, count, proc.stderr)
+            assert not (out / "report.json").exists()
+            run_eval(EvalConfig.from_json_dict(config))
+            assert {name: (out / name).read_bytes() for name in names} == reference, (where, count)
+            assert not [name for name in os.listdir(out) if name.endswith(".tmp")], (where, count)
 
     def test_writing_a_paper_sized_report_holds_no_copy_of_it(self, tmp_path):
         """The paper mix under five paradigms, 14,975 records: writing its reports adds less

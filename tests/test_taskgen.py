@@ -18,7 +18,6 @@ from metareason.taskgen import (
     LexiconTooSmallError,
     child_rng,
     generate,
-    load_wordlist,
     oracle_answer,
 )
 
@@ -229,11 +228,6 @@ class TestErrors:
         message = f"{name} must be {wanted}, got {value!r}"
         with pytest.raises(InvalidParamsError, match="^" + re.escape(message) + "$"):
             generate(GenConfig(**{"task": Task.CF, "count": 1, "seed": 0, name: value}))
-
-    def test_wordlist_loading(self, tmp_path):
-        path = tmp_path / "names.txt"
-        path.write_text("Ada\n\nGrace\n", encoding="utf-8")
-        assert load_wordlist(path) == ("Ada", "Grace")
 
 
 class TestGoldenTexts:
