@@ -12,7 +12,6 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Iterable, Sequence
 
 from . import templates
@@ -46,7 +45,7 @@ from .resolution import (
     surface_answer,
     write_jsonl,
 )
-from .resolution import config_number, config_rule, config_string, json_fields, read_config, setting
+from .resolution import config_number, config_reader, config_rule, config_string, json_fields, setting
 
 
 class DemoError(Exception):
@@ -90,7 +89,7 @@ class Demonstration:
 
 
 def load_demonstrations(path) -> list[Demonstration]:
-    return list(read_jsonl(path, partial(read_config, Demonstration)))
+    return list(read_jsonl(path, config_reader(Demonstration)))
 
 
 def save_demonstrations(path, demos: Iterable[Demonstration]) -> None:

@@ -6,7 +6,7 @@ from enum import Enum
 from typing import Sequence
 
 from ..demos import Demonstration, render_question
-from ..resolution import TaskInstance
+from ..resolution import TaskInstance, config_enum
 
 
 class HarnessError(Exception):
@@ -38,14 +38,20 @@ COT_TRIGGER = "Let's think step by step."
 DEMO_PARADIGMS = (Paradigm.FEW_SHOT, Paradigm.FEW_SHOT_COT, Paradigm.META_REASONING)
 
 
-_PARADIGMS_BY_VALUE = {paradigm.value: paradigm for paradigm in Paradigm}
+# Each paradigm by its value, which is its folded spelling: the one lookup of paradigm names.
+_PARADIGMS = {paradigm.value: paradigm for paradigm in Paradigm}
 
 
 def paradigm_from_string(text: str) -> Paradigm:
+    """The paradigm named ``text``: its value, or else that in any case, with ``_`` for ``-``
+    and spaces around it."""
     try:
-        return _PARADIGMS_BY_VALUE[text.strip().lower().replace("_", "-")]
+        return _PARADIGMS[text] if text in _PARADIGMS else _PARADIGMS[text.strip().lower().replace("_", "-")]
     except KeyError:
         raise ValueError(f"unknown paradigm {text!r}") from None
+
+
+config_paradigm = config_enum("a paradigm name", paradigm_from_string, _PARADIGMS)
 
 
 def demo_prefix(paradigm: Paradigm, demos: Sequence[Demonstration]) -> str:

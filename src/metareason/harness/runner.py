@@ -14,18 +14,16 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
-from math import isfinite
 from typing import NamedTuple, TextIO
 
 from ..demos import Demonstration, load_demonstrations, select_demos
 from ..resolution import TSO_TASKS, FieldError, MalformedLineError, Task, TaskInstance, config_number
-from ..resolution import config_rule, config_string, config_task, config_text, load_instances
-from ..resolution import read_config, read_fields, setting, task_from_string, write_atomically
+from ..resolution import config_reader, config_string, config_task, config_text, load_instances
+from ..resolution import read_config, setting, write_atomically
 from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, bad_config
 from .backends import _HttpRequest, backend_fingerprint, complete, load_transport, request_headers
 from .extraction import extract_answer, is_correct
-from .prompts import DEMO_PARADIGMS, Paradigm, demo_prefix, target_block
-from .prompts import _PARADIGMS_BY_VALUE, paradigm_from_string  # exact value -> paradigm
+from .prompts import DEMO_PARADIGMS, Paradigm, config_paradigm, demo_prefix, target_block
 
 log = logging.getLogger(__name__)
 
@@ -38,26 +36,30 @@ class RecordLineError(MalformedLineError):
     """A complete line of a records file that holds no record."""
 
 
-# Exact stored values; anything else goes through the folding *_from_string.
-_TASKS_BY_VALUE = {task.value: task for task in Task}
-_paradigm_name = config_rule("a paradigm name", read=paradigm_from_string)
+def _verdict(value, name: str) -> None:
+    """The rule for a stored verdict: any value is allowed, and read as None, so that the
+    record makes its verdict again."""
+
+
+_verdict.inline = "True", "None", {}
 
 
 @dataclass(frozen=True, init=False, slots=True)
 class EvalRecord:
     """One scored item. ``correct`` is the verdict on extracted/gold, made
-    once: when the item is run, or when its stored record is loaded (the
-    stored copy is not trusted). ``prompt_sha256`` is the digest of its prompt."""
+    once, as the record is built with None for it: when the item is run, or
+    when its stored record is loaded (the stored copy is not trusted).
+    ``prompt_sha256`` is the digest of its prompt."""
 
     instance_id: str = setting(config_string)
     dataset: str = setting(config_string)
     task: Task = setting(config_task)
-    paradigm: Paradigm = setting(_paradigm_name)
+    paradigm: Paradigm = setting(config_paradigm)
     prompt_sha256: str = setting(config_string)
     completion: str = setting(config_string, default="")
     extracted: str = setting(config_string, default="")
     gold: str = setting(config_string, default="")
-    correct: bool = False  # a stored verdict is allowed, not read
+    correct: bool | None = setting(_verdict, default=None)
     latency_ms: float = setting(config_number(float, exact=True), default=0.0)
 
     def __init__(self, instance_id, dataset, task, paradigm, prompt_sha256,
@@ -74,42 +76,13 @@ class EvalRecord:
         set_completion(self, completion)
         set_extracted(self, extracted)
         set_gold(self, gold)
-        set_correct(self, correct)
+        set_correct(self, is_correct(task, extracted, gold) if correct is None else correct)
         set_latency(self, latency_ms)
 
     def key(self) -> tuple[str, str, str]:
         return (self.dataset, self.paradigm.value, self.instance_id)
 
-    @classmethod
-    def from_json_dict(cls, record: dict) -> "EvalRecord":
-        """The record of a records.jsonl line: the table above, decoded by hand as a resume reads
-        every stored line. A line this refuses is read by the table, which names the field."""
-        try:
-            task = _TASKS_BY_VALUE.get(record["task"]) or task_from_string(record["task"])
-            paradigm = _PARADIGMS_BY_VALUE.get(record["paradigm"]) or paradigm_from_string(
-                record["paradigm"]
-            )
-            instance_id, dataset = record["instance_id"], record["dataset"]
-            digest, completion = record["prompt_sha256"], record.get("completion", "")
-            extracted, gold = record.get("extracted", ""), record.get("gold", "")
-            latency = record.get("latency_ms", 0.0)
-            latency = float(latency) if type(latency) is int else latency
-            if (
-                type(instance_id) is str and type(dataset) is str and type(digest) is str
-                and type(completion) is str and type(extracted) is str and type(gold) is str
-                and type(latency) is float and isfinite(latency) and _RECORD_KEYS.issuperset(record)
-            ):
-                return cls(  # positional, in field order
-                    instance_id, dataset, task, paradigm, digest, completion, extracted, gold,
-                    is_correct(task, extracted, gold), latency,
-                )
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
-            pass
-        read_fields(cls, record, extra=("correct",))
-        raise FieldError("not a record")  # the table reads what the decode refused
 
-
-_RECORD_KEYS = frozenset(EvalRecord.__annotations__)
 _SLOT_SETTERS = tuple(getattr(EvalRecord, name).__set__ for name in EvalRecord.__slots__)
 
 
@@ -119,6 +92,7 @@ def _read_records(path) -> tuple[list[EvalRecord], int]:
     parse), left by an interrupted append, is skipped with a warning; an
     unparseable line before the last, or a parsed line that is not a
     record, raises ``RecordLineError``, which names its 1-based line."""
+    read_record = config_reader(EvalRecord)
     records: list[EvalRecord] = []
     complete_bytes = 0
     torn: ValueError | None = None
@@ -138,7 +112,7 @@ def _read_records(path) -> tuple[list[EvalRecord], int]:
                     torn = exc
                     continue
                 try:
-                    records.append(EvalRecord.from_json_dict(fields))
+                    records.append(read_record(fields))
                 except FieldError as exc:
                     raise RecordLineError(path, number, str(exc)) from None
             complete_bytes += len(line)
@@ -206,7 +180,8 @@ class RecordStore:
                 # Appending after a torn line would fuse it with the next record.
                 os.truncate(self.path, self._torn_at)
                 self._torn_at = None
-            self._handle = open(self.path, "a", encoding="utf-8")
+            # A lone surrogate (a completion cut inside a pair) is written as its JSON escape.
+            self._handle = open(self.path, "a", encoding="utf-8", errors="backslashreplace")
         self._handle.write(line)
         self._handle.flush()
         self._records.append(record)
@@ -252,7 +227,7 @@ def _demo_specs(value, name: str) -> dict[str, DemoSpec]:
 @dataclass(frozen=True)
 class EvalConfig:
     datasets: tuple[DatasetSpec, ...] = setting(_config_list(partial(read_config, DatasetSpec), "name"))
-    paradigms: tuple[Paradigm, ...] = setting(_config_list(_paradigm_name, "value"))
+    paradigms: tuple[Paradigm, ...] = setting(_config_list(config_paradigm, "value"))
     backend: BackendSpec = setting(backend_from_config)  # its ConfigError passes through as it is
     demos: dict[str, DemoSpec] = setting(_demo_specs, default_factory=dict)
     seed: int = setting(config_number(int), default=0)
@@ -387,9 +362,9 @@ class _Job(NamedTuple):
         latency_ms = (time.perf_counter() - started) * 1000.0
         inst = self.inst
         extracted = extract_answer(inst.task, completion)
-        return EvalRecord(  # positional, in field order
+        return EvalRecord(  # positional, in field order; None for the verdict, made from the rest
             inst.id, self.dataset, inst.task, self.paradigm, digest, completion, extracted,
-            inst.gold, is_correct(inst.task, extracted, inst.gold), latency_ms,
+            inst.gold, None, latency_ms,
         )
 
 

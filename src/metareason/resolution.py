@@ -18,6 +18,7 @@ import re
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from itertools import takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import templates
@@ -58,12 +59,14 @@ YES_NO_TASKS = frozenset({Task.CF, Task.WOL})
 NUMERIC_TASKS = frozenset({Task.MA, Task.AS})
 
 
-_TASKS_BY_KEY = {task.value.upper(): task for task in Task}
+# Each task by its value and by its folded spelling: the one lookup of task names.
+_TASKS = {name: task for task in Task for name in (task.value, task.value.upper())}
 
 
 def task_from_string(text: str) -> Task:
+    """The task named ``text``: its value, or else that in any case with spaces around it."""
     try:
-        return _TASKS_BY_KEY[text.strip().upper()]
+        return _TASKS[text] if text in _TASKS else _TASKS[text.strip().upper()]
     except KeyError:
         raise ValueError(f"unknown task {text!r}") from None
 
@@ -158,32 +161,44 @@ def setting(read, key: str | None = None, **default):
     return field(metadata={"read": read, "key": key}, **default)
 
 
-def config_rule(wanted: str, fits: Callable | None = None, read: Callable | None = None):
-    """The rule for a value that ``fits`` (any, if None), read by ``read`` (as it is, if None).
-    A value that does not fit, or that ``read`` refuses with an AttributeError, TypeError or
-    ValueError, is a FieldError that names the field."""
+def config_rule(wanted: str, fits: str = "True", read: Callable | None = None, as_is: str = ""):
+    """The rule for a value ``v`` of which the expression ``fits`` holds, read by ``read`` (as it
+    is, if None). A value that does not fit, or that ``read`` refuses with an AttributeError,
+    TypeError or ValueError, is a FieldError that names the field. Its inline check (see
+    ``_reader``) is ``fits`` if ``read`` is None, else ``as_is``, which holds of values that
+    ``read`` returns as they are (of none, if empty)."""
+    check = eval(f"lambda v: {fits}")
 
     def rule(value, name: str):
         try:
-            if fits is None or fits(value):
+            if check(value):
                 return value if read is None else read(value)
         except (AttributeError, TypeError, ValueError):  # AttributeError: a name that is no string
             pass
         raise FieldError(f"{name} must be {wanted}, got {value!r}")
 
+    if read is None or as_is:
+        rule.inline = as_is or fits, "v", {}
     return rule
 
 
-config_string = config_rule("a string", lambda value: type(value) is str)
+def config_enum(wanted: str, lookup: Callable[[str], Enum], names: dict[str, Enum]):
+    """The rule for a member of a str enum read by ``lookup``, whose table is ``names``. Its
+    inline check looks a key of ``names`` up."""
+    rule = config_rule(wanted, read=lookup)
+    rule.inline = "type(v) is str and v in {names}", "{names}[v]", {"names": names}
+    return rule
+
+
+config_string = config_rule("a string", "type(v) is str")
 # A name or path: ``open`` takes an int as a file descriptor.
-config_text = config_rule("a non-empty string", lambda value: type(value) is str and value != "")
+config_text = config_rule("a non-empty string", "type(v) is str and v != ''")
 # str() would turn null, a bool or a list into text.
-config_text_or_int = config_rule("a string or an integer", lambda value: type(value) in (str, int), str)
+config_text_or_int = config_rule("a string or an integer", "type(v) in (str, int)", str, "type(v) is str")
 config_strings = config_rule(
-    "a list of strings", lambda value: type(value) is list and all(type(item) is str for item in value),
-    tuple,
+    "a list of strings", "type(v) is list and all(type(item) is str for item in v)", tuple
 )
-config_task = config_rule("a task name", read=task_from_string)
+config_task = config_enum("a task name", task_from_string, _TASKS)
 
 
 def config_number(kind: type, low: float = -math.inf, above: bool = False, exact: bool = False):
@@ -201,57 +216,117 @@ def config_number(kind: type, low: float = -math.inf, above: bool = False, exact
         except (OverflowError, TypeError, ValueError):
             number = math.nan
         # NaN fails every comparison: a bool, an unreadable value and NaN are refused.
-        fits = (low < number if above else low <= number) and number < math.inf
+        fits = (low < number if above else low <= number) and -math.inf < number < math.inf
         if not fits or isinstance(value, float) and number != value:  # 2.5 for an int
             raise FieldError(f"{name} must be {wanted}, got {value!r}")
         return number
 
+    test = f"type(v) is {kind.__name__}" + (" and {isfinite}(v)" if kind is float else "")
+    test += f" and v {'>' if above else '>='} {{low}}" if low > -math.inf else ""
+    read.inline = test, "v", {"low": low, "isfinite": math.isfinite}
     return read
 
 
 @functools.cache
 def _settings(cls) -> tuple[tuple, frozenset[str]]:
-    """Each setting of ``cls`` as (key, field, rule, required, null reads as None); the keys."""
+    """Each setting of ``cls`` as (key, field); the keys."""
     rows = tuple(
-        (spec.metadata["key"] or spec.name, spec.name, spec.metadata["read"],
-         spec.default is MISSING and spec.default_factory is MISSING, spec.default is None)
-        for spec in fields(cls) if "read" in spec.metadata
+        (spec.metadata["key"] or spec.name, spec) for spec in fields(cls) if "read" in spec.metadata
     )
-    return rows, frozenset(row[0] for row in rows)
+    return rows, frozenset(key for key, _ in rows)
+
+
+def _refuse(config, name: str, whole: str, known: frozenset, required: tuple) -> None:
+    """Raise the FieldError of a reader's object ``config``, if it has one: not an object, a key
+    that names no field, or (after a KeyError) the first of the ``required`` keys it lacks."""
+    if not isinstance(config, dict):
+        raise FieldError(f"{name or whole} must be a JSON object, got {config!r}")
+    prefix = f"{name}." if name else ""
+    for key in config:
+        if key not in known:
+            raise FieldError(f"{prefix}{key} is not a known field")
+    for key in required:
+        if key not in config:
+            raise FieldError(f"{prefix}{key} is missing")
+
+
+def _fallback(key: str, spec):
+    """What a reader calls for a value of the setting ``spec`` that fails its rule's inline
+    check: a missing key (``MISSING``) reads as the default, a null as None if that is the
+    default, and anything else as the rule reads it."""
+    rule, default, factory = spec.metadata["read"], spec.default, spec.default_factory
+
+    def read(value, name: str):
+        if value is MISSING:
+            return default if factory is MISSING else factory()
+        return None if value is None and default is None else rule(value, f"{name}.{key}" if name else key)
+
+    return read
+
+
+@functools.cache
+def _reader(cls, extra: tuple, given: tuple | None) -> Callable:
+    """The reader of ``cls``'s settings, ``read(config, name="", whole="the line", **given)``,
+    written out from the field table as source and compiled once, as ``dataclasses`` writes
+    ``__init__``. A rule's ``inline`` holds two expressions of the value ``v``, a check and what
+    the rule reads from a value that passes it, and the ``names`` they use (as ``{name}``). The
+    reader runs that check, and calls the rule only for a value that fails it. It returns the
+    settings by field if ``given`` is None; else ``cls`` made from them and from ``given``."""
+    rows, keys = _settings(cls)
+    required = tuple(key for key, spec in rows if spec.default is spec.default_factory is MISSING)
+    scope = {"MISSING": MISSING, "cls": cls, "known": keys.union(extra)}
+    scope["refuse"] = functools.partial(_refuse, known=scope["known"], required=required)
+    code = [f"def read(config, name='', whole='the line'{', *, ' + ', '.join(given) if given else ''}):",
+            "    if not isinstance(config, dict) or not known.issuperset(config):",
+            "        refuse(config, name, whole)",
+            "    try:"]
+    for i, (key, spec) in enumerate(rows):
+        test, value, names = getattr(spec.metadata["read"], "inline", ("False", "v", {}))
+        own = {name: f"{name}_{i}" for name in names}
+        scope.update({own[name]: names[name] for name in names})
+        scope[f"fallback_{i}"], scope[f"default_{i}"] = _fallback(key, spec), spec.default
+        # A required key is never MISSING here; a default_factory is called by the fallback.
+        missing = "" if spec.default is MISSING else f"default_{i} if v is MISSING else "
+        code += [f"        v = config[{key!r}]" if key in required else f"        v = config.get({key!r}, MISSING)",
+                 f"        a{i} = {value.format(**own)} if {test.format(**own)} else {missing}fallback_{i}(v, name)"]
+    if not rows:
+        code.append("        pass")
+    code += ["    except KeyError:", "        refuse(config, name, whole)", "        raise"]
+    values = {spec.name: f"a{i}" for i, (_, spec) in enumerate(rows)}
+    if given is None:
+        code.append(f"    return {{{', '.join(f'{name!r}: {value}' for name, value in values.items())}}}")
+    else:  # by position while the fields of __init__ are settings, then by keyword
+        values |= {name: name for name in given}
+        leading = list(takewhile(lambda spec: spec.name in values and not spec.kw_only, fields(cls)))
+        args = [values.pop(spec.name) for spec in leading] + [f"{k}={v}" for k, v in values.items()]
+        code.append(f"    return cls({', '.join(args)})")
+    exec("\n".join(code), scope)
+    return scope["read"]
 
 
 def read_fields(cls, config, name: str = "", extra: tuple = (), whole: str = "the line") -> dict:
     """The settings of the dataclass ``cls`` read from the JSON object ``config`` that messages
-    call ``name`` (``whole`` if empty), by field. A missing key leaves out a setting that has a
-    default, and a null reads as None if that is its default. Keys not in ``cls`` or ``extra``
-    are refused."""
-    if not isinstance(config, dict):
-        raise FieldError(f"{name or whole} must be a JSON object, got {config!r}")
-    rows, keys = _settings(cls)
-    prefix = f"{name}." if name else ""
-    if not keys.issuperset(config):
-        for key in config:
-            if key not in keys and key not in extra:
-                raise FieldError(f"{prefix}{key} is not a known field")
-    values = {}
-    for key, attr, read, required, nullable in rows:
-        value = config.get(key, MISSING)
-        if value is not MISSING:
-            values[attr] = None if value is None and nullable else read(value, prefix + key)
-        elif required:
-            raise FieldError(f"{prefix}{key} is missing")
-    return values
+    call ``name`` (``whole`` if empty), by field. A missing key reads as the setting's default,
+    and a null as None if that is its default. Keys not in ``cls`` or ``extra`` are refused.
+    The reader of each class (and ``extra``) is built once, from its field table."""
+    return _reader(cls, extra, None)(config, name, whole)
 
 
 def read_config(cls, config, name: str = "", extra: tuple = (), whole: str = "the line", **given):
-    """The dataclass ``cls`` read by ``read_fields``; ``given`` sets its other fields."""
-    return cls(**read_fields(cls, config, name, extra, whole), **given)
+    """The dataclass ``cls`` read as by ``read_fields``; ``given`` sets its other fields."""
+    return _reader(cls, extra, tuple(given))(config, name, whole, **given)
+
+
+def config_reader(cls, extra: tuple = ()) -> Callable:
+    """``read(config, name="", whole="the line")``, the reader of ``read_config(cls, config,
+    name, extra, whole)``, for a caller that reads many objects."""
+    return _reader(cls, extra, ())
 
 
 def json_fields(obj, drop_none: bool = False) -> dict:
     """The settings of the dataclass ``obj`` by JSON key, ``read_fields`` reversed (json writes
     a tuple as a list and a str enum as its value); a None is left out if ``drop_none``."""
-    values = {key: getattr(obj, attr) for key, attr, _, _, _ in _settings(type(obj))[0]}
+    values = {key: getattr(obj, spec.name) for key, spec in _settings(type(obj))[0]}
     return {key: value for key, value in values.items() if value is not None} if drop_none else values
 
 
@@ -277,10 +352,12 @@ def read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
 def write_atomically(path, pieces: Iterable[str]) -> None:
     """Write ``pieces`` to ``path`` + ".tmp" and move it into place, so ``path`` is
     always whole: the previous file until the new one is complete, or none. If a piece
-    raises, the ".tmp" file is removed and ``path`` stays as it was."""
+    raises, the ".tmp" file is removed and ``path`` stays as it was. A lone surrogate,
+    which UTF-8 cannot hold, is written as its ``\\uXXXX`` escape (inside a JSON string,
+    json reads that back as the same character)."""
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with open(tmp, "w", encoding="utf-8", errors="backslashreplace") as handle:
             handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
@@ -306,7 +383,7 @@ class TaskInstance:
 
 
 def load_instances(path) -> list[TaskInstance]:
-    return list(read_jsonl(path, functools.partial(read_config, TaskInstance)))
+    return list(read_jsonl(path, config_reader(TaskInstance)))
 
 
 def save_instances(path, instances: Iterable[TaskInstance]) -> None:

@@ -10,7 +10,7 @@ import re
 import socket
 import threading
 import time
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from types import SimpleNamespace
 
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import metareason
 from metareason.cli import _configure_logging, main
 from metareason.demos import (
+    Demonstration,
     build_demonstration,
     load_demonstrations,
     save_demonstrations,
@@ -35,6 +36,7 @@ from metareason.harness.backends import (
     ReplayBackend,
     TransportError,
     _completion_text,
+    _Fixture,
     backend_from_config,
     complete,
     load_fixtures,
@@ -51,6 +53,8 @@ from metareason.harness.prompts import (
 )
 from metareason.harness.reporting import format_pct, render_table, report_csv, report_json
 from metareason.harness.runner import (
+    DatasetSpec,
+    DemoSpec,
     EvalConfig,
     EvalRecord,
     EvalReport,
@@ -61,7 +65,8 @@ from metareason.harness.runner import (
     score,
 )
 from metareason.resolution import FieldError, MalformedLineError, Task, load_instances
-from metareason.resolution import read_fields, save_instances, task_from_string
+from metareason.resolution import TaskInstance, read_config, read_fields, save_instances
+from metareason.resolution import task_from_string
 from metareason.taskgen import GenConfig, generate
 
 
@@ -360,7 +365,98 @@ def sleeps(monkeypatch):
     return calls
 
 
+_DROPPED = object()  # the key left out of the line
+
+# A valid line of each field table, the keys it may hold beside its settings, and the
+# fields that read_config is given.
+_VALID_LINES = [
+    (TaskInstance, {"id": "cf-1", "task": "CF", "question": "q", "options": ["a", "b"],
+                    "answer": "yes", "meta": "m"}, (), {}),
+    (Demonstration, {"question": "q", "rationale": "r", "answer": "a", "mode": "cross-serial",
+                     "n_substeps": 2}, (), {}),
+    (_Fixture, {"prompt_sha256": "d", "completion": "c"}, (), {}),
+    (EvalRecord, {"instance_id": "cf-1", "dataset": "cf", "task": "CF", "paradigm": "zero-shot",
+                  "prompt_sha256": "0" * 64, "completion": "So the answer is Yes.",
+                  "extracted": "yes", "gold": "yes", "correct": False, "latency_ms": 1.5}, (), {}),
+    (DatasetSpec, {"name": "cf", "path": "cf.jsonl"}, (), {}),
+    (DemoSpec, {"path": "cf-demos.jsonl", "k": 2}, (), {}),
+    (HttpBackend, {"kind": "http", "endpoint_url": "http://127.0.0.1:1", "model_name": "m",
+                   "auth_token_env_var": "TOKEN", "temperature": 0.5, "max_tokens": 8,
+                   "timeout": 1.5, "max_retries": 2, "parallelism": 2}, ("kind",), {}),
+    (ReplayBackend, {"fixture_path": "f.jsonl"}, (), {}),
+    (GenConfig, {"count": 3, "seed": 1, "n_swaps": 2, "chain_len": 3, "n_people": 2,
+                 "n_words": 2, "n_ops": 2}, (), {"task": Task.CF}),
+]
+
+
+def _read_by_rules(cls, line, name, extra):
+    """The settings of ``cls`` read from ``line`` by calling each field's rule in turn: the
+    reference that the generated reader of the class must agree with."""
+    settings = [(spec.metadata["key"] or spec.name, spec) for spec in fields(cls)
+                if "read" in spec.metadata]
+    prefix = f"{name}." if name else ""
+    for key in line:
+        if key not in extra and key not in dict(settings):
+            raise FieldError(f"{prefix}{key} is not a known field")
+    values = {}
+    for key, spec in settings:
+        if key in line:
+            value = line[key]
+            read = spec.metadata["read"]
+            values[spec.name] = None if value is None and spec.default is None else read(value, prefix + key)
+        elif spec.default is not MISSING:
+            values[spec.name] = spec.default
+        elif spec.default_factory is not MISSING:
+            values[spec.name] = spec.default_factory()
+        else:
+            raise FieldError(f"{prefix}{key} is missing")
+    return values
+
+
 class TestInputLines:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(
+        case=st.sampled_from([
+            (cls, key, line, extra, given)
+            for cls, line, extra, given in _VALID_LINES for key in [*line, "glod"]
+        ]),
+        value=st.sampled_from([
+            None, True, 5, 2.5, -0.0, float("nan"), float("inf"), float("-inf"), 10**400, "x", "",
+            "3", "cf ", "Few_Shot", "\ud800", [], ["a"], {}, _DROPPED,
+        ]),
+        name=st.sampled_from(["", "backend"]),
+    )
+    def test_each_reader_reads_what_its_rules_read(self, case, value, name):
+        """Each field table's reader, with one field of a valid line set to ``value`` or left
+        out, returns what calling each field's rule returns, or raises the same message."""
+        cls, key, line, extra, given = case
+        line = dict(line)
+        if value is _DROPPED:
+            line.pop(key, None)
+        else:
+            line[key] = value
+        try:
+            expected, refused = _read_by_rules(cls, line, name, extra), None
+        except FieldError as exc:
+            expected, refused = None, str(exc)
+
+        def read_object():
+            obj = read_config(cls, line, name, extra, **given)
+            values = {spec.name: getattr(obj, spec.name) for spec in fields(obj)}
+            if cls is EvalRecord:  # the record makes its verdict again
+                assert values["correct"] is is_correct(values["task"], values["extracted"], values["gold"])
+                values["correct"] = None
+            return {field: values[field] for field in expected}
+
+        for read in (lambda: read_fields(cls, line, name, extra), read_object):
+            if refused is not None:
+                with pytest.raises(FieldError, match="^" + re.escape(refused) + "$"):
+                    read()
+            else:  # the same values, of the same kinds
+                assert [(type(v), repr(v)) for v in read().values()] == [
+                    (type(v), repr(v)) for v in expected.values()
+                ]
+
     @pytest.mark.parametrize("load", [load_instances, load_demonstrations, load_fixtures])
     def test_a_line_that_is_not_utf8_names_its_file_and_line(self, tmp_path, load):
         path = tmp_path / "lines.jsonl"
@@ -901,9 +997,6 @@ class TestScore:
         assert lines[1] == "cf,CF,zero-shot,1,1,100.0"
 
 
-_DROPPED = object()  # a record field left out of its line
-
-
 def _write_eval_setup(tmp_path, count=12, backend=None):
     dataset_path = tmp_path / "cf.jsonl"
     instances = generate(GenConfig(task=Task.CF, count=count, seed=51))
@@ -1003,9 +1096,13 @@ class TestRunEval:
                 "latency_ms must be a finite number, got True",
             ),
             (lambda fields: {**fields, "glod": "yes"}, "glod is not a known field"),
+            (
+                lambda fields: {**fields, "latency_ms": float("-inf")},
+                "latency_ms must be a finite number, got -inf",
+            ),
         ],
         ids=["array", "int-task", "int-extracted", "no-instance-id", "null-gold", "list-id",
-             "int-completion", "bool-latency", "stray-key"],
+             "int-completion", "bool-latency", "stray-key", "minus-infinity-latency"],
     )
     def test_a_line_that_is_not_a_record_names_its_line_and_field(
         self, tmp_path, capsys, restore_logging, edit, problem
@@ -1025,31 +1122,66 @@ class TestRunEval:
         assert main(["report", "--records", str(records_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(
-        name=st.sampled_from([spec.name for spec in fields(EvalRecord)] + ["glod"]),
-        value=st.sampled_from([None, True, 5, 2.5, float("nan"), float("inf"), "x", [], {}, _DROPPED]),
-    )
-    def test_the_record_decode_refuses_what_the_field_table_refuses(self, name, value):
-        """``EvalRecord.from_json_dict`` decodes a line by hand for speed; it must refuse
-        exactly the lines that the record's field table refuses, with the table's message."""
-        line = {
-            "instance_id": "cf-1", "dataset": "cf", "task": "CF", "paradigm": "zero-shot",
-            "prompt_sha256": "0" * 64, "completion": "So the answer is Yes.", "extracted": "yes",
-            "gold": "yes", "correct": True, "latency_ms": 1.5,
+    def test_a_completion_with_a_lone_surrogate_is_stored_and_resumed(self, tmp_path, capsys):
+        """A completion cut inside a surrogate pair holds a lone surrogate, which UTF-8 cannot
+        hold: records.jsonl stores its JSON escape, and a resume reads back the same string."""
+        instances = generate(GenConfig(task=Task.CF, count=3, seed=5))
+        dataset_path = tmp_path / "cf.jsonl"
+        save_instances(dataset_path, instances)
+        completions = ["So the answer is yes.", "the answer is no \ud800", "So the answer is no."]
+        fixture_path = tmp_path / "fixtures.jsonl"
+        fixture_path.write_text("".join(  # json.dumps writes the surrogate as its escape
+            json.dumps({"prompt_sha256": prompt_sha256(assemble_prompt(Paradigm.ZERO_SHOT, [], inst)),
+                        "completion": text}) + "\n"
+            for inst, text in zip(instances, completions)
+        ), encoding="utf-8")
+        config = {
+            "datasets": [{"name": "cf", "path": str(dataset_path)}],
+            "paradigms": ["zero-shot"],
+            "backend": {"kind": "replay", "fixture_path": str(fixture_path)},
+            "output_dir": str(tmp_path / "out"),
         }
-        if value is _DROPPED:
-            line.pop(name, None)
-        else:
-            line[name] = value
-        try:
-            read_fields(EvalRecord, line, extra=("correct",))
-        except FieldError as exc:
-            with pytest.raises(FieldError, match="^" + re.escape(str(exc)) + "$"):
-                EvalRecord.from_json_dict(line)
-        else:
-            record = EvalRecord.from_json_dict(line)
-            assert record.correct is is_correct(record.task, record.extracted, record.gold)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        records_path = tmp_path / "out" / "records.jsonl"
+        run_eval(EvalConfig.from_json_dict(config), max_records=2)
+        assert main(["--quiet", "eval", "--config", str(config_path)]) == 0
+        stored = records_path.read_bytes()
+        stored.decode("utf-8")  # the file stays UTF-8: the surrogate is written as its escape
+        assert b'no \\ud800"' in stored
+        assert [record.completion for record in load_records(records_path)] == completions
+        report = (tmp_path / "out" / "report.json").read_bytes()
+        assert main(["--quiet", "eval", "--config", str(config_path)]) == 0
+        assert records_path.read_bytes() == stored
+        assert (tmp_path / "out" / "report.json").read_bytes() == report
+        capsys.readouterr()
+
+    def test_a_lone_surrogate_in_an_extracted_answer_reaches_both_reports(self, tmp_path, capsys):
+        instances = generate(GenConfig(task=Task.LLC, count=2, seed=5))
+        dataset_path = tmp_path / "llc.jsonl"
+        save_instances(dataset_path, instances)
+        answers = ["ab\ud800", instances[1].gold]
+        fixture_path = tmp_path / "fixtures.jsonl"
+        save_fixtures(fixture_path, {
+            assemble_prompt(Paradigm.ZERO_SHOT, [], inst): f'So the answer is "{answer}".'
+            for inst, answer in zip(instances, answers)
+        })
+        config = {
+            "datasets": [{"name": "llc", "path": str(dataset_path)}],
+            "paradigms": ["zero-shot"],
+            "backend": {"kind": "replay", "fixture_path": str(fixture_path)},
+            "output_dir": str(tmp_path / "out"),
+        }
+        run_eval(EvalConfig.from_json_dict(config))
+        with open(tmp_path / "out" / "report.json", encoding="utf-8") as handle:
+            report = json.load(handle)
+        assert sorted(item["extracted"] for item in report["records"]) == sorted(answers)
+        out = tmp_path / "cli-report.json"
+        records = str(tmp_path / "out" / "records.jsonl")
+        assert main(["report", "--records", records, "--format", "json", "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as handle:
+            assert json.load(handle)["records"] == report["records"]
+        capsys.readouterr()
 
     def test_an_unparseable_middle_line_names_its_line(self, tmp_path):
         config, _ = _write_eval_setup(tmp_path)
