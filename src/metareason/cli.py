@@ -217,8 +217,8 @@ def _cmd_report(args) -> None:
         pieces = [report_csv(report)]
     if args.out:
         write_atomically(args.out, pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    else:  # as write_atomically writes a file: a lone surrogate as its \uXXXX escape
+        sys.stdout.writelines(piece.encode("utf-8", "backslashreplace").decode("utf-8") for piece in pieces)
 
 
 # Attributes every LogRecord has; anything else on a record came from ``extra=``.

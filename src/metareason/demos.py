@@ -34,7 +34,7 @@ from .meta_lang.ast import (
     quote_string,
 )
 from .meta_lang.interpreter import eval_program
-from .meta_lang.renderer import render_inits, render_meta, render_query, render_statement
+from .meta_lang.renderer import init_sentence, render_meta, render_query, render_statement
 from .resolution import (
     NUMERIC_TASKS,
     MetaQuestion,
@@ -111,7 +111,7 @@ def _check_trace(mq: MetaQuestion, trace: Trace) -> None:
 
 def _environments(trace: Trace) -> list[dict[str, Value]]:
     """Environment before each statement, then the final one."""
-    return [dict(trace.program.inits)] + [dict(env) for env in trace.steps]
+    return [dict(trace.program.inits), *map(dict, trace.steps)]
 
 
 def _env_text(env: dict[str, Value]) -> str:
@@ -124,28 +124,31 @@ def _ordinal(k: int) -> str:
     return f"{k}-" + {1: "st", 2: "nd", 3: "rd"}.get(k % 10, "th")
 
 
+_OPS = {Add: ("+", "amount"), Sub: ("-", "amount"), Mul: ("*", "factor"), Div: ("/", "divisor")}
+
+
 def _arith_step(stmt: Statement, before: dict[str, Value], after: dict[str, Value]) -> str:
     """One chain line, e.g. ``A - 3 = 16 - 3 = 13``."""
-    ops = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-    op = ops[type(stmt)]
-    operand = stmt.amount if isinstance(stmt, (Add, Sub)) else (
-        stmt.factor if isinstance(stmt, Mul) else stmt.divisor
-    )
+    op, operand = _OPS[type(stmt)]
+    operand = getattr(stmt, operand)
     old = format_value(before[stmt.sym])
     new = format_value(after[stmt.sym])
     return f"{stmt.sym} {op} {operand} = {old} {op} {operand} = {new}"
 
 
-def _symbolize(text: str, mq: MetaQuestion) -> str:
-    """Replace entity mentions with their symbols in one pass. Entity names
-    are name-shaped words (``templates.NAME``), so each such word is looked
+_NAME_WORD = re.compile(rf"\b({templates.NAME})")  # split parts: text, name, text, ...
+
+
+def _symbolize(text: str, symbols: dict[str, str]) -> str:
+    """Replace entity mentions (``symbols``: name to symbol) with their symbols
+    in one pass. Entity names are name-shaped words, so each such word is looked
     up, and a name that equals a symbol is not read inside one written."""
-    symbols = mq.table.as_dict()
-    return re.sub(rf"\b{templates.NAME}", lambda match: symbols.get(match[0], match[0]), text)
+    parts = _NAME_WORD.split(text)
+    parts[1::2] = [symbols.get(word, word) for word in parts[1::2]]
+    return "".join(parts)
 
 
-def _claim_word(claimed: Value) -> str:
-    return {1: "truth", 0: "lies"}.get(claimed) or format_value(claimed)
+_CLAIM_WORDS = {1: "truth", 0: "lies"}
 
 
 def chain_line(stmt: Statement, before: dict[str, Value], after: dict[str, Value]) -> str:
@@ -165,53 +168,42 @@ def chain_line(stmt: Statement, before: dict[str, Value], after: dict[str, Value
     return f"{render_statement(stmt)} {outcome}"
 
 
-def _sub_block(
-    stmt: Statement,
-    fragment: str,
-    mq: MetaQuestion,
-    before: dict[str, Value],
-    after: dict[str, Value],
-) -> str:
+def _sub_block(stmt: Statement, fragment: str, symbols: dict, before: dict, after: dict, shown: dict) -> str:
+    """One statement's block. ``shown`` holds ``SYM = value`` for each symbol of ``before``,
+    in its order; the block draws again what ``stmt`` writes, so it then holds ``after``."""
     fragment = fragment.rstrip(".")
     match stmt:
         case Swap(left=left, right=right):
-            local = (
-                f"({left} = {format_value(before[left])}, {right} = {format_value(before[right])}"
-                f" → {left} = {format_value(after[left])}, {right} = {format_value(after[right])})"
-            )
+            was = f"{shown[left]}, {shown[right]}"
+            shown[left] = f"{left} = {format_value(after[left])}"
+            shown[right] = f"{right} = {format_value(after[right])}"
             return (
-                f"{_symbolize(fragment, mq)}: {left} and {right} → {local}"
-                f" → {_env_text(after)}."
+                f"{_symbolize(fragment, symbols)}: {left} and {right} → ({was} → {shown[left]}, {shown[right]})"
+                f" → {', '.join(shown.values())}."
             )
         case Says(speaker=speaker, target=target, claimed=claimed):
-            target_value = before[target]
-            relation = "is equal to" if target_value == claimed else "is not equal to"
+            shown[speaker] = f"{speaker} = {format_value(after[speaker])}"
+            relation = "is equal to" if before[target] == claimed else "is not equal to"
             return (
-                f"{fragment}: {_claim_word(claimed)} → {target}' = {format_value(claimed)}. "
-                f"Since {target} = {format_value(target_value)}, {target} {relation} {target}', "
-                f"so {speaker} = {format_value(after[speaker])}."
+                f"{fragment}: {_CLAIM_WORDS.get(claimed) or format_value(claimed)} → {target}' = "
+                f"{format_value(claimed)}. Since {shown[target]}, {target} {relation} {target}', so {shown[speaker]}."
             )
         case Flip(sym=sym):
-            return (
-                f"{fragment}: flip → ({sym} = {format_value(before[sym])}"
-                f" → {sym} = {format_value(after[sym])}) → {_env_text(after)}."
-            )
+            was, shown[sym] = shown[sym], f"{sym} = {format_value(after[sym])}"
+            return f"{fragment}: flip → ({was} → {shown[sym]}) → {', '.join(shown.values())}."
         case LastOf(sym=sym, literal=literal):
-            return (
-                f"{fragment}: {sym} = last({quote_string(literal)})"
-                f" → {sym} = {quote_string(after[sym])}."
-            )
-        case Add() | Sub() | Mul() | Div():
+            shown[sym] = f"{sym} = {quote_string(after[sym])}"
+            return f"{fragment}: {sym} = last({quote_string(literal)}) → {shown[sym]}."
+        case Add(sym=sym) | Sub(sym=sym) | Mul(sym=sym) | Div(sym=sym):
+            shown[sym] = f"{sym} = {format_value(after[sym])}"
             return f"{fragment}: {_arith_step(stmt, before, after)}."
     raise DemoError(f"unknown statement {stmt!r}")
 
 
-def _answer_block(mq: MetaQuestion, trace: Trace, query_fragment: str | None) -> str:
-    program = mq.program
-    final = trace.final()
-    query = program.query
+def _answer_block(mq: MetaQuestion, trace: Trace, final: dict, answer: str, query_fragment: str | None) -> str:
+    """The closing block; ``final`` is the environment ``trace`` ends in, ``answer`` its surface answer."""
+    query = mq.program.query
     if isinstance(query, OptionOf):
-        answer = surface_answer(mq, trace)
         position = trace.answer
         lead = ""
         if query_fragment:
@@ -230,11 +222,10 @@ def _answer_block(mq: MetaQuestion, trace: Trace, query_fragment: str | None) ->
             f" so the answer is: {trace.answer}."
         )
     if isinstance(query, ConcatOf):
-        parts = " + ".join(quote_string(str(final[sym])) for sym in query.syms)
+        parts = " + ".join([quote_string(str(final[sym])) for sym in query.syms])
         joined = str(trace.answer)
         return f"{parts} = {quote_string(joined)}, so the answer is: {joined}."
-    value = surface_answer(mq, trace)
-    return f"Therefore, the value of {query.sym} is {value}, so the answer is {value}."
+    return f"Therefore, the value of {query.sym} is {answer}, so the answer is {answer}."
 
 
 def chain_lines(trace: Trace) -> list[str]:
@@ -250,13 +241,14 @@ def build_completely_serial(inst: TaskInstance, mq: MetaQuestion, trace: Trace) 
     """Simplification line (the whole program), then the full chain, then the answer."""
     _check_trace(mq, trace)
     program = mq.program
+    answer = surface_answer(mq, trace)
     lines = ["The question can be simplified to: " + render_meta(program)]
     lines += chain_lines(trace)
-    lines.append(_answer_block(mq, trace, None))
+    lines.append(_answer_block(mq, trace, trace.final(), answer, None))
     return Demonstration(
         question=render_question(inst.question, inst.options),
         rationale="\n".join(lines),
-        answer=surface_answer(mq, trace),
+        answer=answer,
         mode=FusionMode.COMPLETELY_SERIAL,
     )
 
@@ -270,18 +262,18 @@ def build_cross_serial(inst: TaskInstance, mq: MetaQuestion, trace: Trace) -> De
     if len(spans) < count:
         raise AlignmentError(f"statement {len(spans)} has no surface fragment")
     envs = _environments(trace)
-    if program.inits:
-        opening = render_inits(program.inits)
-    else:
-        opening = render_query(program.query)
+    shown = {sym: f"{sym} = {format_value(value)}" for sym, value in program.inits}  # the PAIR texts
+    opening = init_sentence(shown.values()) if shown else render_query(program.query)
     lines = ["The question can be simplified to: " + opening]
-    for index, stmt in enumerate(program.stmts):
-        lines.append(_sub_block(stmt, spans[index].text, mq, envs[index], envs[index + 1]))
-    lines.append(_answer_block(mq, trace, spans[count].text if len(spans) > count else None))
+    symbols = mq.table.as_dict() if Swap in map(type, program.stmts) else {}  # only swaps name entities
+    for stmt, span, before, after in zip(program.stmts, spans, envs, envs[1:]):
+        lines.append(_sub_block(stmt, span.text, symbols, before, after, shown))
+    answer = surface_answer(mq, trace)
+    lines.append(_answer_block(mq, trace, envs[-1], answer, spans[count].text if len(spans) > count else None))
     return Demonstration(
         question=render_question(inst.question, inst.options),
         rationale="\n".join(lines),
-        answer=surface_answer(mq, trace),
+        answer=answer,
         mode=FusionMode.CROSS_SERIAL,
         n_substeps=count,
     )

@@ -121,7 +121,8 @@ def backend_fingerprint(backend: BackendSpec) -> dict:
 
 
 def prompt_sha256(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    """SHA-256 of the UTF-8 bytes; a lone surrogate is hashed as its ``surrogatepass`` bytes."""
+    return hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -339,7 +339,7 @@ def _prompt_digest(prefix_hash, target: str) -> str:
     """``prompt_sha256(prefix + target)`` from ``prefix_hash``, the SHA-256
     object of a cell's demonstration prefix, which it leaves as it is."""
     digest = prefix_hash.copy()
-    digest.update(target.encode("utf-8"))
+    digest.update(target.encode("utf-8", "surrogatepass"))  # as prompt_sha256 encodes
     return digest.hexdigest()
 
 
@@ -462,7 +462,7 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
             demos = pools.get(spec.name, []) if paradigm in DEMO_PARADIGMS else []
             # Every prompt of the cell is prefix + target: build and hash the prefix once.
             prefix = demo_prefix(paradigm, demos)
-            prefix_hash = hashlib.sha256(prefix.encode("utf-8"))
+            prefix_hash = hashlib.sha256(prefix.encode("utf-8", "surrogatepass"))
             for inst in instances:
                 key = (spec.name, paradigm.value, inst.id)
                 stored = store.digests.pop(key, None)

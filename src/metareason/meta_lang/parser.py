@@ -15,6 +15,7 @@ words are dropped before matching.
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from fractions import Fraction
 from string import Formatter
 
@@ -43,9 +44,9 @@ _CHUNK = re.compile(rf'(?:[^",]+|{_OPEN_QUOTED})*', re.S)
 
 
 def _parse_value(text: str, index: int) -> Value:
-    text = text.strip()
-    if text.startswith('"'):
-        return re.sub(r"\\(.)", r"\1", text[1:-1])
+    if text[0] == '"':
+        body = text[1:-1]
+        return re.sub(r"\\(.)", r"\1", body) if "\\" in body else body
     if "/" in text:
         num_text, den_text = text.split("/", 1)
         den = int(den_text.strip())
@@ -86,15 +87,17 @@ def _shown(template: str, **shown: str) -> str:
 
 def _reader(rows: dict):
     """Reads a fragment with one alternation over ``rows``, a group named
-    after each row's class: the row's node, or None when no row matches."""
+    after each row's class: the row's node, or None when no row matches. The
+    row's fields are the groups after its own, read in its class's field order."""
     match = re.compile("|".join(f"(?P<{c.__name__}>{_form_regex(t)})" for c, t in rows.items())).fullmatch
-    fields = {c.__name__: (c, [(f, _KINDS[FIELDS[f]][1]) for f in form_fields(t)]) for c, t in rows.items()}
+    nodes = {c.__name__: (c, [(form_fields(t).index(f.name) + 1, _KINDS[FIELDS[f.name]][1]) for f in fields(c)])
+             for c, t in rows.items()}
 
     def read(fragment: str, index: int):
         if m := match(_capitalized(fragment)):
-            cls, readers = fields[m.lastgroup]
-            texts = m.groups()[m.lastindex :]  # the row's fields follow its group
-            return cls(**{f: reader(text, index) for (f, reader), text in zip(readers, texts)})
+            cls, slots = nodes[m.lastgroup]
+            row = m.lastindex  # the row's group, which closes last
+            return cls(*[reader(m[row + k], index) for k, reader in slots])
         return None
 
     return read
@@ -150,7 +153,7 @@ def split_clauses(text: str) -> list[str]:
     connective also ends a fragment. Leading connective words are dropped;
     the query's ``?`` is kept.
     """
-    fragments = (_LEADING_CONNECTIVE.sub("", m[1].strip()).strip(" ,") for m in _FRAGMENT.finditer(text))
+    fragments = [_LEADING_CONNECTIVE.sub("", fragment.strip()).strip(" ,") for fragment in _FRAGMENT.findall(text)]
     return [fragment for fragment in fragments if fragment]
 
 

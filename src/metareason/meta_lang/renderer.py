@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 from string import Formatter
+from typing import Iterable
 
 from .ast import (
     Add,
@@ -96,9 +97,14 @@ _FORMATTERS = {cls: _formatter(t) for cls, t in {**STATEMENTS, **QUERIES}.items(
 _INIT_FILLED, _PAIR_FILLED = _percent(INIT), _percent(PAIR)
 
 
+def init_sentence(pairs: Iterable[str]) -> str:
+    """The init sentence of pair texts ``A = 1``, ``B = 2``, ... (``PAIR`` filled in)."""
+    return _INIT_FILLED % ", ".join(pairs)
+
+
 def render_inits(inits: tuple[tuple[str, Value], ...]) -> str:
     """The init sentence, e.g. ``It is known that A = 1, B = 2, C = 3.``"""
-    return _INIT_FILLED % ", ".join([_PAIR_FILLED % (sym, format_value(value)) for sym, value in inits])
+    return init_sentence([_PAIR_FILLED % (sym, format_value(value)) for sym, value in inits])
 
 
 def render_statement(stmt: Statement) -> str:

@@ -126,12 +126,6 @@ class EntityTable:
     entries: tuple[tuple[Span, str], ...] = ()
     op_spans: tuple[Span, ...] = ()
 
-    def symbol_for(self, text: str) -> str:
-        for span, sym in self.entries:
-            if span.text == text:
-                return sym
-        raise KeyError(text)
-
     def surface_for(self, sym: str) -> str:
         for span, entry_sym in self.entries:
             if entry_sym == sym:
@@ -428,17 +422,16 @@ def allocate_symbols(spans: Sequence[Span] | Sequence[str]) -> EntityTable:
     return EntityTable(entries=tuple(entries))
 
 
+# A sentence in group 1, stripped: from a character that is no end mark up to an end mark,
+# or, unterminated, up to its last character that is not whitespace.
+_SENTENCE = re.compile(r"(?=[^.?!])\s*([^.?!]*[.?!]|[^.?!]*[^.?!\s])")
+
+
 def _sentences_with_offsets(text: str) -> list[Span]:
-    """Split on sentence boundaries, keeping offsets; the final clause may
-    be an unterminated cloze ("..., Alice is dancing with")."""
-    spans = []
-    for match in re.finditer(r"[^.?!]+[.?!]?", text):
-        chunk = match.group(0).strip()
-        if not chunk:
-            continue
-        start = match.start() + (len(match.group(0)) - len(match.group(0).lstrip()))
-        spans.append(Span(text=chunk, start=start, end=start + len(chunk)))
-    return spans
+    """Split on sentence boundaries (``.``, ``?`` or ``!``), keeping offsets; the final clause
+    may be an unterminated cloze ("..., Alice is dancing with"). One match per sentence reads
+    it without the whitespace around it, so nothing is stripped after the match."""
+    return [Span(m[1], m.start(1), m.end(1)) for m in _SENTENCE.finditer(text)]
 
 
 def _slot_span(match: re.Match, slot: str, base: int) -> Span:
@@ -447,17 +440,10 @@ def _slot_span(match: re.Match, slot: str, base: int) -> Span:
     return Span(text=match[slot], start=start, end=start + len(match[slot]))
 
 
-def _meta_question(
-    inits, steps: list[tuple[Span, Statement]], query, query_span: Span, entries, letters=None
-) -> MetaQuestion:
-    """Assemble a resolved instance; ``steps`` pairs each statement with its surface span."""
-    stmts = tuple(stmt for _, stmt in steps)
-    op_spans = tuple(span for span, _ in steps) + (query_span,)
-    return MetaQuestion(
-        program=MetaProgram(inits=tuple(inits), stmts=stmts, query=query),
-        table=EntityTable(entries=tuple(entries), op_spans=op_spans),
-        option_letters=letters,
-    )
+def _meta_question(inits, stmts: list[Statement], query, op_spans: list[Span], entries, letters=None):
+    """Assemble a resolved instance; ``op_spans`` holds each statement's surface span, then the query's."""
+    program = MetaProgram(tuple(inits), tuple(stmts), query)
+    return MetaQuestion(program, EntityTable(tuple(entries), tuple(op_spans)), letters)
 
 
 def _read_chain(
@@ -477,14 +463,21 @@ def _read_chain(
     return sentences, first, last
 
 
+# A tracking story's action, swap and query forms, tried in that order by one fullmatch in
+# which each form is a group named in upper case (no slot is): ``lastgroup`` names the form
+# that read the sentence.
+_TSO_STEPS = {"ACTION": templates.TSO_ACTION, "SWAP": templates.TSO_SWAP, "QUERY": templates.TSO_QUERY}
+_TSO_STEP = re.compile("|".join(f"(?P<{name}>{form.regex.pattern})" for name, form in _TSO_STEPS.items())).fullmatch
+
+
 def _resolve_tso(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
     if not options:
         raise TemplateMismatchError("option-tracking question without options")
     sentences = _sentences_with_offsets(question)
     if len(sentences) < 3:
         raise TemplateMismatchError("too few sentences", question)
-    for assignment in sentences:
-        assigned = templates.TSO_ASSIGNMENT.match(assignment.text)
+    for assignment in sentences:  # a sentence with no ": " fails the form: skip its scan
+        assigned = ": " in assignment.text and templates.TSO_ASSIGNMENT.match(assignment.text)
         if assigned:
             break
     else:
@@ -497,42 +490,42 @@ def _resolve_tso(question: str, options: tuple[str, ...] | None) -> MetaQuestion
         pair = templates.TSO_PAIR.match(chunk)
         if not pair:
             raise TemplateMismatchError("bad assignment pair", chunk)
-        entries.append((_slot_span(pair, "person", base + offset), symbol_name(len(entries))))
+        person, start = pair["person"], base + offset  # the person opens the pair
+        entries.append((Span(person, start, start + len(person)), symbol_name(len(entries))))
         objects.append(pair["obj"])
     table = {span.text: sym for span, sym in entries}
     if len(table) != len(entries) or len(set(objects)) != len(objects):
         raise TemplateMismatchError("repeated person or object in assignment", assigned["pairs"])
 
-    steps: list[tuple[Span, Statement]] = []
+    stmts: list[Statement] = []
+    spans: list[Span] = []
     query_span: Span | None = None
     for sentence in sentences:
-        if sentence is assignment or templates.TSO_ACTION.match(sentence.text):
-            continue
-        swap = templates.TSO_SWAP.match(sentence.text)
-        if swap:
-            if swap["a"] not in table or swap["b"] not in table:
+        step = sentence is not assignment and _TSO_STEP(sentence.text)
+        if not step:
+            if sentence is assignment or sentence is sentences[0]:
+                continue  # the assignment, or a scene-setting intro
+            raise TemplateMismatchError("unrecognized sentence", sentence.text)
+        if step.lastgroup == "SWAP":
+            left, right = table.get(step["a"]), table.get(step["b"])
+            if left is None or right is None:
                 raise TemplateMismatchError("swap names an unknown person", sentence.text)
-            steps.append((sentence, Swap(left=table[swap["a"]], right=table[swap["b"]])))
-            continue
-        queried = templates.TSO_QUERY.match(sentence.text)
-        if queried:
-            if queried["person"] not in table:
+            stmts.append(Swap(left, right))
+            spans.append(sentence)
+        elif step.lastgroup == "QUERY":
+            if step["person"] not in table:
                 raise TemplateMismatchError("query names an unknown person", sentence.text)
-            query_span, query = sentence, OptionOf(sym=table[queried["person"]])
-            continue
-        if sentence is sentences[0]:
-            continue  # scene-setting intro
-        raise TemplateMismatchError("unrecognized sentence", sentence.text)
+            query_span, query = sentence, OptionOf(table[step["person"]])
     if query_span is None:
         raise TemplateMismatchError("no query clause", sentences[-1].text)
+    spans.append(query_span)
 
     # options may carry truncated text; fall back to position
     letters = tuple(
-        chr(ord("A") + (options.index(obj) if obj in options else index))
-        for index, obj in enumerate(objects)
+        [chr(ord("A") + (options.index(obj) if obj in options else index)) for index, obj in enumerate(objects)]
     )
     inits = [(sym, value) for value, (_, sym) in enumerate(entries, start=1)]
-    return _meta_question(inits, steps, query, query_span, entries, letters)
+    return _meta_question(inits, stmts, query, spans, entries, letters)
 
 
 def _resolve_wol(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
@@ -541,7 +534,7 @@ def _resolve_wol(question: str, options: tuple[str, ...] | None) -> MetaQuestion
 
     entries = [(_slot_span(first, "person", sentences[0].start), symbol_name(0))]
     table: dict[str, str] = {first["person"]: symbol_name(0)}
-    steps: list[tuple[Span, Statement]] = []
+    stmts: list[Statement] = []
     for sentence in sentences[1:-1]:
         says = templates.WOL_SAYS.match(sentence.text)
         if not says:
@@ -553,15 +546,12 @@ def _resolve_wol(question: str, options: tuple[str, ...] | None) -> MetaQuestion
             raise TemplateMismatchError("speaker already introduced", sentence.text)
         table[speaker] = symbol_name(len(table))
         entries.append((_slot_span(says, "speaker", sentence.start), table[speaker]))
-        claimed = int(says["claim"] == templates.TRUTH)
-        stmt = Says(speaker=table[speaker], target=table[target], claimed=claimed)
-        steps.append((sentence, stmt))
+        stmts.append(Says(table[speaker], table[target], int(says["claim"] == templates.TRUTH)))
     if last["person"] not in table:
         raise TemplateMismatchError("query names an unknown person", sentences[-1].text)
 
     inits = [(symbol_name(0), int(first["claim"] == templates.TRUTH))]
-    query = IsEqual(sym=table[last["person"]], value=1)
-    return _meta_question(inits, steps, query, sentences[-1], entries)
+    return _meta_question(inits, stmts, IsEqual(table[last["person"]], 1), sentences[1:], entries)
 
 
 def _resolve_cf(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
@@ -569,18 +559,17 @@ def _resolve_cf(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
     sentences, opening, _ = _read_chain(question, templates.CF_OPENING, templates.CF_QUERY)
 
     sym = symbol_name(0)
-    steps: list[tuple[Span, Statement]] = []
+    flip = Flip(sym)
+    spans: list[Span] = []
     for sentence in sentences[1:-1]:
         if templates.CF_FLIP.match(sentence.text):
-            steps.append((sentence, Flip(sym=sym)))
-        elif templates.CF_NON_FLIP.match(sentence.text):
-            continue  # non-flips change nothing and emit no statement
-        else:
+            spans.append(sentence)
+        elif not templates.CF_NON_FLIP.match(sentence.text):  # a non-flip emits no statement
             raise TemplateMismatchError("bad flip sentence", sentence.text)
+    spans.append(sentences[-1])
 
     entries = [(_slot_span(opening, "coin", sentences[0].start), sym)]
-    query = IsEqual(sym=sym, value=1)
-    return _meta_question([(sym, 1)], steps, query, sentences[-1], entries)
+    return _meta_question([(sym, 1)], [flip] * (len(spans) - 1), IsEqual(sym, 1), spans, entries)
 
 
 def _resolve_llc(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
@@ -594,11 +583,12 @@ def _resolve_llc(question: str, options: tuple[str, ...] | None) -> MetaQuestion
     if not spans:
         raise TemplateMismatchError("empty name", question)
 
-    symbols = allocate_symbols(spans)
-    steps = [(span, LastOf(sym=sym, literal=span.text)) for span, sym in symbols.entries]
-    query = ConcatOf(syms=tuple(symbols.symbol_for(span.text) for span in spans))
-    question_span = Span(text=stripped, start=0, end=len(stripped))
-    return _meta_question([], steps, query, question_span, symbols.entries)
+    table = allocate_symbols(spans)
+    symbols = table.as_dict()
+    stmts = [LastOf(sym, span.text) for span, sym in table.entries]
+    query = ConcatOf(tuple([symbols[span.text] for span in spans]))
+    op_spans = [span for span, _ in table.entries] + [Span(stripped, 0, len(stripped))]
+    return _meta_question([], stmts, query, op_spans, table.entries)
 
 
 _ARITH_OPS = (
@@ -616,7 +606,7 @@ def _resolve_arith(question: str, options: tuple[str, ...] | None) -> MetaQuesti
         raise TemplateMismatchError("query names another person", sentences[-1].text)
 
     sym = symbol_name(0)
-    steps: list[tuple[Span, Statement]] = []
+    stmts: list[Statement] = []
     for sentence in sentences[1:-1]:
         for form, op in _ARITH_OPS:
             m = form.match(sentence.text)
@@ -624,11 +614,11 @@ def _resolve_arith(question: str, options: tuple[str, ...] | None) -> MetaQuesti
                 break
         else:
             raise TemplateMismatchError("bad operation sentence", sentence.text)
-        steps.append((sentence, op(sym, int(m["amount"]))))
+        stmts.append(op(sym, int(m["amount"])))
 
     inits = [(sym, int(first["amount"]))]
     entries = [(_slot_span(first, "name", sentences[0].start), sym)]
-    return _meta_question(inits, steps, ValueOf(sym=sym), sentences[-1], entries)
+    return _meta_question(inits, stmts, ValueOf(sym), sentences[1:], entries)
 
 
 def _from_attached_meta(inst: TaskInstance) -> MetaQuestion:

@@ -30,6 +30,9 @@ from string import Formatter
 NAME = r"[A-Za-z][\w'-]*"
 INT = r"\d+"
 TEXT = r".+?"
+# TEXT where only a STOPS slot or nothing follows it, read greedily: one scan, not a
+# try of what follows after each character. TEXT_TO_STOP leaves a last end mark.
+TEXT_TO_STOP, REST = r".+(?=[.!?]\Z)|.+", r".+"
 # Sentence ends: the generator writes the first, the resolver takes any.
 STOPS = (".", "!", "?", "")
 
@@ -133,14 +136,14 @@ ORDINALS = ("First, ", "Then, ", "Finally, ", "Next, ", "Later, ", "After that, 
 _HOLDS = tuple(s.holds for s in SCENARIOS) + ("is holding",)
 _OPENERS = tuple(dict.fromkeys(s.opener for s in SCENARIOS)) + ("During",)
 _SWAP_VERBS = dict.fromkeys(s.swap.split(" ", 1)[0] for s in SCENARIOS)
-_SWAP = rf"(?:{'|'.join(_SWAP_VERBS)})\b.*?"
+_SWAP = rf"(?:{'|'.join(_SWAP_VERBS)})\b(?:.*(?=[.!?]\Z)|.*)"  # cf. TEXT_TO_STOP
 
 TSO_INTRO = Form("{people} {scene}.", people=TEXT, scene=TEXT)
-TSO_ASSIGNMENT = Form("{lead}: {pairs}{stop}", lead=TEXT, pairs=TEXT, stop=STOPS)
-TSO_PAIR = Form("{person} {holds} {obj}", holds=_HOLDS, obj=TEXT)
-TSO_ACTION = Form("{opener} {rest}", opener=_OPENERS, rest=TEXT)
+TSO_ASSIGNMENT = Form("{lead}: {pairs}{stop}", lead=TEXT, pairs=TEXT_TO_STOP, stop=STOPS)
+TSO_PAIR = Form("{person} {holds} {obj}", holds=_HOLDS, obj=REST)
+TSO_ACTION = Form("{opener} {rest}", opener=_OPENERS, rest=REST)
 TSO_SWAP = Form("{ordinal}{a} and {b} {swap}{stop}", ordinal=ORDINALS, swap=_SWAP, stop=STOPS)
-TSO_QUERY = Form("At the end of {end}, {person} {holds}", end=TEXT, holds=TEXT)
+TSO_QUERY = Form("At the end of {end}, {person} {holds}", end=TEXT, holds=REST)
 
 # --- truth chains (WoL) ------------------------------------------------------
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from metareason.demos import (
@@ -13,6 +16,7 @@ from metareason.demos import (
     build_completely_serial,
     build_cross_serial,
     build_demonstration,
+    build_from_trace,
     chain_lines,
     default_mode,
     load_demonstrations,
@@ -21,10 +25,47 @@ from metareason.demos import (
     select_demos,
 )
 from metareason.harness.extraction import extract_answer
-from metareason.meta_lang.ast import format_value
+from metareason.meta_lang.ast import LastOf, Says, Swap, format_value
+from metareason.meta_lang.errors import MetaLangError
 from metareason.meta_lang.interpreter import eval_program
-from metareason.resolution import EntityTable, Task, TaskInstance, resolve
+from metareason.resolution import (
+    EntityTable,
+    MetaQuestion,
+    ResolutionError,
+    Span,
+    Task,
+    TaskInstance,
+    resolve,
+    surface_answer,
+)
 from metareason.taskgen import GenConfig, generate
+
+from support import random_program
+
+# SHA-256 of what each family's pinned items give (see ``_pinned``): the demonstrations
+# files in both fusion modes, and ``repr`` of each resolved question (spans and offsets too).
+DEMO_DIGESTS = {
+    Task.MA: "9d8b45c2b1243f838eef1cdc9eb2933a66925ff0f831c5930b6676fcad316ce7",
+    Task.AS: "499768cae14c34c02da50f6c9e19e7d5bb42260c7efc0f4654f85db8f3b2dff2",
+    Task.LLC: "c1b94542456fd3176b7d143a343664d40b002b93f394e9807c9a73046f1980cc",
+    Task.CF: "4ab5561c55826431edf036b318b84f9878f84c3e24955f8a0600f5f44057363c",
+    Task.WOL: "d0675b35c992342d4455b08aebad8868e1b7c084fca7baaf4e7f63edaf9f3c06",
+    Task.TSO3: "d6e63c630afd28f0c3fb98a788fd2c8d4a16b766131531085abe0a1c738c6879",
+    Task.TSO5: "fccca2b3202e2bb62116107dc220a2f1e955c56a8e387816a789141c6c48e1ec",
+    Task.TSO7: "865cd14a37de27a1ad8b48c64f584530c0e00a3256c0d2e0ec317e596a4ea9b3",
+}
+RESOLVED_DIGESTS = {
+    Task.MA: "fc6eba1ef378e24cfeca225866b3592ffc66d463efe845f8d8e6ee994532dc3e",
+    Task.AS: "af4bf50d52d5e440b65ec811d6cbdac905b37c6c0ef7dc89f910b586c560701d",
+    Task.LLC: "4c226cd79562bc89b170ce5fb0d88159346de13539ac8693e436c7a3645abd8e",
+    Task.CF: "7fbdf5294ddd060f6067b9d938cb1855cc5d60bffea68394003b07c3a94e26b1",
+    Task.WOL: "e08584fa14e70840d56db6a5dd12010724385e9a0dbb6ac7393d84b452f77775",
+    Task.TSO3: "8a92900877ae9b9d47a3586d07058c61ed0b32f5349d61e8a62d4547423f4dab",
+    Task.TSO5: "65bc8d083f82cce63e2943d1f57940fef309fac8905f1cb5357172085711fa5b",
+    Task.TSO7: "f840f7b2bcde60691f862bb2137b6880d3bde95a15584e0872de2a879d60b59b",
+}
+# Both builders' rationales and answers over the runnable programs of ``_synthetic``.
+SYNTHETIC_DIGEST = "7be88726d1984092b778f7f8adba63da90ebbd24f48be2477c6f79c63a6ae882"
 
 
 def _resolved(inst):
@@ -258,3 +299,66 @@ class TestSelection:
         path = tmp_path / "demos.jsonl"
         save_demonstrations(path, [demo])
         assert load_demonstrations(path) == [demo]
+
+
+def _pinned(task):
+    """50 generated items of ``task`` at seed 7, then 50 at seed 8."""
+    return [inst for seed in (7, 8) for inst in generate(GenConfig(task=task, count=50, seed=seed))]
+
+
+def _synthetic(count: int = 400):
+    """Seeded random programs of mixed statement kinds that run, each with a made-up instance
+    and resolved question: an entity name per symbol, and a surface span per statement and
+    for the query that names the entities the statement uses."""
+    rng = random.Random(23)
+    names = ["Alice", "Bob", "Claire", "Dave", "Eve", "B", "Fred", "Gina", "Hal", "Ivy", "Jo", "Kim"]
+    cases = []
+    while len(cases) < count:
+        program = random_program(rng)
+        syms = [sym for sym, _ in program.inits]
+        syms += [stmt.speaker if isinstance(stmt, Says) else stmt.sym
+                 for stmt in program.stmts if isinstance(stmt, (Says, LastOf))]
+        named = dict(zip(syms, rng.sample(names, len(syms))))
+        spans = []
+        for index, stmt in enumerate(program.stmts):
+            used = [stmt.left, stmt.right] if isinstance(stmt, Swap) else [
+                getattr(stmt, slot) for slot in ("speaker", "target", "sym") if hasattr(stmt, slot)]
+            text = " and ".join(named[sym] for sym in used) + f" take turn {index + 1}."
+            spans.append(Span(text, 10 * index, 10 * index + len(text)))
+        table = EntityTable(entries=tuple((Span(name), sym) for sym, name in named.items()),
+                            op_spans=(*spans, Span("Who has what at the end?")))
+        mq = MetaQuestion(program=program, table=table, option_letters=tuple("ABCDEFG"))
+        inst = TaskInstance(id=str(len(cases)), task=Task.TSO7, question="What now?",
+                            options=tuple(f"thing {i}" for i in range(7)), gold="?")
+        try:
+            trace = eval_program(program)
+            surface_answer(mq, trace)
+        except (MetaLangError, ResolutionError):
+            continue
+        cases.append((inst, mq, trace))
+    return cases
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("task", list(DEMO_DIGESTS))
+    def test_demonstrations_are_byte_identical(self, task, tmp_path):
+        items = [(inst, *_resolved(inst)) for inst in _pinned(task)]
+        digest = hashlib.sha256()
+        for mode in FusionMode:
+            path = tmp_path / f"{mode.value}.jsonl"
+            save_demonstrations(path, [build_from_trace(inst, mq, trace, mode) for inst, mq, trace in items])
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == DEMO_DIGESTS[task]
+
+    @pytest.mark.parametrize("task", list(RESOLVED_DIGESTS))
+    def test_resolved_questions_are_identical(self, task):
+        text = "\n".join(repr(resolve(inst)) for inst in _pinned(task))
+        assert hashlib.sha256(text.encode()).hexdigest() == RESOLVED_DIGESTS[task]
+
+    def test_both_builders_over_mixed_statement_kinds(self):
+        digest = hashlib.sha256()
+        for inst, mq, trace in _synthetic():
+            for build in (build_completely_serial, build_cross_serial):
+                demo = build(inst, mq, trace)
+                digest.update(f"{demo.rationale}\n{demo.answer}\n".encode())
+        assert digest.hexdigest() == SYNTHETIC_DIGEST

@@ -10,7 +10,7 @@ import re
 import socket
 import threading
 import time
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from types import SimpleNamespace
 
@@ -1182,6 +1182,57 @@ class TestRunEval:
         with open(out, encoding="utf-8") as handle:
             assert json.load(handle)["records"] == report["records"]
         capsys.readouterr()
+
+    def test_a_question_with_a_lone_surrogate_is_hashed_run_and_resumed(self, tmp_path, capsys):
+        """A dataset question may hold a lone surrogate (a JSON escape): its prompt digest hashes
+        the surrogate's ``surrogatepass`` bytes, so replay finds it and a resume checks it."""
+        instances = generate(GenConfig(task=Task.CF, count=3, seed=5))
+        instances[1] = replace(instances[1], question=instances[1].question + "\ud800")
+        dataset_path = tmp_path / "cf.jsonl"
+        save_instances(dataset_path, instances)
+        assert dataset_path.read_bytes().count(b"\\ud800") == 1
+        fixture_path = tmp_path / "fixtures.jsonl"
+        save_fixtures(fixture_path, {
+            assemble_prompt(Paradigm.ZERO_SHOT, [], inst): f"So the answer is {inst.gold}." for inst in instances
+        })
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({
+            "datasets": [{"name": "cf", "path": str(dataset_path)}],
+            "paradigms": ["zero-shot"],
+            "backend": {"kind": "replay", "fixture_path": str(fixture_path)},
+            "output_dir": str(tmp_path / "out"),
+        }), encoding="utf-8")
+        records_path = tmp_path / "out" / "records.jsonl"
+        assert main(["--quiet", "eval", "--config", str(config_path)]) == 0
+        stored = records_path.read_bytes()
+        assert [record.correct for record in load_records(records_path)] == [True] * 3
+        assert main(["--quiet", "eval", "--config", str(config_path)]) == 0
+        assert records_path.read_bytes() == stored
+        capsys.readouterr()
+
+    def test_a_valid_prompt_keeps_its_digest(self):
+        prompt = assemble_prompt(Paradigm.ZERO_SHOT, [], generate(GenConfig(task=Task.CF, count=1, seed=5))[0])
+        assert prompt_sha256(prompt) == "af841c109d9a5aa0f86d2cc1c68fd350ef871aeaaeff5e07596098cda6bfe057"
+        assert prompt_sha256("Ünïcödé → ✓") == "0fe233732742baf3e74ca5a208ef03bc1d2b45ed12869bba771c345e04b67b3c"
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_a_report_to_stdout_writes_a_lone_surrogate_as_its_escape(self, tmp_path, capsys, fmt):
+        config, _ = _write_eval_setup(tmp_path, count=3)
+        run_eval(EvalConfig.from_json_dict(config))
+        records_path = tmp_path / "surrogate-records.jsonl"
+        with open(tmp_path / "out" / "records.jsonl", encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle]
+        for fields in lines:
+            fields["dataset"] += "\ud800"
+            fields["instance_id"] += "\ud800"
+        records_path.write_text("".join(json.dumps(fields) + "\n" for fields in lines), encoding="utf-8")
+        out = tmp_path / f"report.{fmt}"
+        capsys.readouterr()
+        assert main(["report", "--records", str(records_path), "--format", fmt, "--out", str(out)]) == 0
+        assert main(["report", "--records", str(records_path), "--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        assert printed.encode("utf-8") == out.read_bytes()
+        assert ("\\ud800" in printed) is (fmt != "table")  # the table names tasks, not datasets
 
     def test_an_unparseable_middle_line_names_its_line(self, tmp_path):
         config, _ = _write_eval_setup(tmp_path)

@@ -41,6 +41,8 @@ from metareason.meta_lang.errors import (
 from metareason.meta_lang.interpreter import eval_program
 from metareason.meta_lang.parser import parse_meta, split_clauses
 from metareason.meta_lang.renderer import QUERIES, STATEMENTS, render_meta
+from metareason.resolution import Task, resolve
+from metareason.taskgen import GenConfig, generate
 from support import exact, random_program, random_swap_sequence, random_truth_chain, value_kinds
 
 from conftest import LOOSE_META_TEXT
@@ -426,6 +428,15 @@ class TestValidation:
                 monkeypatch.setattr(module, "validate_program", counting)
         eval_program(parse_meta("It is known A = 1. Add 2 to A. What is the value of A?"))
         assert len(calls) == 1
+
+    def test_each_symbol_is_checked_once_where_it_is_defined(self, monkeypatch):
+        program = resolve(generate(GenConfig(task=Task.TSO7, count=1, seed=7))[0]).program
+        checked = []
+        check = meta_ast._check_symbol
+        monkeypatch.setattr(meta_ast, "_check_symbol", lambda sym: checked.append(sym) or check(sym))
+        validate_program(program)
+        # 7 inits, 7 swaps of two symbols and a query: 7 checks, not 22
+        assert len(program.stmts) == 7 and checked == [sym for sym, _ in program.inits]
 
     def test_says_must_introduce_fresh_symbol(self):
         with pytest.raises(DuplicateSymbolError):

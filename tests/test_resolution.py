@@ -6,7 +6,10 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from metareason import templates
 from metareason.meta_lang.ast import Flip, IsEqual, OptionOf, Swap
 from metareason.meta_lang.interpreter import eval_program
 from metareason.meta_lang.parser import parse_meta
@@ -14,6 +17,7 @@ from metareason.meta_lang.renderer import render_meta
 from metareason.resolution import (
     MalformedLineError,
     MissingOptionMapError,
+    Span,
     Task,
     TaskInstance,
     TemplateMismatchError,
@@ -29,6 +33,7 @@ from metareason.resolution import (
     surface_answer,
     symbol_name,
 )
+from metareason.resolution import _TSO_STEP, _sentences_with_offsets
 from metareason.taskgen import GenConfig, generate
 from support import value_kinds
 
@@ -383,3 +388,60 @@ class TestProperties:
         loaded = load_instances(path)
         assert loaded == [inst]
         assert parse_meta(loaded[0].meta) == mq.program
+
+
+def _stripped_chunks(text: str) -> list[Span]:
+    """The reference splitter: each run of text up to an end mark, stripped after the match."""
+    spans = []
+    for match in re.finditer(r"[^.?!]+[.?!]?", text):
+        chunk = match.group(0).strip()
+        if not chunk:
+            continue
+        start = match.start() + (len(match.group(0)) - len(match.group(0).lstrip()))
+        spans.append(Span(text=chunk, start=start, end=start + len(chunk)))
+    return spans
+
+
+# The reference forms: the tracking forms with each free slot the lazy TEXT, which the
+# greedy TEXT_TO_STOP and REST slots must read alike.
+_LAZY_TRACKING_FORMS = {
+    templates.TSO_ASSIGNMENT: templates.Form(
+        "{lead}: {pairs}{stop}", lead=templates.TEXT, pairs=templates.TEXT, stop=templates.STOPS
+    ),
+    templates.TSO_PAIR: templates.Form("{person} {holds} {obj}", holds=templates._HOLDS, obj=templates.TEXT),
+    templates.TSO_ACTION: templates.Form("{opener} {rest}", opener=templates._OPENERS, rest=templates.TEXT),
+    templates.TSO_SWAP: templates.Form(
+        "{ordinal}{a} and {b} {swap}{stop}", ordinal=templates.ORDINALS,
+        swap=rf"(?:{'|'.join(templates._SWAP_VERBS)})\b.*?", stop=templates.STOPS,
+    ),
+    templates.TSO_QUERY: templates.Form(
+        "At the end of {end}, {person} {holds}", end=templates.TEXT, holds=templates.TEXT
+    ),
+}
+_TRACKING_WORDS = [
+    "Alice", "Bob", " and ", " ", ": ", ", ", "and ", ".", "!", "?", "\n", "switch", "swap", " partners",
+    "First, ", "At the end of ", "the dance", " is dancing with ", " has ", "Throughout", "As the", "é",
+]
+
+
+class TestOnePass:
+    @settings(max_examples=1000)
+    @given(st.text(alphabet="ab.?!\t\n \x1c\u3000\u2028", max_size=24))
+    def test_sentence_split_reads_what_the_stripping_splitter_read(self, text):
+        assert _sentences_with_offsets(text) == _stripped_chunks(text)
+
+    @settings(max_examples=1000)
+    @given(st.lists(st.sampled_from(_TRACKING_WORDS), max_size=9).map("".join))
+    def test_greedy_tracking_slots_read_what_lazy_ones_read(self, text):
+        for form, lazy in _LAZY_TRACKING_FORMS.items():
+            read, reference = form.match(text), lazy.match(text)
+            assert (read and (read.groupdict(), read.regs)) == (reference and (reference.groupdict(), reference.regs))
+        # One fullmatch tries the action, swap and query forms in that order.
+        step = _TSO_STEP(text)
+        tried = [(name, form.match(text)) for name, form in (
+            ("ACTION", templates.TSO_ACTION), ("SWAP", templates.TSO_SWAP), ("QUERY", templates.TSO_QUERY)
+        )]
+        name, first = next(((name, m) for name, m in tried if m), (None, None))
+        assert (step and step.lastgroup) == name
+        if first:
+            assert {slot: step[slot] for slot in first.groupdict()} == first.groupdict()
