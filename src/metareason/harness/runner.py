@@ -17,9 +17,10 @@ from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
 from typing import NamedTuple, TextIO
 
 from ..demos import Demonstration, load_demonstrations, select_demos
+from ..meta_lang.ast import frozen
 from ..resolution import TSO_TASKS, FieldError, MalformedLineError, Task, TaskInstance, config_number
 from ..resolution import config_reader, config_string, config_task, config_text, load_instances
-from ..resolution import read_config, setting, write_atomically
+from ..resolution import json_line, read_config, setting, write_atomically
 from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, bad_config
 from .backends import _HttpRequest, backend_fingerprint, complete, load_transport, request_headers
 from .extraction import extract_answer, is_correct
@@ -44,7 +45,7 @@ def _verdict(value, name: str) -> None:
 _verdict.inline = "True", "None", {}
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@frozen
 class EvalRecord:
     """One scored item. ``correct`` is the verdict on extracted/gold, made
     once, as the record is built with None for it: when the item is run, or
@@ -62,28 +63,12 @@ class EvalRecord:
     correct: bool | None = setting(_verdict, default=None)
     latency_ms: float = setting(config_number(float, exact=True), default=0.0)
 
-    def __init__(self, instance_id, dataset, task, paradigm, prompt_sha256,
-                 completion, extracted, gold, correct, latency_ms):
-        # Each slot's own setter: the frozen __setattr__ refuses, and object.__setattr__
-        # per field, as the generated __init__ does it, takes half as long again.
-        (set_id, set_dataset, set_task, set_paradigm, set_digest, set_completion,
-         set_extracted, set_gold, set_correct, set_latency) = _SLOT_SETTERS
-        set_id(self, instance_id)
-        set_dataset(self, dataset)
-        set_task(self, task)
-        set_paradigm(self, paradigm)
-        set_digest(self, prompt_sha256)
-        set_completion(self, completion)
-        set_extracted(self, extracted)
-        set_gold(self, gold)
-        set_correct(self, is_correct(task, extracted, gold) if correct is None else correct)
-        set_latency(self, latency_ms)
+    def __post_init__(self) -> None:
+        if self.correct is None:
+            object.__setattr__(self, "correct", is_correct(self.task, self.extracted, self.gold))
 
     def key(self) -> tuple[str, str, str]:
         return (self.dataset, self.paradigm.value, self.instance_id)
-
-
-_SLOT_SETTERS = tuple(getattr(EvalRecord, name).__set__ for name in EvalRecord.__slots__)
 
 
 def _read_records(path) -> tuple[list[EvalRecord], int]:
@@ -107,7 +92,8 @@ def _read_records(path) -> tuple[list[EvalRecord], int]:
                 continue
             if not line.isspace():
                 try:
-                    fields = json.loads(line.decode("utf-8", "surrogatepass"))
+                    text = line.decode("utf-8", "surrogatepass")
+                    fields = json_line(text, len(text) - 1)  # its value ends before the "\n"
                 except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                     torn = exc
                     continue

@@ -16,13 +16,14 @@ import math
 import os
 import re
 from contextlib import suppress
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, field, fields
 from enum import Enum
 from itertools import takewhile
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import templates
 from .meta_lang.ast import (
+    SYMBOL_SEQUENCE,
     Add,
     ConcatOf,
     Div,
@@ -38,6 +39,7 @@ from .meta_lang.ast import (
     Swap,
     Trace,
     ValueOf,
+    frozen,
 )
 from .meta_lang.interpreter import eval_program
 from .meta_lang.parser import parse_meta
@@ -71,8 +73,11 @@ def task_from_string(text: str) -> Task:
         raise ValueError(f"unknown task {text!r}") from None
 
 
+_TSO_OBJECTS = {Task.TSO3: 3, Task.TSO5: 5, Task.TSO7: 7}
+
+
 def tso_object_count(task: Task) -> int:
-    return {Task.TSO3: 3, Task.TSO5: 5, Task.TSO7: 7}[task]
+    return _TSO_OBJECTS[task]
 
 
 class ResolutionError(Exception):
@@ -105,7 +110,7 @@ class TooManyEntitiesError(ResolutionError):
     """More than 702 distinct entities (A..Z then AA..ZZ) in one instance."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Span:
     """A surface substring with character offsets (-1 when synthetic)."""
 
@@ -114,7 +119,7 @@ class Span:
     end: int = -1
 
 
-@dataclass(frozen=True)
+@frozen
 class EntityTable:
     """Per-instance realization of the entity and operation mappings.
 
@@ -324,16 +329,34 @@ def json_fields(obj, drop_none: bool = False) -> dict:
     return {key: value for key, value in values.items() if value is not None} if drop_none else values
 
 
+_RAW_DECODE = json.JSONDecoder().raw_decode
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps(item, ensure_ascii=False)
+
+
+def json_line(text: str, length: int):
+    """``json.loads(text)``, for a line whose JSON value, if it holds one, ends at ``length``.
+    The value is read in one C call, from the first character; a line that this read refuses,
+    or does not take to ``length``, is read again by ``json.loads``, so every value and every
+    error is json's own."""
+    try:
+        value, end = _RAW_DECODE(text)
+    except ValueError:
+        end = -1
+    return value if end == length else json.loads(text)
+
+
 def read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
-    """Yield ``parse(fields)`` for the JSON value on each non-blank line. A line that is not
-    UTF-8 or not JSON, or that ``parse`` refuses with a ValueError, raises MalformedLineError."""
+    """Yield ``parse(fields)`` for the JSON value on each non-blank line, stripped of the
+    whitespace around it (``str.strip``'s, which counts ``\\x1c`` and ``\\u2028``) and read by
+    ``json_line``. A line that is not UTF-8 or not JSON, or that ``parse`` refuses with a
+    ValueError, raises MalformedLineError."""
     with open(path, "rb") as handle:
         for number, line in enumerate(handle, 1):
             try:
                 line = line.decode("utf-8").strip()
                 if not line:
                     continue
-                item = parse(json.loads(line))
+                item = parse(json_line(line, len(line)))
             except UnicodeDecodeError as exc:
                 raise MalformedLineError(path, number, f"not UTF-8 ({exc})") from None
             except json.JSONDecodeError as exc:
@@ -361,10 +384,10 @@ def write_atomically(path, pieces: Iterable[str]) -> None:
 
 
 def write_jsonl(path, items: Iterable[dict]) -> None:
-    write_atomically(path, (json.dumps(item, ensure_ascii=False) + "\n" for item in items))
+    write_atomically(path, (_ENCODE(item) + "\n" for item in items))
 
 
-@dataclass(frozen=True, kw_only=True)
+@frozen(kw_only=True)
 class TaskInstance:
     """One benchmark item. ``meta`` optionally carries canonical DSL text."""
 
@@ -384,7 +407,7 @@ def save_instances(path, instances: Iterable[TaskInstance]) -> None:
     write_jsonl(path, (json_fields(inst, drop_none=True) for inst in instances))
 
 
-@dataclass(frozen=True)
+@frozen
 class MetaQuestion:
     """A resolved instance: program, entity table, and the option back-map:
     ``option_letters[p - 1]`` is the letter of the option at position ``p``."""
@@ -395,14 +418,11 @@ class MetaQuestion:
 
 
 def symbol_name(index: int) -> str:
-    """Deterministic symbol sequence A..Z, AA..AZ, BA..ZZ (702 total)."""
+    """The ``index``-th symbol of the deterministic sequence A..Z, AA..AZ, BA..ZZ (702 total)."""
     if index < 0:
         raise ValueError("negative symbol index")
-    if index < 26:
-        return chr(ord("A") + index)
-    index -= 26
-    if index < 26 * 26:
-        return chr(ord("A") + index // 26) + chr(ord("A") + index % 26)
+    if index < len(SYMBOL_SEQUENCE):
+        return SYMBOL_SEQUENCE[index]
     raise TooManyEntitiesError("more than 702 distinct entities")
 
 
@@ -436,8 +456,8 @@ def _sentences_with_offsets(text: str) -> list[Span]:
 
 def _slot_span(match: re.Match, slot: str, base: int) -> Span:
     """The span of one matched slot; ``base`` is the offset of the matched text."""
-    start = base + match.start(slot)
-    return Span(text=match[slot], start=start, end=start + len(match[slot]))
+    text, start = match[slot], base + match.start(slot)
+    return Span(text, start, start + len(text))
 
 
 def _meta_question(inits, stmts: list[Statement], query, op_spans: list[Span], entries, letters=None):

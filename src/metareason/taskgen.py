@@ -13,7 +13,7 @@ import hashlib
 import math
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import templates
@@ -225,14 +225,13 @@ def generate(cfg: GenConfig) -> list[TaskInstance]:
     for index in range(cfg.count):
         rng = child_rng(cfg.seed, cfg.task, index)
         question, options = builder(cfg, rng)
-        draft = TaskInstance(
+        instances.append(TaskInstance(
             id=f"{cfg.task.value}-{cfg.seed}-{index:04d}",
             task=cfg.task,
             question=question,
             options=options,
-            gold="",
-        )
-        instances.append(replace(draft, gold=oracle_answer(draft)))
+            gold=_oracle(cfg.task, question, options),
+        ))
     return instances
 
 
@@ -336,12 +335,16 @@ def _oracle_arith(question: str) -> str:
 
 def oracle_answer(inst: TaskInstance) -> str:
     """Ground truth by direct simulation of the surface text."""
-    if inst.task in TSO_TASKS:
-        return _oracle_tso(inst.question, inst.options)
-    if inst.task is Task.WOL:
-        return _oracle_wol(inst.question)
-    if inst.task is Task.CF:
-        return _oracle_cf(inst.question)
-    if inst.task is Task.LLC:
-        return _oracle_llc(inst.question)
-    return _oracle_arith(inst.question)
+    return _oracle(inst.task, inst.question, inst.options)
+
+
+def _oracle(task: Task, question: str, options: tuple[str, ...] | None) -> str:
+    if task in TSO_TASKS:
+        return _oracle_tso(question, options)
+    if task is Task.WOL:
+        return _oracle_wol(question)
+    if task is Task.CF:
+        return _oracle_cf(question)
+    if task is Task.LLC:
+        return _oracle_llc(question)
+    return _oracle_arith(question)

@@ -64,8 +64,11 @@ from metareason.harness.runner import (
     run_eval,
     score,
 )
+from metareason import resolution
+from metareason.harness import runner
+from metareason.harness.runner import _read_records
 from metareason.resolution import FieldError, MalformedLineError, Task, load_instances
-from metareason.resolution import TaskInstance, read_config, read_fields, save_instances
+from metareason.resolution import TaskInstance, read_config, read_fields, read_jsonl, save_instances
 from metareason.resolution import task_from_string
 from metareason.taskgen import GenConfig, generate
 
@@ -366,6 +369,11 @@ def sleeps(monkeypatch):
 
 
 _DROPPED = object()  # the key left out of the line
+# One record line as RecordStore.append writes it.
+_RECORD_TEXT = (
+    '{"instance_id": "cf-1", "dataset": "cf", "task": "CF", "paradigm": "zero-shot", "prompt_sha256": "p", '
+    '"completion": "c", "extracted": "yes", "gold": "yes", "correct": true, "latency_ms": 1.5}'
+)
 
 # A valid line of each field table, the keys it may hold beside its settings, and the
 # fields that read_config is given.
@@ -464,6 +472,41 @@ class TestInputLines:
         problem = "not UTF-8 ('utf-8' codec can't decode byte 0xff in position 8: invalid start byte)"
         with pytest.raises(MalformedLineError, match=re.escape(f"{path}: line 3: {problem}")):
             load(path)
+
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    @given(
+        prefix=st.sampled_from(["", " ", "\t", "\ufeff", "\x1c"]),
+        value=st.sampled_from([
+            _RECORD_TEXT, _RECORD_TEXT.replace('"cf-1"', '"\\ud800"'), _RECORD_TEXT.replace('"cf-1"', '"\ud800"'),
+            _RECORD_TEXT.replace("1.5", "NaN"), '{"id": "x", "task": "CF", "question": "q", "answer": "yes"}',
+            '[1, 2.5, "a", null]', '"\\ud800"', '"\\ud83d\\ude00"', "NaN", "-Infinity", "1e400",
+            "1" * 5000, "-" + "9" * 300, '{"a": 1', '{"a": 1}}', '{"a" 1}', '"\\x"', "nul", "",
+        ]),
+        suffix=st.sampled_from(["", " ", " x", " 1", "}", "\x1c", "\u2028", "\r", "\t\r"]),
+        position=st.sampled_from(["before a record", "last", "torn"]),
+    )
+    def test_both_line_readers_read_what_json_loads_reads(
+        self, tmp_path_factory, prefix, value, suffix, position
+    ):
+        """The dataset and record readers, given one line, return what they return with
+        ``json.loads`` in place of their one-call decode, or raise the same error: the line
+        before another, as the last line, or torn (no final newline)."""
+        text = prefix + value + suffix
+        text += {"before a record": "\n" + _RECORD_TEXT + "\n", "last": "\n", "torn": ""}[position]
+        path = tmp_path_factory.mktemp("lines") / "lines.jsonl"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        readers = [(resolution, lambda: list(read_jsonl(path, lambda fields: fields))),
+                   (runner, lambda: _read_records(path))]
+        for module, read in readers:
+            outcomes = []
+            for decode in (module.json_line, lambda text, length: json.loads(text)):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(module, "json_line", decode)
+                    try:
+                        outcomes.append(repr(read()))
+                    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+                        outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (module.__name__, text)
 
 class TestHttpBackend:
     def test_retries_then_transport_error(self, no_proxy_env, sleeps):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 from collections import Counter
+from dataclasses import MISSING
 from fractions import Fraction
 
 import pytest
@@ -26,6 +30,7 @@ from metareason.meta_lang.ast import (
     Says,
     Sub,
     Swap,
+    Trace,
     ValueOf,
     format_value,
     validate_program,
@@ -41,7 +46,7 @@ from metareason.meta_lang.errors import (
 from metareason.meta_lang.interpreter import eval_program
 from metareason.meta_lang.parser import parse_meta, split_clauses
 from metareason.meta_lang.renderer import QUERIES, STATEMENTS, render_meta
-from metareason.resolution import Task, resolve
+from metareason.resolution import EntityTable, MetaQuestion, Span, Task, TaskInstance, resolve
 from metareason.taskgen import GenConfig, generate
 from support import exact, random_program, random_swap_sequence, random_truth_chain, value_kinds
 
@@ -471,3 +476,87 @@ class TestValidation:
     def test_bad_symbol_shape(self):
         with pytest.raises(InvalidProgramError):
             MetaProgram(inits=(("abc", 1),), stmts=(), query=ValueOf(sym="abc"))
+
+    def test_a_node_of_another_kind_is_refused_where_it_stands(self):
+        with pytest.raises(InvalidProgramError, match=r"^unknown statement ValueOf\(sym='A'\)$"):
+            MetaProgram(inits=(("A", 1),), stmts=(Flip("A"), ValueOf("A")), query=ValueOf("A"))
+        with pytest.raises(InvalidProgramError, match=r"^unknown query Flip\(sym='A'\)$"):
+            MetaProgram(inits=(("A", 1),), stmts=(), query=Flip("A"))
+        with pytest.raises(UndefinedSymbolError, match="^symbol B used before definition$"):
+            MetaProgram(inits=(("A", 1),), stmts=(Flip("B"), ValueOf("A")), query=ValueOf("A"))
+
+
+_PROGRAM = MetaProgram((("A", 1), ("B", 2)), (Swap("A", "B"),), OptionOf("A"))
+_SPAN = Span("Alice", 0, 5)
+
+# Each value class built without the frozen dataclass __init__: its fields in order as
+# (name, default, sample value), MISSING marking a required one, and a change for ``replace``.
+_VALUE_CLASSES = [
+    (TaskInstance, [("id", MISSING, "cf-1"), ("task", MISSING, Task.CF), ("question", MISSING, "q"),
+                    ("options", None, ("a", "b")), ("gold", MISSING, "yes"), ("meta", None, "m")], {"gold": "no"}),
+    (Span, [("text", MISSING, "Alice"), ("start", -1, 0), ("end", -1, 5)], {"end": 6}),
+    (Add, [("sym", MISSING, "A"), ("amount", MISSING, 3)], {"amount": 4}),
+    (Sub, [("sym", MISSING, "A"), ("amount", MISSING, 3)], {"sym": "B"}),
+    (Mul, [("sym", MISSING, "A"), ("factor", MISSING, 3)], {"factor": 2}),
+    (Div, [("sym", MISSING, "A"), ("divisor", MISSING, 3)], {"divisor": 0}),
+    (Swap, [("left", MISSING, "A"), ("right", MISSING, "B")], {"right": "C"}),
+    (Says, [("speaker", MISSING, "B"), ("target", MISSING, "A"), ("claimed", MISSING, 1)], {"claimed": "x"}),
+    (Flip, [("sym", MISSING, "A")], {"sym": "ZZ"}),
+    (LastOf, [("sym", MISSING, "A"), ("literal", MISSING, "word")], {"literal": "wore"}),
+    (ValueOf, [("sym", MISSING, "A")], {"sym": "B"}),
+    (IsEqual, [("sym", MISSING, "A"), ("value", MISSING, 1)], {"value": Fraction(1, 2)}),
+    (OptionOf, [("sym", MISSING, "A")], {"sym": "B"}),
+    (ConcatOf, [("syms", MISSING, ("A", "B"))], {"syms": ("B",)}),
+    (EntityTable, [("entries", (), ((_SPAN, "A"),)), ("op_spans", (), (_SPAN,))], {"op_spans": ()}),
+    (MetaQuestion, [("program", MISSING, _PROGRAM), ("table", MISSING, EntityTable()),
+                    ("option_letters", None, ("B", "A"))], {"option_letters": None}),
+    (MetaProgram, [("inits", MISSING, (("A", 1), ("B", 2))), ("stmts", MISSING, (Swap("A", "B"),)),
+                   ("query", MISSING, OptionOf("A"))], {"query": OptionOf("B")}),
+    (Trace, [("steps", MISSING, ((("A", 2), ("B", 1)),)), ("answer", MISSING, 2), ("program", MISSING, _PROGRAM)],
+     {"answer": 1}),
+]
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize(("cls", "rows", "change"), _VALUE_CLASSES, ids=[c[0].__name__ for c in _VALUE_CLASSES])
+    def test_each_keeps_the_frozen_dataclass_contract(self, cls, rows, change):
+        assert [(spec.name, spec.default) for spec in dataclasses.fields(cls)] == [row[:2] for row in rows]
+        values = {name: value for name, _, value in rows}
+        obj = cls(**values)
+        if cls is not TaskInstance:  # keyword-only
+            assert cls(*values.values()) == obj
+        else:
+            with pytest.raises(TypeError):
+                cls(*values.values())
+        assert all(getattr(obj, name) is value for name, value in values.items())
+        required = {name: value for name, default, value in rows if default is MISSING}
+        defaulted = cls(**required)
+        assert all(getattr(defaulted, name) == default for name, default, _ in rows if default is not MISSING)
+
+        same = cls(**values)
+        assert same is not obj and same == obj and hash(same) == hash(obj) == hash(tuple(values.values()))
+        twin = dataclasses.make_dataclass(cls.__name__, list(values), frozen=True)(**values)
+        assert obj != twin and twin != obj and obj != tuple(values.values())
+        assert repr(obj) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in values.items())})"
+
+        assert dataclasses.replace(obj) == obj and dataclasses.replace(obj) is not obj
+        changed = dataclasses.replace(obj, **change)
+        assert type(changed) is cls and changed != obj
+        assert {name: getattr(changed, name) for name in values} == values | change
+        for name, _, value in rows:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        assert pickle.loads(pickle.dumps(obj)) == obj and copy.deepcopy(obj) == obj
+
+    def test_equality_is_type_sensitive(self):
+        assert Add("A", 1) != Sub("A", 1) and hash(Add("A", 1)) == hash(Sub("A", 1))
+        assert ValueOf("A") != OptionOf("A") != Flip("A")
+        assert len({Add("A", 1), Sub("A", 1), Add("A", 1)}) == 2
+
+    def test_building_a_program_still_validates_it(self):
+        with pytest.raises(InvalidProgramError, match="swap needs two distinct symbols"):
+            MetaProgram((("A", 1),), (Swap("A", "A"),), ValueOf("A"))
+        with pytest.raises(InvalidProgramError, match="swap needs two distinct symbols"):
+            dataclasses.replace(_PROGRAM, stmts=(Swap("B", "B"),))
