@@ -84,9 +84,10 @@ def _read_records(path) -> tuple[list[EvalRecord], int]:
     with open(path, "rb") as handle:
         for number, line in enumerate(handle, 1):
             if torn is not None:  # the unparseable line was not the last
-                if isinstance(torn, json.JSONDecodeError):
-                    raise RecordLineError(path, number - 1, f"not JSON: {torn.msg}")
-                raise RecordLineError(path, number - 1, f"not UTF-8 ({torn})")
+                if isinstance(torn, UnicodeDecodeError):
+                    raise RecordLineError(path, number - 1, f"not UTF-8 ({torn})")
+                cause = torn.msg if isinstance(torn, json.JSONDecodeError) else torn  # or json's digit limit
+                raise RecordLineError(path, number - 1, f"not JSON: {cause}")
             if not line.endswith(b"\n"):
                 torn = ValueError("no final newline")
                 continue
@@ -94,7 +95,7 @@ def _read_records(path) -> tuple[list[EvalRecord], int]:
                 try:
                     text = line.decode("utf-8", "surrogatepass")
                     fields = json_line(text, len(text) - 1)  # its value ends before the "\n"
-                except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, or json's digit limit
                     torn = exc
                     continue
                 try:
@@ -396,20 +397,21 @@ def _run_http(
                     heapq.heappush(backoffs, (time.monotonic() + result, id(entry), entry))
 
 
-def _check_backend(run_path: str, run_text: str, has_records: bool, output_dir: str) -> None:
-    """Refuse to add to records that another backend made."""
-    if not has_records:  # nothing another backend could have made
-        return
+def _check_backend(run_path: str, run_text: str, has_records: bool, output_dir: str) -> str | None:
+    """The text stored in ``run_path``, or None if there is none. Refuse to add to
+    records that another backend made."""
     try:
-        with open(run_path, "r", encoding="utf-8") as handle:
+        with open(run_path, "r", encoding="utf-8", errors="replace") as handle:
             stored = handle.read()
     except FileNotFoundError:
-        stored = "an unknown backend (there is no run.json)"
-    if stored != run_text:
+        stored = None
+    if has_records and stored != run_text:
+        made_by = "an unknown backend (there is no run.json)" if stored is None else stored.strip()
         raise ConfigError(
-            f"{run_path}: the stored records were made by {stored.strip()}, but this config "
+            f"{run_path}: the stored records were made by {made_by}, but this config "
             f"runs {run_text.strip()}. Delete {output_dir} to start over"
         )
+    return stored
 
 
 def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
@@ -441,7 +443,7 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
     store = RecordStore(os.path.join(config.output_dir, "records.jsonl"))
     run_path = os.path.join(config.output_dir, "run.json")
     run_text = json.dumps({"backend": backend_fingerprint(config.backend)}, sort_keys=True) + "\n"
-    _check_backend(run_path, run_text, bool(store.digests), config.output_dir)
+    stored_run = _check_backend(run_path, run_text, bool(store.digests), config.output_dir)
     jobs = []
     for spec, instances in datasets:
         for paradigm in config.paradigms:
@@ -468,7 +470,8 @@ def run_eval(config: EvalConfig, max_records: int | None = None) -> EvalReport:
             f"dataset, paradigm or item was dropped. Delete {config.output_dir} to start over"
         )
 
-    write_atomically(run_path, [run_text])  # before the first append, so records never outlive it
+    if stored_run != run_text:  # before the first append, so records never outlive it
+        write_atomically(run_path, [run_text])
     budget = len(jobs) if max_records is None else min(max_records, len(jobs))
     with store:
         if isinstance(config.backend, HttpBackend):

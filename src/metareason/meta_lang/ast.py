@@ -1,7 +1,8 @@
-"""Core types of the meta-question language: values, statements, queries, programs, traces."""
+"""Core types of the meta-question language, and the one walk that checks and runs a program."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from string import ascii_uppercase
@@ -9,6 +10,7 @@ from string import ascii_uppercase
 from .errors import (
     DivideByZeroError,
     DuplicateSymbolError,
+    EvalTypeError,
     InvalidProgramError,
     UndefinedSymbolError,
 )
@@ -141,17 +143,66 @@ class ConcatOf:
 Query = ValueOf | IsEqual | OptionOf | ConcatOf
 
 
+class _Run:
+    # What building a program computed, in slots beside its fields: not compared, hashed or shown.
+    __slots__ = ("_steps", "_answer")
+
+
 @frozen
-class MetaProgram:
-    """Initial assignments, update statements, and a final query, in order;
-    validated when built, so a program that exists is well-formed."""
+class MetaProgram(_Run):
+    """Initial assignments, update statements, and a final query, in order.
+
+    Building a program checks it and runs it with exact arithmetic, in one walk, so
+    every program that exists runs and ``eval_program`` returns the trace of that run.
+    Each init, statement and the query is checked, then run, by the rule of its own
+    class (any other class is refused). The checks: every symbol [A-Z]{1,2}, defined
+    before use (by init, says-introduction, or string definition) and introduced
+    once, checked once where it is defined; values of a supported kind; swap
+    arguments distinct; literal divisors nonzero; string literals nonempty. A failed
+    check raises at once. A kind error (EvalTypeError: a string where a number is
+    needed, a flip of a non-bit, ...) is held until the walk ends, so a failed check
+    after it is the error raised. An operand that is not an int, or a ``last()``
+    literal that is not a string, is an EvalTypeError raised only if the walk meets
+    no other; where Python can still combine it, the walk runs on with its value.
+    """
 
     inits: tuple[tuple[str, Value], ...]
     stmts: tuple[Statement, ...]
     query: Query
 
     def __post_init__(self) -> None:
-        validate_program(self)
+        env: dict[str, Value] = {}
+        for sym, value in self.inits:
+            _check_symbol(sym)
+            _check_value(value)
+            if sym in env:
+                raise DuplicateSymbolError(f"symbol {sym} initialized twice")
+            env[sym] = value
+        held = mistyped = None
+        steps = []
+        for stmt in self.stmts:
+            try:
+                odd = _STATEMENT_RULES.get(type(stmt), _unknown_statement)(stmt, env)
+            except EvalTypeError as error:
+                held = held or error
+            else:
+                mistyped = mistyped or odd
+            steps.append(tuple(env.items()))
+        query = self.query
+        try:
+            answer = _QUERY_RULES.get(type(query), _unknown_query)(query, env)
+        except EvalTypeError as error:
+            held = held or error
+        if held or mistyped:
+            raise held or mistyped
+        _set_steps(self, tuple(steps))
+        _set_answer(self, answer)
+
+    def __reduce__(self):  # a copied or unpickled program is built, and so run, again
+        return MetaProgram, (self.inits, self.stmts, self.query)
+
+
+_set_steps, _set_answer = _Run._steps.__set__, _Run._answer.__set__
 
 
 @frozen
@@ -186,99 +237,144 @@ def _check_value(value: Value) -> None:
         raise InvalidProgramError(f"unsupported value {value!r}")
 
 
-def _need(sym: str, defined: set[str]) -> None:
+def _value(sym: str, env: dict[str, Value]) -> Value:
     # A defined symbol was checked where it was defined; any other is checked, then refused.
-    if not isinstance(sym, str) or sym not in defined:
-        _check_symbol(sym)
-        raise UndefinedSymbolError(f"symbol {sym} used before definition")
+    try:
+        return env[sym]
+    except (KeyError, TypeError):  # TypeError: a list is no key
+        pass
+    _check_symbol(sym)
+    raise UndefinedSymbolError(f"symbol {sym} used before definition")
 
 
-def _check_sym(node: Add | Sub | Mul | Flip | ValueOf | OptionOf, defined: set[str]) -> None:
-    _need(node.sym, defined)
+def _normalized(value: int | Fraction) -> int | Fraction:
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return int(value)
+    return value
 
 
-def _check_div(stmt: Div, defined: set[str]) -> None:
-    _need(stmt.sym, defined)
-    if stmt.divisor == 0:
-        raise DivideByZeroError(f"division of {stmt.sym} by zero")
+def _arithmetic(sym: str, env: dict[str, Value], operand: int, verb: str, combine) -> EvalTypeError | None:
+    """Set ``sym`` to ``combine(value, operand)``. An operand that is not an int (or is a bool) is
+    still combined where Python can, so a later kind error reads as it would without the check;
+    the operand's own error is returned, to be raised only if the walk meets no other."""
+    value = _value(sym, env)
+    if isinstance(value, str):
+        raise EvalTypeError(f"{verb} {sym} needs a numeric value, got {value!r}")
+    mistyped = None if type(operand) is int else EvalTypeError(
+        f"{verb} {sym} needs an integer operand, got {operand!r}")
+    try:
+        env[sym] = _normalized(combine(value, operand))
+    except (TypeError, ValueError, ArithmeticError):  # the operand, or a value an earlier one made
+        raise mistyped or EvalTypeError(f"{verb} {sym} needs a numeric value, got {value!r}") from None
+    return mistyped
 
 
-def _check_swap(stmt: Swap, defined: set[str]) -> None:
+def _add(stmt: Add, env: dict[str, Value]) -> EvalTypeError | None:
+    return _arithmetic(stmt.sym, env, stmt.amount, "Add to", operator.add)
+
+
+def _sub(stmt: Sub, env: dict[str, Value]) -> EvalTypeError | None:
+    return _arithmetic(stmt.sym, env, stmt.amount, "Subtract from", operator.sub)
+
+
+def _mul(stmt: Mul, env: dict[str, Value]) -> EvalTypeError | None:
+    return _arithmetic(stmt.sym, env, stmt.factor, "Multiply", operator.mul)
+
+
+def _divide(value: int | Fraction, divisor: int) -> Fraction:
+    return Fraction(value) / divisor
+
+
+def _div(stmt: Div, env: dict[str, Value]) -> EvalTypeError | None:
+    sym, divisor = stmt.sym, stmt.divisor
+    _value(sym, env)
+    if divisor == 0:
+        raise DivideByZeroError(f"division of {sym} by zero")
+    return _arithmetic(sym, env, divisor, "Divide", _divide)
+
+
+def _swap(stmt: Swap, env: dict[str, Value]) -> None:
     left, right = stmt.left, stmt.right
-    _need(left, defined)
-    _need(right, defined)
+    left_value, right_value = _value(left, env), _value(right, env)
     if left == right:
         raise InvalidProgramError(f"swap needs two distinct symbols, got {left} twice")
+    env[left], env[right] = right_value, left_value
 
 
-def _check_says(stmt: Says, defined: set[str]) -> None:
-    speaker = stmt.speaker
-    _need(stmt.target, defined)
+def _says(stmt: Says, env: dict[str, Value]) -> None:
+    speaker, claimed = stmt.speaker, stmt.claimed
+    value = _value(stmt.target, env)
     _check_symbol(speaker)
-    _check_value(stmt.claimed)
-    if speaker in defined:
+    _check_value(claimed)
+    if speaker in env:
         raise DuplicateSymbolError(f"symbol {speaker} re-introduced by a says statement")
-    defined.add(speaker)
+    env[speaker] = int(value == claimed)
 
 
-def _check_last_of(stmt: LastOf, defined: set[str]) -> None:
+def _flip(stmt: Flip, env: dict[str, Value]) -> None:
     sym = stmt.sym
+    value = _value(sym, env)
+    if value not in (0, 1):
+        raise EvalTypeError(f"Flip needs a 0/1 bit in {sym}, got {value!r}")
+    env[sym] = 1 - value
+
+
+def _last_of(stmt: LastOf, env: dict[str, Value]) -> EvalTypeError | None:
+    sym, literal = stmt.sym, stmt.literal
     _check_symbol(sym)
-    if sym in defined:
+    if sym in env:
         raise DuplicateSymbolError(f"symbol {sym} re-introduced by a string definition")
-    if not stmt.literal:
+    if not literal:
         raise InvalidProgramError("last() needs a nonempty literal")
-    defined.add(sym)
+    # As with an arithmetic operand, a literal of another kind is still indexed where it can be.
+    mistyped = None if isinstance(literal, str) else EvalTypeError(f"last() needs a string literal, got {literal!r}")
+    try:
+        env[sym] = literal[-1]
+    except (TypeError, LookupError):
+        env[sym] = ""  # defined all the same, so the rest of the walk checks as it would
+        raise mistyped from None
+    return mistyped
 
 
-def _check_is_equal(query: IsEqual, defined: set[str]) -> None:
-    _need(query.sym, defined)
+def _value_of(query: ValueOf, env: dict[str, Value]) -> Value:
+    return _value(query.sym, env)
+
+
+def _is_equal(query: IsEqual, env: dict[str, Value]) -> Value:
+    value = _value(query.sym, env)
     _check_value(query.value)
+    return "yes" if value == query.value else "no"
 
 
-def _check_concat(query: ConcatOf, defined: set[str]) -> None:
-    if not query.syms:
+def _option_of(query: OptionOf, env: dict[str, Value]) -> Value:
+    value = _value(query.sym, env)
+    if isinstance(value, int):
+        return value
+    raise EvalTypeError(f"option query needs an integer in {query.sym}, got {value!r}")
+
+
+def _concat_of(query: ConcatOf, env: dict[str, Value]) -> Value:
+    syms = query.syms
+    if not syms:
         raise InvalidProgramError("concatenation query needs at least one symbol")
-    for sym in query.syms:
-        _need(sym, defined)
+    values = [_value(sym, env) for sym in syms]
+    for sym, value in zip(syms, values):
+        if not isinstance(value, str):
+            raise EvalTypeError(f"concatenation needs strings, {sym} holds {value!r}")
+    return "".join(values)
 
 
-def _unknown_statement(stmt, defined: set[str]) -> None:
+def _unknown_statement(stmt, env: dict[str, Value]) -> None:
     raise InvalidProgramError(f"unknown statement {stmt!r}")
 
 
-def _unknown_query(query, defined: set[str]) -> None:
+def _unknown_query(query, env: dict[str, Value]) -> None:
     raise InvalidProgramError(f"unknown query {query!r}")
 
 
-# The rule of each statement and query class, looked up by the node's own type.
+# The rule of each statement and query class, looked up by the node's own type: it checks
+# the node, then runs it.
 _STATEMENT_RULES = {
-    Add: _check_sym, Sub: _check_sym, Mul: _check_sym, Flip: _check_sym,
-    Div: _check_div, Swap: _check_swap, Says: _check_says, LastOf: _check_last_of,
+    Add: _add, Sub: _sub, Mul: _mul, Div: _div, Swap: _swap, Says: _says, Flip: _flip, LastOf: _last_of,
 }
-_QUERY_RULES = {ValueOf: _check_sym, OptionOf: _check_sym, IsEqual: _check_is_equal, ConcatOf: _check_concat}
-
-
-def validate_program(program: MetaProgram) -> None:
-    """Check well-formedness; raises a MetaLangError subclass on the first violation.
-
-    Well-formed means: init symbols pairwise distinct, every symbol defined
-    before use (by init, says-introduction, or string definition), swap
-    arguments distinct, literal divisors nonzero, string literals nonempty.
-    One pass checks each symbol's shape once, where it is defined; a later
-    mention is only looked up among the defined ones (a tracking program of
-    7 objects and 7 swaps checks 7 symbols, not 22). Each statement and the
-    query are checked by the rule of their own class, found in one lookup;
-    a node of any other class is refused.
-    """
-    defined: set[str] = set()
-    for sym, value in program.inits:
-        _check_symbol(sym)
-        _check_value(value)
-        if sym in defined:
-            raise DuplicateSymbolError(f"symbol {sym} initialized twice")
-        defined.add(sym)
-    for stmt in program.stmts:
-        _STATEMENT_RULES.get(type(stmt), _unknown_statement)(stmt, defined)
-    query = program.query
-    _QUERY_RULES.get(type(query), _unknown_query)(query, defined)
+_QUERY_RULES = {ValueOf: _value_of, IsEqual: _is_equal, OptionOf: _option_of, ConcatOf: _concat_of}

@@ -1,4 +1,4 @@
-"""Errors raised by the meta-question language: parsing, validation, evaluation."""
+"""Errors raised by the meta-question language: parsing, and building (checking, running) a program."""
 
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ class InvalidProgramError(MetaLangError):
 
 
 class EvalTypeError(MetaLangError):
-    """A statement was applied to a value of the wrong kind."""
+    """A statement or query met a value or operand of the wrong kind."""
 
 
 class DivideByZeroError(MetaLangError):

@@ -199,11 +199,11 @@ def _parse_query(fragment: str, index: int) -> Query:
 
 
 def parse_meta(text: str) -> MetaProgram:
-    """Parse meta-question text into a validated program.
+    """Parse meta-question text into a program, which building checks and runs.
 
     Raises ParseError (with a 1-based sentence index and an expected-form
-    hint) on syntax problems, and the validation errors from
-    ``validate_program`` on semantic ones.
+    hint) on syntax problems, and the error of building the program
+    (``MetaProgram``) on one that fails a check or cannot run.
     """
     fragments = split_clauses(text)
     if not fragments:

@@ -664,7 +664,8 @@ def resolve(inst: TaskInstance) -> MetaQuestion:
 
     Template families are parsed deterministically; anything else must
     carry an attached meta rewrite. Raises TemplateMismatchError or, for
-    free-form arithmetic without a rewrite, UnsupportedTaskError.
+    free-form arithmetic without a rewrite, UnsupportedTaskError; a program
+    that cannot run raises its MetaLangError when it is built.
     """
     resolver = _RESOLVERS[inst.task]
     try:

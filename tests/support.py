@@ -4,6 +4,7 @@ round-trip and algebraic property checks."""
 from __future__ import annotations
 
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 from metareason.meta_lang.ast import (
@@ -21,6 +22,7 @@ from metareason.meta_lang.ast import (
     Swap,
     ValueOf,
 )
+from metareason.meta_lang.errors import EvalTypeError
 from metareason.resolution import symbol_name
 
 _WORD_ALPHABET = "abcdefghij XYZ'é?\\\""
@@ -51,15 +53,16 @@ def _symbol_pool(rng: random.Random, size: int) -> list[str]:
     return [symbol_name(i) for i in indices]
 
 
-def random_program(rng: random.Random) -> MetaProgram:
-    """A well-formed (not necessarily runnable) random program."""
+def random_parts(rng: random.Random) -> tuple[tuple, tuple, object]:
+    """The inits, statements and query of a random well-formed program, which may not
+    run: a flip may land on a non-bit, an addition on a string."""
     pool = _symbol_pool(rng, 12)
     if rng.random() < 0.2:
         count = rng.randint(1, 4)
         syms = pool[:count]
         stmts = tuple(LastOf(sym=s, literal=random_word(rng)) for s in syms)
         query_syms = tuple(rng.choice(syms) for _ in range(rng.randint(1, 5)))
-        return MetaProgram(inits=(), stmts=stmts, query=ConcatOf(syms=query_syms))
+        return (), stmts, ConcatOf(syms=query_syms)
 
     n_inits = rng.randint(1, 4)
     init_syms = pool[:n_inits]
@@ -103,7 +106,46 @@ def random_program(rng: random.Random) -> MetaProgram:
     else:
         count = rng.randint(1, min(3, len(defined)))
         query = ConcatOf(syms=tuple(rng.sample(defined, count)))
-    return MetaProgram(inits=inits, stmts=tuple(stmts), query=query)
+    return inits, tuple(stmts), query
+
+
+def random_program(rng: random.Random) -> MetaProgram:
+    """A random program: the first of ``random_parts``' draws that runs, and so builds."""
+    while True:
+        try:
+            return MetaProgram(*random_parts(rng))
+        except EvalTypeError:
+            continue
+
+
+# What a mutated field holds instead: nothing, a bool, a float, a numeric string, a whole-number
+# Fraction, a list, or a symbol that no random program defines.
+MUTANTS = [None, True, 1.5, "2", Fraction(4, 2), ["A"], "ZZ"]
+
+
+def mutated(parts: tuple[tuple, tuple, object], position: int, mutant) -> tuple[tuple, tuple, object]:
+    """``parts`` with one field replaced by ``mutant``: an init's symbol or value, a field of a
+    statement or of the query, or one symbol of a concatenation; ``position`` picks which,
+    modulo their number."""
+    inits, stmts, query = parts
+    places = [("init", i, j) for i in range(len(inits)) for j in (0, 1)]
+    places += [("stmt", i, spec.name) for i, stmt in enumerate(stmts) for spec in fields(stmt)]
+    if isinstance(query, ConcatOf):
+        places += [("syms", j, None) for j in range(len(query.syms))]
+    else:
+        places += [("query", None, spec.name) for spec in fields(query)]
+    part, i, name = places[position % len(places)]
+    if part == "init":
+        pair = list(inits[i])
+        pair[name] = mutant
+        inits = (*inits[:i], tuple(pair), *inits[i + 1:])
+    elif part == "stmt":
+        stmts = (*stmts[:i], replace(stmts[i], **{name: mutant}), *stmts[i + 1:])
+    elif part == "query":
+        query = replace(query, **{name: mutant})
+    else:
+        query = ConcatOf((*query.syms[:i], mutant, *query.syms[i + 1:]))
+    return inits, stmts, query
 
 
 def value_kinds(program: MetaProgram) -> list[type]:

@@ -25,7 +25,7 @@ from metareason.demos import (
     select_demos,
 )
 from metareason.harness.extraction import extract_answer
-from metareason.meta_lang.ast import LastOf, Says, Swap, format_value
+from metareason.meta_lang.ast import LastOf, MetaProgram, Says, Swap, format_value
 from metareason.meta_lang.errors import MetaLangError
 from metareason.meta_lang.interpreter import eval_program
 from metareason.resolution import (
@@ -40,7 +40,7 @@ from metareason.resolution import (
 )
 from metareason.taskgen import GenConfig, generate
 
-from support import random_program
+from support import random_parts
 
 # SHA-256 of what each family's pinned items give (see ``_pinned``): the demonstrations
 # files in both fusion modes, and ``repr`` of each resolved question (spans and offsets too).
@@ -314,24 +314,25 @@ def _synthetic(count: int = 400):
     names = ["Alice", "Bob", "Claire", "Dave", "Eve", "B", "Fred", "Gina", "Hal", "Ivy", "Jo", "Kim"]
     cases = []
     while len(cases) < count:
-        program = random_program(rng)
-        syms = [sym for sym, _ in program.inits]
+        inits, stmts, query = random_parts(rng)  # names are drawn for each draw, runnable or not
+        syms = [sym for sym, _ in inits]
         syms += [stmt.speaker if isinstance(stmt, Says) else stmt.sym
-                 for stmt in program.stmts if isinstance(stmt, (Says, LastOf))]
+                 for stmt in stmts if isinstance(stmt, (Says, LastOf))]
         named = dict(zip(syms, rng.sample(names, len(syms))))
         spans = []
-        for index, stmt in enumerate(program.stmts):
+        for index, stmt in enumerate(stmts):
             used = [stmt.left, stmt.right] if isinstance(stmt, Swap) else [
                 getattr(stmt, slot) for slot in ("speaker", "target", "sym") if hasattr(stmt, slot)]
             text = " and ".join(named[sym] for sym in used) + f" take turn {index + 1}."
             spans.append(Span(text, 10 * index, 10 * index + len(text)))
         table = EntityTable(entries=tuple((Span(name), sym) for sym, name in named.items()),
                             op_spans=(*spans, Span("Who has what at the end?")))
-        mq = MetaQuestion(program=program, table=table, option_letters=tuple("ABCDEFG"))
         inst = TaskInstance(id=str(len(cases)), task=Task.TSO7, question="What now?",
                             options=tuple(f"thing {i}" for i in range(7)), gold="?")
         try:
-            trace = eval_program(program)
+            mq = MetaQuestion(program=MetaProgram(inits, stmts, query), table=table,
+                              option_letters=tuple("ABCDEFG"))
+            trace = eval_program(mq.program)
             surface_answer(mq, trace)
         except (MetaLangError, ResolutionError):
             continue

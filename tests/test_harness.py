@@ -1291,6 +1291,15 @@ class TestRunEval:
         records_path.write_bytes(lines[0] + lines[1] + lines[2] + b'{"task": "\xff"}\n')
         assert len(load_records(records_path)) == 3  # as the last line, it is torn
 
+    def test_a_middle_line_is_labelled_by_its_cause(self, tmp_path):
+        records_path = tmp_path / "records.jsonl"
+        records_path.write_bytes(b'{"latency_ms": ' + b"9" * 5000 + b'}\n{"task": "CF"}\n')
+        with pytest.raises(RecordLineError, match=re.escape(f"{records_path}: line 1: not JSON: Exceeds the limit")):
+            load_records(records_path)
+        records_path.write_bytes(b'{"task": "\xff"}\n{"task": "CF"}\n')
+        with pytest.raises(RecordLineError, match=re.escape(f"{records_path}: line 1: not UTF-8 (")):
+            load_records(records_path)
+
     def test_a_run_opens_its_records_file_for_append_once(self, tmp_path, monkeypatch):
         import builtins
 
@@ -1616,6 +1625,16 @@ class TestPromptDigest:
         with pytest.raises(ConfigError, match=re.escape(f"'{instances[0].id}') is not one")):
             run_eval(EvalConfig.from_json_dict(config))
         assert stored == {name: (out_dir / name).read_bytes() for name in stored}
+
+    def test_a_resume_under_the_same_backend_leaves_run_json_as_it_is(self, tmp_path):
+        config, _ = _write_eval_setup(tmp_path, count=4)
+        run_eval(EvalConfig.from_json_dict(config), max_records=3)
+        run_path = tmp_path / "out" / "run.json"
+        before = run_path.stat()
+        run_eval(EvalConfig.from_json_dict(config))
+        after = run_path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert json.loads(run_path.read_text(encoding="utf-8")) == {"backend": {"kind": "oracle"}}
 
     def test_a_resume_under_another_backend_is_refused(self, tmp_path):
         config, _ = _write_eval_setup(tmp_path, count=10)

@@ -15,8 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metareason.meta_lang import ast as meta_ast
-from metareason.meta_lang import interpreter as meta_interpreter
-from metareason.meta_lang import parser as meta_parser
 from metareason.meta_lang.ast import (
     Add,
     ConcatOf,
@@ -33,13 +31,13 @@ from metareason.meta_lang.ast import (
     Trace,
     ValueOf,
     format_value,
-    validate_program,
 )
 from metareason.meta_lang.errors import (
     DivideByZeroError,
     DuplicateSymbolError,
     EvalTypeError,
     InvalidProgramError,
+    MetaLangError,
     ParseError,
     UndefinedSymbolError,
 )
@@ -48,7 +46,16 @@ from metareason.meta_lang.parser import parse_meta, split_clauses
 from metareason.meta_lang.renderer import QUERIES, STATEMENTS, render_meta
 from metareason.resolution import EntityTable, MetaQuestion, Span, Task, TaskInstance, resolve
 from metareason.taskgen import GenConfig, generate
-from support import exact, random_program, random_swap_sequence, random_truth_chain, value_kinds
+from support import (
+    MUTANTS,
+    exact,
+    mutated,
+    random_parts,
+    random_program,
+    random_swap_sequence,
+    random_truth_chain,
+    value_kinds,
+)
 
 from conftest import LOOSE_META_TEXT
 
@@ -163,12 +170,12 @@ GRAMMAR_ROWS = [
      "SYM and SYM swap."),
     (Flip, "It is known that A = 1. Flip A. What is the value of A?", "Flip A twice", "Flip SYM."),
     (LastOf, 'It is known that A = 5. B = last("x"). What is the value of A?', "B = last(x)", 'SYM = last("WORD").'),
-    (ValueOf, "It is known that A = 5. Flip A. What is the value of A?", "What is the value of a?",
+    (ValueOf, "It is known that A = 1. Flip A. What is the value of A?", "What is the value of a?",
      "What is the value of SYM?"),
-    (IsEqual, "It is known that A = 5. Flip A. Is A = 5?", "Is A equal to 5?", "Is SYM = VAL?"),
-    (OptionOf, "It is known that A = 5. Flip A. Which option equals A?", "Which option is A?",
+    (IsEqual, "It is known that A = 1. Flip A. Is A = 5?", "Is A equal to 5?", "Is SYM = VAL?"),
+    (OptionOf, "It is known that A = 1. Flip A. Which option equals A?", "Which option is A?",
      "Which option equals SYM?"),
-    (ConcatOf, "It is known that A = 5, B = 2. Flip A. What is the concatenation of A and B?",
+    (ConcatOf, 'It is known that A = "x", B = "y". A and B swap. What is the concatenation of A and B?',
      "What is the concatenation of A, B?", "What is the concatenation of SYM and SYM ...?"),
 ]
 
@@ -287,12 +294,12 @@ class TestEval:
         assert answer == eval_program(parsed).answer == 0 and type(answer) is int
 
     def test_flip_on_non_bit_raises(self):
-        with pytest.raises(EvalTypeError):
-            eval_program(parse_meta("It is known A = 5. Flip A. Is A = 1?"))
+        with pytest.raises(EvalTypeError, match="^Flip needs a 0/1 bit in A, got 5$"):
+            parse_meta("It is known A = 5. Flip A. Is A = 1?")
 
     def test_arithmetic_on_string_raises(self):
-        with pytest.raises(EvalTypeError):
-            eval_program(parse_meta('A = last("hi"). Add 3 to A. What is the value of A?'))
+        with pytest.raises(EvalTypeError, match="^Add to A needs a numeric value, got 'i'$"):
+            parse_meta('A = last("hi"). Add 3 to A. What is the value of A?')
 
     def test_concat_query(self):
         trace = eval_program(
@@ -315,18 +322,19 @@ class TestEval:
             before = after
 
     def test_determinism(self):
-        # random programs are well-formed but not always runnable (a flip
-        # may land on a non-bit); runnable ones must evaluate identically
+        # random draws are well-formed but not always runnable (a flip may land
+        # on a non-bit), and one that does not run is refused when built; one
+        # that runs evaluates identically each time it is built
         rng = random.Random(7)
         evaluated = 0
         for _ in range(80):
-            program = random_program(rng)
+            parts = random_parts(rng)
             try:
-                first = eval_program(program)
+                first = eval_program(MetaProgram(*parts))
             except (EvalTypeError, DivideByZeroError):
                 continue
             evaluated += 1
-            assert eval_program(program) == first
+            assert eval_program(MetaProgram(*parts)) == first
         assert evaluated >= 20
 
 
@@ -417,20 +425,39 @@ class TestProperties:
     @settings(max_examples=30)
     @given(st.integers(min_value=0))
     def test_random_programs_validate(self, seed):
-        validate_program(random_program(random.Random(seed)))
+        # a random draw is well-formed: building it passes every check, and can
+        # only meet a kind error when it runs
+        try:
+            MetaProgram(*random_parts(random.Random(seed)))
+        except EvalTypeError:
+            pass
+
+    @given(
+        st.integers(min_value=0),
+        st.one_of(st.none(), st.tuples(st.integers(min_value=0), st.sampled_from(MUTANTS))),
+    )
+    def test_a_program_that_exists_runs(self, seed, mutation):
+        parts = random_parts(random.Random(seed))
+        if mutation is not None:
+            parts = mutated(parts, *mutation)
+        try:
+            program = MetaProgram(*parts)
+        except MetaLangError:
+            return
+        trace = eval_program(program)
+        assert trace.program is program and len(trace.steps) == len(program.stmts)
 
 
 class TestValidation:
     def test_parse_then_eval_validates_once(self, monkeypatch):
         calls = []
+        walk = MetaProgram.__post_init__
 
         def counting(program):
             calls.append(program)
-            validate_program(program)
+            walk(program)
 
-        for module in (meta_ast, meta_parser, meta_interpreter):
-            if hasattr(module, "validate_program"):
-                monkeypatch.setattr(module, "validate_program", counting)
+        monkeypatch.setattr(MetaProgram, "__post_init__", counting)
         eval_program(parse_meta("It is known A = 1. Add 2 to A. What is the value of A?"))
         assert len(calls) == 1
 
@@ -439,7 +466,7 @@ class TestValidation:
         checked = []
         check = meta_ast._check_symbol
         monkeypatch.setattr(meta_ast, "_check_symbol", lambda sym: checked.append(sym) or check(sym))
-        validate_program(program)
+        MetaProgram(program.inits, program.stmts, program.query)
         # 7 inits, 7 swaps of two symbols and a query: 7 checks, not 22
         assert len(program.stmts) == 7 and checked == [sym for sym, _ in program.inits]
 
@@ -451,7 +478,7 @@ class TestValidation:
                 query=ValueOf(sym="B"),
             )
 
-    @pytest.mark.parametrize("value", [True, False, Fraction(4, 2), Fraction(0, 3), 1.5, None])
+    @pytest.mark.parametrize("value", [True, False, Fraction(4, 2), Fraction(0, 3), 1.5, None, ["A"]])
     def test_values_of_no_canonical_kind_are_refused(self, value):
         with pytest.raises(InvalidProgramError, match="unsupported value"):
             MetaProgram(inits=(("A", value),), stmts=(), query=ValueOf(sym="A"))
@@ -468,6 +495,38 @@ class TestValidation:
                 stmts=(LastOf(sym="A", literal=""),),
                 query=ValueOf(sym="A"),
             )
+
+    def test_an_operand_that_is_no_int_is_refused_when_built(self):
+        with pytest.raises(EvalTypeError, match="^Add to A needs an integer operand, got None$"):
+            MetaProgram((("A", 1),), (Add("A", None),), ValueOf("A"))
+
+    @pytest.mark.parametrize("operand", [None, True, False, 1.5, "2", Fraction(4, 2), ["A"]])
+    @pytest.mark.parametrize("node", [Add, Sub, Mul, Div])
+    def test_mistyped_operands_are_refused_when_built(self, node, operand):
+        with pytest.raises(MetaLangError):
+            MetaProgram((("A", 1),), (node("A", operand),), ValueOf("A"))
+
+    @pytest.mark.parametrize("literal", [None, True, 1.5, Fraction(4, 2), ["A"], ("A",)])
+    def test_a_literal_that_is_no_string_is_refused_when_built(self, literal):
+        with pytest.raises(MetaLangError):
+            MetaProgram((), (LastOf("A", literal),), ConcatOf(("A",)))
+
+    def test_a_failed_check_outranks_an_earlier_kind_error_and_the_first_kind_error_wins(self):
+        with pytest.raises(InvalidProgramError, match="^swap needs two distinct symbols, got A twice$"):
+            MetaProgram((("A", 5),), (Flip("A"), Swap("A", "A")), ValueOf("A"))
+        # an operand of another kind that Python still combines ranks below any other error,
+        # and the walk runs on with the value it gives
+        with pytest.raises(EvalTypeError, match="^Flip needs a 0/1 bit in A, got 1.5$"):
+            MetaProgram((("A", 1),), (Mul("A", 1.5), Flip("A")), ValueOf("A"))
+        with pytest.raises(EvalTypeError, match="^Multiply A needs an integer operand, got 1.5$"):
+            MetaProgram((("A", 1),), (Mul("A", 1.5), Add("A", 1)), ValueOf("A"))
+        with pytest.raises(EvalTypeError, match="^Flip needs a 0/1 bit in A, got 5$"):
+            MetaProgram((("A", 5),), (Flip("A"), Add("A", None)), ValueOf("A"))
+        with pytest.raises(EvalTypeError, match="^Add to A needs an integer operand, got None$"):
+            MetaProgram((("A", 5),), (Add("A", None), Flip("A")), ValueOf("A"))
+        # a string definition with a literal of another kind still defines its symbol
+        with pytest.raises(EvalTypeError, match="^last[(][)] needs a string literal, got 5$"):
+            MetaProgram((), (LastOf("A", 5), Flip("A")), ConcatOf(("A",)))
 
     def test_query_symbol_must_be_defined(self):
         with pytest.raises(UndefinedSymbolError):
@@ -554,6 +613,11 @@ class TestValueClasses:
         assert Add("A", 1) != Sub("A", 1) and hash(Add("A", 1)) == hash(Sub("A", 1))
         assert ValueOf("A") != OptionOf("A") != Flip("A")
         assert len({Add("A", 1), Sub("A", 1), Add("A", 1)}) == 2
+
+    def test_a_copied_or_unpickled_program_runs(self):
+        trace = eval_program(_PROGRAM)
+        for copied in (pickle.loads(pickle.dumps(_PROGRAM)), copy.deepcopy(_PROGRAM), copy.copy(_PROGRAM)):
+            assert eval_program(copied) == trace and eval_program(copied).program is copied
 
     def test_building_a_program_still_validates_it(self):
         with pytest.raises(InvalidProgramError, match="swap needs two distinct symbols"):
