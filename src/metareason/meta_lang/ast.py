@@ -158,12 +158,11 @@ class MetaProgram(_Run):
     class (any other class is refused). The checks: every symbol [A-Z]{1,2}, defined
     before use (by init, says-introduction, or string definition) and introduced
     once, checked once where it is defined; values of a supported kind; swap
-    arguments distinct; literal divisors nonzero; string literals nonempty. A failed
-    check raises at once. A kind error (EvalTypeError: a string where a number is
-    needed, a flip of a non-bit, ...) is held until the walk ends, so a failed check
-    after it is the error raised. An operand that is not an int, or a ``last()``
-    literal that is not a string, is an EvalTypeError raised only if the walk meets
-    no other; where Python can still combine it, the walk runs on with its value.
+    arguments distinct; literal divisors nonzero; string literals nonempty. The walk
+    raises the first problem it meets, in program order: a failed check, or an
+    EvalTypeError (a string where a number is needed, a flip of a non-bit, an operand
+    that is not an int, a ``last()`` literal that is not a string, ...). An operand is
+    refused before it is combined.
     """
 
     inits: tuple[tuple[str, Value], ...]
@@ -178,25 +177,13 @@ class MetaProgram(_Run):
             if sym in env:
                 raise DuplicateSymbolError(f"symbol {sym} initialized twice")
             env[sym] = value
-        held = mistyped = None
         steps = []
         for stmt in self.stmts:
-            try:
-                odd = _STATEMENT_RULES.get(type(stmt), _unknown_statement)(stmt, env)
-            except EvalTypeError as error:
-                held = held or error
-            else:
-                mistyped = mistyped or odd
+            _STATEMENT_RULES.get(type(stmt), _unknown_statement)(stmt, env)
             steps.append(tuple(env.items()))
         query = self.query
-        try:
-            answer = _QUERY_RULES.get(type(query), _unknown_query)(query, env)
-        except EvalTypeError as error:
-            held = held or error
-        if held or mistyped:
-            raise held or mistyped
+        _set_answer(self, _QUERY_RULES.get(type(query), _unknown_query)(query, env))
         _set_steps(self, tuple(steps))
-        _set_answer(self, answer)
 
     def __reduce__(self):  # a copied or unpickled program is built, and so run, again
         return MetaProgram, (self.inits, self.stmts, self.query)
@@ -216,12 +203,6 @@ class Trace:
 
     def final(self) -> dict[str, Value]:
         return dict(self.steps[-1] if self.steps else self.program.inits)
-
-    def value_of(self, sym: str) -> Value:
-        env = self.final()
-        if sym not in env:
-            raise UndefinedSymbolError(f"symbol {sym} is not defined")
-        return env[sym]
 
 
 def _check_symbol(sym: str) -> None:
@@ -253,44 +234,39 @@ def _normalized(value: int | Fraction) -> int | Fraction:
     return value
 
 
-def _arithmetic(sym: str, env: dict[str, Value], operand: int, verb: str, combine) -> EvalTypeError | None:
-    """Set ``sym`` to ``combine(value, operand)``. An operand that is not an int (or is a bool) is
-    still combined where Python can, so a later kind error reads as it would without the check;
-    the operand's own error is returned, to be raised only if the walk meets no other."""
+def _arithmetic(sym: str, env: dict[str, Value], operand: int, verb: str, combine) -> None:
+    """Set ``sym`` to ``combine(value, operand)``, after refusing a string value and then an
+    operand that is not an int (a bool is not)."""
     value = _value(sym, env)
     if isinstance(value, str):
         raise EvalTypeError(f"{verb} {sym} needs a numeric value, got {value!r}")
-    mistyped = None if type(operand) is int else EvalTypeError(
-        f"{verb} {sym} needs an integer operand, got {operand!r}")
-    try:
-        env[sym] = _normalized(combine(value, operand))
-    except (TypeError, ValueError, ArithmeticError):  # the operand, or a value an earlier one made
-        raise mistyped or EvalTypeError(f"{verb} {sym} needs a numeric value, got {value!r}") from None
-    return mistyped
+    if type(operand) is not int:
+        raise EvalTypeError(f"{verb} {sym} needs an integer operand, got {operand!r}")
+    env[sym] = _normalized(combine(value, operand))
 
 
-def _add(stmt: Add, env: dict[str, Value]) -> EvalTypeError | None:
-    return _arithmetic(stmt.sym, env, stmt.amount, "Add to", operator.add)
+def _add(stmt: Add, env: dict[str, Value]) -> None:
+    _arithmetic(stmt.sym, env, stmt.amount, "Add to", operator.add)
 
 
-def _sub(stmt: Sub, env: dict[str, Value]) -> EvalTypeError | None:
-    return _arithmetic(stmt.sym, env, stmt.amount, "Subtract from", operator.sub)
+def _sub(stmt: Sub, env: dict[str, Value]) -> None:
+    _arithmetic(stmt.sym, env, stmt.amount, "Subtract from", operator.sub)
 
 
-def _mul(stmt: Mul, env: dict[str, Value]) -> EvalTypeError | None:
-    return _arithmetic(stmt.sym, env, stmt.factor, "Multiply", operator.mul)
+def _mul(stmt: Mul, env: dict[str, Value]) -> None:
+    _arithmetic(stmt.sym, env, stmt.factor, "Multiply", operator.mul)
 
 
 def _divide(value: int | Fraction, divisor: int) -> Fraction:
     return Fraction(value) / divisor
 
 
-def _div(stmt: Div, env: dict[str, Value]) -> EvalTypeError | None:
+def _div(stmt: Div, env: dict[str, Value]) -> None:
     sym, divisor = stmt.sym, stmt.divisor
     _value(sym, env)
     if divisor == 0:
         raise DivideByZeroError(f"division of {sym} by zero")
-    return _arithmetic(sym, env, divisor, "Divide", _divide)
+    _arithmetic(sym, env, divisor, "Divide", _divide)
 
 
 def _swap(stmt: Swap, env: dict[str, Value]) -> None:
@@ -319,21 +295,16 @@ def _flip(stmt: Flip, env: dict[str, Value]) -> None:
     env[sym] = 1 - value
 
 
-def _last_of(stmt: LastOf, env: dict[str, Value]) -> EvalTypeError | None:
+def _last_of(stmt: LastOf, env: dict[str, Value]) -> None:
     sym, literal = stmt.sym, stmt.literal
     _check_symbol(sym)
     if sym in env:
         raise DuplicateSymbolError(f"symbol {sym} re-introduced by a string definition")
     if not literal:
         raise InvalidProgramError("last() needs a nonempty literal")
-    # As with an arithmetic operand, a literal of another kind is still indexed where it can be.
-    mistyped = None if isinstance(literal, str) else EvalTypeError(f"last() needs a string literal, got {literal!r}")
-    try:
-        env[sym] = literal[-1]
-    except (TypeError, LookupError):
-        env[sym] = ""  # defined all the same, so the rest of the walk checks as it would
-        raise mistyped from None
-    return mistyped
+    if not isinstance(literal, str):
+        raise EvalTypeError(f"last() needs a string literal, got {literal!r}")
+    env[sym] = literal[-1]
 
 
 def _value_of(query: ValueOf, env: dict[str, Value]) -> Value:

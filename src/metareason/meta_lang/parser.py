@@ -15,6 +15,7 @@ words are dropped before matching.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from string import Formatter
@@ -43,24 +44,32 @@ _LEADING_CONNECTIVE = re.compile(rf"^(?:(?:and|{_CONNECTIVES})\b[,\s]+)+", re.IG
 _CHUNK = re.compile(rf'(?:[^",]+|{_OPEN_QUOTED})*', re.S)
 
 
+def _int(text: str, index: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # the grammar reads only digits, so this is Python's limit on their number
+        digits, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
+        raise ParseError(f"numeral of {digits} digits is too long", index, f"at most {limit} digits") from None
+
+
 def _parse_value(text: str, index: int) -> Value:
     if text[0] == '"':
         body = text[1:-1]
         return re.sub(r"\\(.)", r"\1", body) if "\\" in body else body
     if "/" in text:
         num_text, den_text = text.split("/", 1)
-        den = int(den_text.strip())
+        den = _int(den_text.strip(), index)
         if den == 0:
             raise ParseError(f"zero denominator in {text!r}", index, "a nonzero denominator")
-        value = Fraction(int(num_text.strip()), den)
+        value = Fraction(_int(num_text.strip(), index), den)
         return value.numerator if value.denominator == 1 else value
-    return int(text)
+    return _int(text, index)
 
 
 # Per slot kind: its regex, its reader (text, sentence index -> value), and its hint.
 _KINDS = {
     SYM: (_SYM, lambda text, index: text, "SYM"),
-    NUM: (_NUM, lambda text, index: int(text), "NUM"),
+    NUM: (_NUM, _int, "NUM"),
     VAL: (rf"(?:{_NUM}(?:\s*/\s*\d+)?|{_QUOTED})", _parse_value, "VAL"),
     WORD: (_QUOTED, _parse_value, '"WORD"'),
     SYMS: (

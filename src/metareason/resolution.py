@@ -619,6 +619,13 @@ _ARITH_OPS = (
 )
 
 
+def _amount(m: re.Match, sentence: Span) -> int:
+    try:
+        return int(m["amount"])
+    except ValueError:  # the form reads only digits, so this is Python's limit on their number
+        raise TemplateMismatchError(f"amount of {len(m['amount'])} digits is too long", sentence.text) from None
+
+
 def _resolve_arith(question: str, options: tuple[str, ...] | None) -> MetaQuestion:
     del options
     sentences, first, last = _read_chain(question, templates.ARITH_OPENING, templates.ARITH_QUERY)
@@ -634,9 +641,9 @@ def _resolve_arith(question: str, options: tuple[str, ...] | None) -> MetaQuesti
                 break
         else:
             raise TemplateMismatchError("bad operation sentence", sentence.text)
-        stmts.append(op(sym, int(m["amount"])))
+        stmts.append(op(sym, _amount(m, sentence)))
 
-    inits = [(sym, int(first["amount"]))]
+    inits = [(sym, _amount(first, sentences[0]))]
     entries = [(_slot_span(first, "name", sentences[0].start), sym)]
     return _meta_question(inits, stmts, ValueOf(sym), sentences[1:], entries)
 

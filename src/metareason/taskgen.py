@@ -13,7 +13,7 @@ import hashlib
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import templates
@@ -26,14 +26,14 @@ class GenerationError(Exception):
 
 
 class LexiconTooSmallError(GenerationError):
-    """A lexicon cannot supply enough distinct entries for one instance."""
+    """A word list cannot supply enough distinct entries for one instance."""
 
 
 class InvalidParamsError(GenerationError):
     """A generation parameter breaks its rule; the message names it."""
 
 
-DEFAULT_PERSON_NAMES = (
+PERSON_NAMES = (
     "Alice", "Bob", "Claire", "Dave", "Eve", "Fred", "Gertrude", "Helga",
     "Isabella", "Jamey", "Karl", "Liam", "Mia", "Noah", "Olga", "Paul",
     "Quinn", "Rosa", "Sam", "Tina", "Ursula", "Victor", "Wendy", "Yara",
@@ -42,25 +42,25 @@ DEFAULT_PERSON_NAMES = (
     "Fidel", "Delbert", "Leda", "Osvaldo", "Maybelle", "Fletcher", "Sima",
     "Inga", "Audrie", "Gwenn", "Conception",
 )
-DEFAULT_PARTNER_NAMES = (
+PARTNER_NAMES = (
     "Lola", "Rodrigo", "Patrick", "Melissa", "Jamie", "Ophelia", "Izzi",
     "Marco", "Dana", "Yuki", "Helena", "Stefan",
 )
-DEFAULT_BOOK_TITLES = (
+BOOK_TITLES = (
     "Moby Dick", "The Great Gatsby", "Ulysses", "The Odyssey",
     "Frankenstein", "Hamlet", "Catch-22", "The Pearl", "Lolita",
     "The Fellowship of the Ring", "Brave New World", "Middlemarch",
 )
-DEFAULT_POSITIONS = (
+POSITIONS = (
     "goalkeeper", "left winger", "right winger", "striker",
     "center midfielder", "left midfielder", "right midfielder", "fullback",
     "benchwarmer", "cheerleader", "sweeper", "left back",
 )
-DEFAULT_OBJECT_NOUNS = (
+OBJECT_NOUNS = (
     "apples", "oranges", "marbles", "pencils", "coins", "stickers",
     "candies", "cards", "balloons", "seashells",
 )
-DEFAULT_LLC_WORDS = (
+LLC_WORDS = (
     "Elon", "Musk", "Bill", "Gates", "Larry", "Page", "Sergey", "Brin",
     "Lady", "Gaga", "Taylor", "Swift", "Barack", "Obama", "Angela",
     "Merkel", "Serena", "Williams", "Roger", "Federer", "Marie", "Curie",
@@ -69,16 +69,8 @@ DEFAULT_LLC_WORDS = (
 )
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Surface vocabulary for the templates; entries must be unique."""
-
-    person_names: tuple[str, ...] = DEFAULT_PERSON_NAMES
-    partner_names: tuple[str, ...] = DEFAULT_PARTNER_NAMES
-    book_titles: tuple[str, ...] = DEFAULT_BOOK_TITLES
-    positions: tuple[str, ...] = DEFAULT_POSITIONS
-    object_nouns: tuple[str, ...] = DEFAULT_OBJECT_NOUNS
-    llc_words: tuple[str, ...] = DEFAULT_LLC_WORDS
+# The words a tracking scenario's objects are drawn from, by the name its ``objects`` gives.
+_SCENARIO_OBJECTS = {"partner_names": PARTNER_NAMES, "book_titles": BOOK_TITLES, "positions": POSITIONS}
 
 
 # An arithmetic question's starting amount is drawn from this range, inclusive.
@@ -103,7 +95,6 @@ class GenConfig:
     n_people: int = _param(1, default=4)           # coin flips: number of actors
     n_words: int = _param(1, default=2)            # last-letter: words per name
     n_ops: int = _param(1, default=3)              # arithmetic: operation count
-    lexicon: Lexicon = field(default_factory=Lexicon)
 
 
 def child_rng(seed: int, task: Task, index: int) -> random.Random:
@@ -123,8 +114,8 @@ def _build_tso(cfg: GenConfig, rng: random.Random) -> tuple[str, tuple[str, ...]
     n = tso_object_count(cfg.task)
     n_swaps = cfg.n_swaps if cfg.n_swaps is not None else n
     scenario = rng.choice(templates.SCENARIOS)
-    persons = _sample(rng, cfg.lexicon.person_names, n, "person names")
-    objects = _sample(rng, getattr(cfg.lexicon, scenario.objects), n, "objects")
+    persons = _sample(rng, PERSON_NAMES, n, "person names")
+    objects = _sample(rng, _SCENARIO_OBJECTS[scenario.objects], n, "objects")
     pairs = [
         templates.TSO_PAIR.render(person=p, holds=scenario.holds, obj=o)
         for p, o in zip(persons, objects)
@@ -147,7 +138,7 @@ def _build_tso(cfg: GenConfig, rng: random.Random) -> tuple[str, tuple[str, ...]
 
 
 def _build_wol(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
-    persons = _sample(rng, cfg.lexicon.person_names, cfg.chain_len, "person names")
+    persons = _sample(rng, PERSON_NAMES, cfg.chain_len, "person names")
     claims = [templates.TRUTH if rng.random() < 0.5 else templates.LIE for _ in persons]
     sentences = [templates.WOL_OPENING.render(person=persons[0], claim=claims[0])]
     for speaker, target, claim in zip(persons[1:], persons, claims[1:]):
@@ -157,7 +148,7 @@ def _build_wol(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
 
 
 def _build_cf(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
-    persons = _sample(rng, cfg.lexicon.person_names, cfg.n_people, "person names")
+    persons = _sample(rng, PERSON_NAMES, cfg.n_people, "person names")
     sentences = [templates.CF_OPENING.render()]
     for person in persons:
         form = templates.CF_FLIP if rng.random() < 0.5 else templates.CF_NON_FLIP
@@ -167,13 +158,13 @@ def _build_cf(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
 
 
 def _build_llc(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
-    words = _sample(rng, cfg.lexicon.llc_words, cfg.n_words, "name words")
+    words = _sample(rng, LLC_WORDS, cfg.n_words, "name words")
     return templates.LLC_QUESTION.render(words=" ".join(words)), None
 
 
 def _build_arith(cfg: GenConfig, rng: random.Random) -> tuple[str, None]:
-    name = rng.choice(list(cfg.lexicon.person_names))
-    noun = rng.choice(list(cfg.lexicon.object_nouns))
+    name = rng.choice(PERSON_NAMES)
+    noun = rng.choice(OBJECT_NOUNS)
     value = Fraction(rng.randint(*ARITH_START_RANGE))
     slots = {"name": name, "noun": noun}
     sentences = [templates.ARITH_OPENING.render(**slots, amount=value)]

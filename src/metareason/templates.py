@@ -93,7 +93,7 @@ class Scenario:
     rest: str                # ... and the rest of it
     swap: str                # verb, then what is swapped
     end: str                 # what the query says has ended: "the dance"
-    objects: str             # Lexicon attribute the objects are drawn from
+    objects: str             # names the taskgen word list the objects are drawn from
 
 
 SCENARIOS = (

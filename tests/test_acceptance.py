@@ -83,7 +83,7 @@ def test_criterion_02_golden_tracking_case(capsys, dance_instance):
         Swap(left="B", right="A"),
     )
     trace = eval_program(mq.program)
-    assert trace.value_of("A") == 3
+    assert trace.final()["A"] == 3
     assert surface_answer(mq, trace) == "C"
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -95,7 +95,7 @@ def test_criterion_03_golden_truth_chain_case(capsys, truth_chain_instance):
     started = time.perf_counter()
     mq = resolve(truth_chain_instance)
     trace = eval_program(mq.program)
-    assert trace.value_of("E") == 0 and type(trace.value_of("E")) is int
+    assert trace.final()["E"] == 0 and type(trace.final()["E"]) is int
     assert surface_answer(mq, trace) == "no"
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -183,7 +183,7 @@ def test_criterion_06_algebraic_properties(capsys):
         )
         mutated = MetaProgram(inits=program.inits, stmts=tuple(stmts), query=program.query)
         sym = program.query.sym
-        assert eval_program(program).value_of(sym) != eval_program(mutated).value_of(sym)
+        assert eval_program(program).final()[sym] != eval_program(mutated).final()[sym]
 
     for _ in range(cases):  # exact-rational Div after Mul restores the value
         start = exact(Fraction(rng.randint(-100, 100), rng.randint(1, 20)))

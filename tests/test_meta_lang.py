@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import MISSING
 from fractions import Fraction
@@ -261,7 +262,7 @@ class TestEval:
             "E says D = 0. Is E = 1?"
         )
         trace = eval_program(program)
-        assert trace.value_of("E") == 0 and type(trace.value_of("E")) is int
+        assert trace.final()["E"] == 0 and type(trace.final()["E"]) is int
         assert trace.answer == "no"
 
     def test_double_flip_is_identity(self):
@@ -404,7 +405,7 @@ class TestProperties:
             inits=program.inits, stmts=tuple(mutated_stmts), query=program.query
         )
         last_sym = program.query.sym
-        assert eval_program(program).value_of(last_sym) != eval_program(mutated).value_of(last_sym)
+        assert eval_program(program).final()[last_sym] != eval_program(mutated).final()[last_sym]
 
     @given(
         st.one_of(
@@ -511,12 +512,10 @@ class TestValidation:
         with pytest.raises(MetaLangError):
             MetaProgram((), (LastOf("A", literal),), ConcatOf(("A",)))
 
-    def test_a_failed_check_outranks_an_earlier_kind_error_and_the_first_kind_error_wins(self):
-        with pytest.raises(InvalidProgramError, match="^swap needs two distinct symbols, got A twice$"):
+    def test_the_first_problem_the_walk_meets_is_raised(self):
+        with pytest.raises(EvalTypeError, match="^Flip needs a 0/1 bit in A, got 5$"):
             MetaProgram((("A", 5),), (Flip("A"), Swap("A", "A")), ValueOf("A"))
-        # an operand of another kind that Python still combines ranks below any other error,
-        # and the walk runs on with the value it gives
-        with pytest.raises(EvalTypeError, match="^Flip needs a 0/1 bit in A, got 1.5$"):
+        with pytest.raises(EvalTypeError, match="^Multiply A needs an integer operand, got 1.5$"):
             MetaProgram((("A", 1),), (Mul("A", 1.5), Flip("A")), ValueOf("A"))
         with pytest.raises(EvalTypeError, match="^Multiply A needs an integer operand, got 1.5$"):
             MetaProgram((("A", 1),), (Mul("A", 1.5), Add("A", 1)), ValueOf("A"))
@@ -524,9 +523,19 @@ class TestValidation:
             MetaProgram((("A", 5),), (Flip("A"), Add("A", None)), ValueOf("A"))
         with pytest.raises(EvalTypeError, match="^Add to A needs an integer operand, got None$"):
             MetaProgram((("A", 5),), (Add("A", None), Flip("A")), ValueOf("A"))
-        # a string definition with a literal of another kind still defines its symbol
         with pytest.raises(EvalTypeError, match="^last[(][)] needs a string literal, got 5$"):
             MetaProgram((), (LastOf("A", 5), Flip("A")), ConcatOf(("A",)))
+
+    def test_a_mistyped_operand_is_refused_before_it_is_combined(self):
+        # "xyz" * 10**7 would be a 30 MB string
+        tracemalloc.start()
+        try:
+            with pytest.raises(EvalTypeError, match="^Multiply A needs an integer operand, got 'xyz'$"):
+                MetaProgram((("A", 10**7),), (Mul("A", "xyz"),), ValueOf("A"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_query_symbol_must_be_defined(self):
         with pytest.raises(UndefinedSymbolError):

@@ -129,7 +129,7 @@ class TestTrackingGolden:
     def test_final_value_and_surface_answer(self, dance_instance):
         mq = resolve(dance_instance)
         trace = eval_program(mq.program)
-        assert trace.value_of("A") == 3
+        assert trace.final()["A"] == 3
         assert surface_answer(mq, trace) == "C"
 
     def test_truncated_option_text_falls_back_to_position(self, dance_instance_truncated_options):
@@ -164,7 +164,7 @@ class TestTruthChainGolden:
             "Jerry": "E",
         }
         trace = eval_program(mq.program)
-        assert trace.value_of("E") == 0 and type(trace.value_of("E")) is int
+        assert trace.final()["E"] == 0 and type(trace.final()["E"]) is int
         assert surface_answer(mq, trace) == "no"
 
     def test_claimed_bits(self, truth_chain_instance):

@@ -3,7 +3,8 @@
 Random edits of canonical meta texts either parse to a program that
 round-trips through its canonical text, or raise a MetaLangError. Random
 edits of generated questions, in all eight families, either resolve and
-evaluate, or raise a ResolutionError or a MetaLangError.
+evaluate, or raise a ResolutionError or a MetaLangError. A numeral past
+Python's digit limit on reading an int is a classified error as well.
 """
 
 from __future__ import annotations
@@ -13,11 +14,19 @@ import random
 import pytest
 
 from metareason import taskgen
-from metareason.meta_lang.errors import MetaLangError
+from metareason.meta_lang.errors import MetaLangError, ParseError
 from metareason.meta_lang.interpreter import eval_program
 from metareason.meta_lang.parser import parse_meta
 from metareason.meta_lang.renderer import render_meta
-from metareason.resolution import ResolutionError, Task, resolve, resolve_any
+from metareason.resolution import (
+    ResolutionError,
+    Task,
+    TaskInstance,
+    TemplateMismatchError,
+    UnsupportedTaskError,
+    resolve,
+    resolve_any,
+)
 from support import random_program
 
 _INSTANCES = [
@@ -67,3 +76,38 @@ def test_edited_questions_resolve_or_raise_classified():
             continue
         except Exception as exc:
             pytest.fail(f"{exc!r} on {question!r}")
+
+
+_LONG = "7" * 5000  # past Python's 4,300-digit limit on reading an int from a string
+_ARITH = "Alice has {} apples. Alice finds {} more apples. How many apples does Alice have now?"
+
+
+def _resolve_ma(question: str):
+    return resolve(TaskInstance(id="ma-1", task=Task.MA, question=question, gold="1"))
+
+
+@pytest.mark.parametrize(
+    ("read", "text", "error", "message"),
+    [
+        (parse_meta, f"It is known A = {_LONG}. What is the value of A?", ParseError,
+         "sentence 1: numeral of 5000 digits is too long"),
+        (parse_meta, f"It is known A = 1. Add {_LONG} to A. What is the value of A?", ParseError,
+         "sentence 2: numeral of 5000 digits is too long"),
+        (parse_meta, f"It is known A = {_LONG}/3. What is the value of A?", ParseError,
+         "sentence 1: numeral of 5000 digits is too long"),
+        (parse_meta, f"It is known A = 1/{_LONG}. What is the value of A?", ParseError,
+         "sentence 1: numeral of 5000 digits is too long"),
+        (_resolve_ma, _ARITH.format(_LONG, 2), UnsupportedTaskError, "free-form MA text needs an attached meta"),
+        (_resolve_ma, _ARITH.format(5, _LONG), UnsupportedTaskError, "free-form MA text needs an attached meta"),
+        (resolve_any, _ARITH.format(_LONG, 2), TemplateMismatchError,
+         "amount of 5000 digits is too long: 'Alice has 777"),
+        (resolve_any, _ARITH.format(5, _LONG), TemplateMismatchError,
+         "amount of 5000 digits is too long: 'Alice finds 777"),
+    ],
+    ids=["init", "operand", "numerator", "denominator", "resolve-opening", "resolve-operation",
+         "resolve_any-opening", "resolve_any-operation"],
+)
+def test_a_numeral_past_the_digit_limit_is_a_classified_error(read, text, error, message):
+    with pytest.raises(error) as caught:
+        read(text)
+    assert str(caught.value).startswith(message)

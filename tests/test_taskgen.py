@@ -9,13 +9,12 @@ from collections import Counter
 
 import pytest
 
-from metareason.cli import DEFAULT_COUNTS
+from metareason.cli import DEFAULT_COUNTS, main
 from metareason.resolution import Task, json_fields, resolve, save_instances, solve_surface
 from metareason.taskgen import (
+    PERSON_NAMES,
     GenConfig,
     InvalidParamsError,
-    Lexicon,
-    LexiconTooSmallError,
     child_rng,
     generate,
     oracle_answer,
@@ -110,12 +109,11 @@ class TestTracking:
 class TestTruthChain:
     def test_pattern_matching_known_chain(self):
         # truth; lies; truth; lies; lies — querying the last speaker
-        lexicon = Lexicon()
         instances = generate(GenConfig(task=Task.WOL, count=200, seed=6, chain_len=5))
         pattern = None
         for inst in instances:
             opening_truth = inst.question.startswith(
-                tuple(f"{name} tells the truth." for name in lexicon.person_names)
+                tuple(f"{name} tells the truth." for name in PERSON_NAMES)
             )
             says_claims = [
                 "tells the truth" if chunk.endswith("tells the truth") else "lies"
@@ -200,10 +198,11 @@ class TestOracleAgreement:
 
 
 class TestErrors:
-    def test_lexicon_too_small(self):
-        tiny = Lexicon(person_names=("Alice", "Bob"))
-        with pytest.raises(LexiconTooSmallError):
-            generate(GenConfig(task=Task.WOL, count=1, seed=14, chain_len=5, lexicon=tiny))
+    def test_lexicon_too_small(self, tmp_path, capsys):
+        out = tmp_path / "wol.jsonl"
+        assert main(["generate", "--task", "WoL", "--chain-len", "49", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: need 49 distinct person names, lexicon has 48\n"
+        assert not out.exists()
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParamsError):
