@@ -11,14 +11,13 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 
 from .. import __version__
 from ..demos import build_from_trace
+from ..meta_lang.ast import frozen
 from ..meta_lang.interpreter import eval_program
 from ..resolution import FieldError, TaskInstance, TemplateMismatchError, config_number
-from ..resolution import config_string, config_text, read_config, read_fields, read_jsonl
-from ..resolution import resolve_any, setting, write_jsonl
+from ..resolution import config_reader, config_string, config_text, read_jsonl, resolve_any, setting
 from .prompts import COT_TRIGGER, HarnessError
 
 
@@ -87,13 +86,13 @@ BackendSpec = HttpBackend | ReplayBackend | OracleBackend
 
 def backend_from_config(config: dict, name: str = "backend") -> BackendSpec:
     kinds = {"http": HttpBackend, "replay": ReplayBackend, "oracle": OracleBackend}
-    kind = config.get("kind") if isinstance(config, dict) else "http"  # read_config refuses a non-object
+    kind = config.get("kind") if isinstance(config, dict) else "http"  # its reader refuses a non-object
     # Oracle and replay run on the calling thread: threads would only contend for the GIL.
     extra = ("kind",) if kind == "http" else ("kind", "parallelism")
     with bad_config():
         if not isinstance(kind, str) or kind not in kinds:
             raise FieldError(f"{name}.kind must be one of {', '.join(kinds)}, got {kind!r}")
-        spec = read_config(kinds[kind], config, name, extra)
+        spec = config_reader(kinds[kind], extra)(config, name)
     if kind != "http" and "parallelism" in config:
         value = config["parallelism"]
         log.warning(
@@ -125,20 +124,15 @@ def prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8", "surrogatepass")).hexdigest()
 
 
-@dataclass(frozen=True)
+@frozen
 class _Fixture:  # the table of a fixture line
     prompt_sha256: str = setting(config_string)
     completion: str = setting(config_string)
 
 
 def load_fixtures(path) -> dict[str, str]:
-    lines = read_jsonl(path, partial(read_fields, _Fixture))
-    return {fixture["prompt_sha256"]: fixture["completion"] for fixture in lines}
-
-
-def save_fixtures(path, pairs: dict[str, str]) -> None:
-    """Write prompt→completion pairs as replay fixture records."""
-    write_jsonl(path, ({"prompt_sha256": prompt_sha256(p), "completion": c} for p, c in pairs.items()))
+    lines = read_jsonl(path, config_reader(_Fixture))
+    return {fixture.prompt_sha256: fixture.completion for fixture in lines}
 
 
 def _replay_complete(backend: ReplayBackend, digest: str) -> str:

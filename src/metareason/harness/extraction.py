@@ -4,27 +4,9 @@ for exact-match scoring."""
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 
 from ..resolution import NUMERIC_TASKS, TSO_TASKS, Task, YES_NO_TASKS
-
-
-class AnswerKind(Enum):
-    NUMBER = "number"
-    YES_NO = "yes-no"
-    OPTION_LETTER = "option-letter"
-    LETTER_STRING = "letter-string"
-
-
-def answer_kind(task: Task) -> AnswerKind:
-    if task in TSO_TASKS:
-        return AnswerKind.OPTION_LETTER
-    if task in YES_NO_TASKS:
-        return AnswerKind.YES_NO
-    if task in NUMERIC_TASKS:
-        return AnswerKind.NUMBER
-    return AnswerKind.LETTER_STRING
 
 
 # Every pattern but _QUOTED matches at least one character and never a space,
@@ -67,13 +49,12 @@ def _last(pattern: re.Pattern[str], text: str) -> str:
 
 def extract_answer(task: Task, completion: str) -> str:
     """Pull the final answer token out of a completion: the last match of the
-    answer kind's pattern anywhere in it, found by scanning from the end.
+    task's answer pattern anywhere in it, found by scanning from the end.
 
     Total function: returns the empty string when nothing matches, which
     scores as incorrect.
     """
-    kind = answer_kind(task)
-    if kind is AnswerKind.OPTION_LETTER:
+    if task in TSO_TASKS:
         letter = _last(_PAREN_LETTER, completion)
         if letter:
             return letter
@@ -81,9 +62,9 @@ def extract_answer(task: Task, completion: str) -> str:
         # The cue's text recurs nowhere after it: a later copy would be a later
         # cue, and "answer" cannot overlap itself.
         return _last(_BARE_LETTER, completion[completion.rfind(cue):]) if cue else ""
-    if kind is AnswerKind.YES_NO:
+    if task in YES_NO_TASKS:
         return _last(_YES_NO, completion).lower()
-    if kind is AnswerKind.NUMBER:
+    if task in NUMERIC_TASKS:
         return _last(_NUMBER, completion.replace("$", "")).replace(",", "")
     quoted = _QUOTED.findall(completion)
     if quoted:
@@ -114,14 +95,13 @@ def normalize_answer(task: Task, text: str) -> str:
     """Canonical comparison form: exact rationals for numeric tasks (after
     stripping currency symbols and thousands separators), lowercased yes/no
     and letter strings, bare uppercase option letters."""
-    kind = answer_kind(task)
     stripped = text.strip(_STRIP_CHARS)
-    if kind is AnswerKind.NUMBER:
+    if task in NUMERIC_TASKS:
         rational = _canonical_rational(stripped.replace("$", "").replace(",", ""))
         return rational if rational is not None else stripped.lower()
-    if kind is AnswerKind.YES_NO:
+    if task in YES_NO_TASKS:
         return stripped.lower()
-    if kind is AnswerKind.OPTION_LETTER:
+    if task in TSO_TASKS:
         return stripped.upper()
     return stripped.lower()
 

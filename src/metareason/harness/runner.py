@@ -11,8 +11,7 @@ import operator
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring  # the escaper of ensure_ascii=False
 from typing import NamedTuple, TextIO
 
@@ -20,7 +19,7 @@ from ..demos import Demonstration, load_demonstrations, select_demos
 from ..meta_lang.ast import frozen
 from ..resolution import TSO_TASKS, FieldError, MalformedLineError, Task, TaskInstance, config_number
 from ..resolution import config_reader, config_string, config_task, config_text, load_instances
-from ..resolution import json_line, read_config, setting, write_atomically
+from ..resolution import json_line, setting, write_atomically
 from .backends import BackendSpec, ConfigError, HttpBackend, backend_from_config, bad_config
 from .backends import _HttpRequest, backend_fingerprint, complete, load_transport, request_headers
 from .extraction import extract_answer, is_correct
@@ -37,20 +36,12 @@ class RecordLineError(MalformedLineError):
     """A complete line of a records file that holds no record."""
 
 
-def _verdict(value, name: str) -> None:
-    """The rule for a stored verdict: any value is allowed, and read as None, so that the
-    record makes its verdict again."""
-
-
-_verdict.inline = "True", "None", {}
-
-
 @frozen
 class EvalRecord:
     """One scored item. ``correct`` is the verdict on extracted/gold, made
     once, as the record is built with None for it: when the item is run, or
-    when its stored record is loaded (the stored copy is not trusted).
-    ``prompt_sha256`` is the digest of its prompt."""
+    when its stored record is loaded (a stored verdict is accepted but not
+    read, so never trusted). ``prompt_sha256`` is the digest of its prompt."""
 
     instance_id: str = setting(config_string)
     dataset: str = setting(config_string)
@@ -60,7 +51,7 @@ class EvalRecord:
     completion: str = setting(config_string, default="")
     extracted: str = setting(config_string, default="")
     gold: str = setting(config_string, default="")
-    correct: bool | None = setting(_verdict, default=None)
+    correct: bool | None = None
     latency_ms: float = setting(config_number(float, exact=True), default=0.0)
 
     def __post_init__(self) -> None:
@@ -77,7 +68,7 @@ def _read_records(path) -> tuple[list[EvalRecord], int]:
     parse), left by an interrupted append, is skipped with a warning; an
     unparseable line before the last, or a parsed line that is not a
     record, raises ``RecordLineError``, which names its 1-based line."""
-    read_record = config_reader(EvalRecord)
+    read_record = config_reader(EvalRecord, ("correct",))
     records: list[EvalRecord] = []
     complete_bytes = 0
     torn: ValueError | None = None
@@ -208,12 +199,12 @@ def _config_list(read, key):
 def _demo_specs(value, name: str) -> dict[str, DemoSpec]:
     if not isinstance(value, dict):
         raise FieldError(f"{name} must map dataset names to demo specs, got {value!r}")
-    return {key: read_config(DemoSpec, spec, f"{name}[{key!r}]") for key, spec in value.items()}
+    return {key: config_reader(DemoSpec)(spec, f"{name}[{key!r}]") for key, spec in value.items()}
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    datasets: tuple[DatasetSpec, ...] = setting(_config_list(partial(read_config, DatasetSpec), "name"))
+    datasets: tuple[DatasetSpec, ...] = setting(_config_list(config_reader(DatasetSpec), "name"))
     paradigms: tuple[Paradigm, ...] = setting(_config_list(config_paradigm, "value"))
     backend: BackendSpec = setting(backend_from_config)  # its ConfigError passes through as it is
     demos: dict[str, DemoSpec] = setting(_demo_specs, default_factory=dict)
@@ -224,7 +215,7 @@ class EvalConfig:
     @classmethod
     def from_json_dict(cls, config: dict) -> "EvalConfig":
         with bad_config():
-            evaluation = read_config(cls, config, whole="the config", snapshot=config)
+            evaluation = replace(config_reader(cls)(config, whole="the config"), snapshot=config)
             names = [dataset.name for dataset in evaluation.datasets]
             for name in evaluation.demos:
                 if name not in names:

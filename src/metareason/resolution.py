@@ -164,7 +164,7 @@ def config_rule(wanted: str, fits: str = "True", read: Callable | None = None, a
     """The rule for a value ``v`` of which the expression ``fits`` holds, read by ``read`` (as it
     is, if None). A value that does not fit, or that ``read`` refuses with an AttributeError,
     TypeError or ValueError, is a FieldError that names the field. Its inline check (see
-    ``_reader``) is ``fits`` if ``read`` is None, else ``as_is``, which holds of values that
+    ``config_reader``) is ``fits`` if ``read`` is None, else ``as_is``, which holds of values that
     ``read`` returns as they are (of none, if empty)."""
     check = eval(f"lambda v: {fits}")
 
@@ -264,18 +264,21 @@ def _fallback(key: str, spec):
 
 
 @functools.cache
-def _reader(cls, extra: tuple, given: tuple | None) -> Callable:
-    """The reader of ``cls``'s settings, ``read(config, name="", whole="the line", **given)``,
-    written out from the field table as source and compiled once, as ``dataclasses`` writes
-    ``__init__``. A rule's ``inline`` holds two expressions of the value ``v``, a check and what
-    the rule reads from a value that passes it, and the ``names`` they use (as ``{name}``). The
-    reader runs that check, and calls the rule only for a value that fails it. It returns the
-    settings by field if ``given`` is None; else ``cls`` made from them and from ``given``."""
+def config_reader(cls, extra: tuple = ()) -> Callable:
+    """The reader of the dataclass ``cls``, ``read(config, name="", whole="the line")``: ``cls``
+    made from the settings read from the JSON object ``config``, which messages call ``name``
+    (``whole`` if empty). A missing key reads as the setting's default, and a null as None if
+    that is its default; keys not in ``cls`` or ``extra`` are refused, and fields that are no
+    settings keep their defaults. It is written out from the field table as source and compiled
+    once per class and ``extra``, as ``dataclasses`` writes ``__init__``. A rule's ``inline``
+    holds two expressions of the value ``v``, a check and what the rule reads from a value that
+    passes it, and the ``names`` they use (as ``{name}``). The reader runs that check, and calls
+    the rule only for a value that fails it."""
     rows, keys = _settings(cls)
     required = tuple(key for key, spec in rows if spec.default is spec.default_factory is MISSING)
     scope = {"MISSING": MISSING, "cls": cls, "known": keys.union(extra)}
     scope["refuse"] = functools.partial(_refuse, known=scope["known"], required=required)
-    code = [f"def read(config, name='', whole='the line'{', *, ' + ', '.join(given) if given else ''}):",
+    code = ["def read(config, name='', whole='the line'):",
             "    if not isinstance(config, dict) or not known.issuperset(config):",
             "        refuse(config, name, whole)",
             "    try:"]
@@ -291,40 +294,18 @@ def _reader(cls, extra: tuple, given: tuple | None) -> Callable:
     if not rows:
         code.append("        pass")
     code += ["    except KeyError:", "        refuse(config, name, whole)", "        raise"]
+    # By position while the fields of __init__ are settings, then by keyword.
     values = {spec.name: f"a{i}" for i, (_, spec) in enumerate(rows)}
-    if given is None:
-        code.append(f"    return {{{', '.join(f'{name!r}: {value}' for name, value in values.items())}}}")
-    else:  # by position while the fields of __init__ are settings, then by keyword
-        values |= {name: name for name in given}
-        leading = list(takewhile(lambda spec: spec.name in values and not spec.kw_only, fields(cls)))
-        args = [values.pop(spec.name) for spec in leading] + [f"{k}={v}" for k, v in values.items()]
-        code.append(f"    return cls({', '.join(args)})")
+    leading = list(takewhile(lambda spec: spec.name in values and not spec.kw_only, fields(cls)))
+    args = [values.pop(spec.name) for spec in leading] + [f"{k}={v}" for k, v in values.items()]
+    code.append(f"    return cls({', '.join(args)})")
     exec("\n".join(code), scope)
     return scope["read"]
 
 
-def read_fields(cls, config, name: str = "", extra: tuple = (), whole: str = "the line") -> dict:
-    """The settings of the dataclass ``cls`` read from the JSON object ``config`` that messages
-    call ``name`` (``whole`` if empty), by field. A missing key reads as the setting's default,
-    and a null as None if that is its default. Keys not in ``cls`` or ``extra`` are refused.
-    The reader of each class (and ``extra``) is built once, from its field table."""
-    return _reader(cls, extra, None)(config, name, whole)
-
-
-def read_config(cls, config, name: str = "", extra: tuple = (), whole: str = "the line", **given):
-    """The dataclass ``cls`` read as by ``read_fields``; ``given`` sets its other fields."""
-    return _reader(cls, extra, tuple(given))(config, name, whole, **given)
-
-
-def config_reader(cls, extra: tuple = ()) -> Callable:
-    """``read(config, name="", whole="the line")``, the reader of ``read_config(cls, config,
-    name, extra, whole)``, for a caller that reads many objects."""
-    return _reader(cls, extra, ())
-
-
 def json_fields(obj, drop_none: bool = False) -> dict:
-    """The settings of the dataclass ``obj`` by JSON key, ``read_fields`` reversed (json writes
-    a tuple as a list and a str enum as its value); a None is left out if ``drop_none``."""
+    """The settings of the dataclass ``obj`` by JSON key, its ``config_reader`` reversed (json
+    writes a tuple as a list and a str enum as its value); a None is left out if ``drop_none``."""
     values = {key: getattr(obj, spec.name) for key, spec in _settings(type(obj))[0]}
     return {key: value for key, value in values.items() if value is not None} if drop_none else values
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import templates
 from .resolution import TSO_TASKS, FieldError, Task, TaskInstance, TemplateMismatchError
-from .resolution import config_number, json_fields, read_fields, setting, tso_object_count
+from .resolution import config_number, config_reader, config_task, json_fields, setting, tso_object_count
 
 
 class GenerationError(Exception):
@@ -87,7 +87,7 @@ class GenConfig:
     """Generation parameters. Only the fields for ``task`` are used, but every
     rule is checked whatever the task."""
 
-    task: Task
+    task: Task = setting(config_task)
     count: int = _param(1)
     seed: int = _param()
     n_swaps: int | None = _param(0, default=None)  # tracking tasks; default = object count
@@ -208,7 +208,7 @@ _BUILDERS = {
 def generate(cfg: GenConfig) -> list[TaskInstance]:
     """Deterministically generate ``cfg.count`` instances with oracle gold."""
     try:
-        read_fields(GenConfig, json_fields(cfg))
+        config_reader(GenConfig)(json_fields(cfg))
     except FieldError as exc:
         raise InvalidParamsError(str(exc)) from None
     builder = _BUILDERS[cfg.task]

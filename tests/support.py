@@ -1,5 +1,5 @@
 """Shared test helpers: seeded random program generators used by the
-round-trip and algebraic property checks."""
+round-trip and algebraic property checks, and a writer of replay fixtures."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import random
 from dataclasses import fields, replace
 from fractions import Fraction
 
+from metareason.harness.backends import prompt_sha256
 from metareason.meta_lang.ast import (
     Add,
     ConcatOf,
@@ -23,7 +24,7 @@ from metareason.meta_lang.ast import (
     ValueOf,
 )
 from metareason.meta_lang.errors import EvalTypeError
-from metareason.resolution import symbol_name
+from metareason.resolution import symbol_name, write_jsonl
 
 _WORD_ALPHABET = "abcdefghij XYZ'é?\\\""
 
@@ -180,3 +181,8 @@ def random_truth_chain(rng: random.Random, length: int) -> MetaProgram:
         for i in range(1, length)
     )
     return MetaProgram(inits=inits, stmts=stmts, query=IsEqual(sym=syms[-1], value=1))
+
+
+def save_fixtures(path, pairs: dict[str, str]) -> None:
+    """Write prompt→completion pairs as replay fixture records."""
+    write_jsonl(path, ({"prompt_sha256": prompt_sha256(p), "completion": c} for p, c in pairs.items()))

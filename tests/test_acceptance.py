@@ -18,7 +18,6 @@ import pytest
 
 from metareason.cli import main
 from metareason.demos import build_completely_serial, build_cross_serial, build_demonstration, save_demonstrations
-from metareason.harness.backends import save_fixtures
 from metareason.harness.extraction import extract_answer, normalize_answer
 from metareason.harness.prompts import Paradigm, assemble_prompt
 from metareason.harness.reporting import format_pct
@@ -44,6 +43,7 @@ from support import (
     random_program,
     random_swap_sequence,
     random_truth_chain,
+    save_fixtures,
     value_kinds,
 )
 

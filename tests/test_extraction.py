@@ -7,14 +7,8 @@ import re
 
 import pytest
 
-from metareason.harness.extraction import (
-    AnswerKind,
-    answer_kind,
-    extract_answer,
-    is_correct,
-    normalize_answer,
-)
-from metareason.resolution import Task
+from metareason.harness.extraction import extract_answer, is_correct, normalize_answer
+from metareason.resolution import NUMERIC_TASKS, TSO_TASKS, YES_NO_TASKS, Task
 from metareason.taskgen import GenConfig, generate
 
 from conftest import (
@@ -27,8 +21,7 @@ from conftest import (
 def whole_text_extract(task: Task, completion: str) -> str:
     """The extraction rules as whole-text scans: the last of all matches in
     the completion, with the option-letter cue located in the original text."""
-    kind = answer_kind(task)
-    if kind is AnswerKind.OPTION_LETTER:
+    if task in TSO_TASKS:
         letters = re.findall(r"\(([A-Z])\)", completion)
         if letters:
             return letters[-1]
@@ -38,10 +31,10 @@ def whole_text_extract(task: Task, completion: str) -> str:
             if tail_letters:
                 return tail_letters[-1]
         return ""
-    if kind is AnswerKind.YES_NO:
+    if task in YES_NO_TASKS:
         hits = re.findall(r"\b([yY][eE][sS]|[nN][oO])\b", completion)
         return hits[-1].lower() if hits else ""
-    if kind is AnswerKind.NUMBER:
+    if task in NUMERIC_TASKS:
         hits = re.findall(r"-?\d[\d,]*(?:\.\d+)?(?:/\d+)?", completion.replace("$", ""))
         return hits[-1].replace(",", "") if hits else ""
     quoted = re.findall(r'"([^"]+)"', completion)

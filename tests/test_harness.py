@@ -41,7 +41,6 @@ from metareason.harness.backends import (
     complete,
     load_fixtures,
     prompt_sha256,
-    save_fixtures,
 )
 from metareason.harness.extraction import is_correct
 from metareason.harness.prompts import (
@@ -68,9 +67,10 @@ from metareason import resolution
 from metareason.harness import runner
 from metareason.harness.runner import _read_records
 from metareason.resolution import FieldError, MalformedLineError, Task, load_instances
-from metareason.resolution import TaskInstance, read_config, read_fields, read_jsonl, save_instances
+from metareason.resolution import TaskInstance, config_reader, json_fields, read_jsonl, save_instances
 from metareason.resolution import task_from_string
 from metareason.taskgen import GenConfig, generate
+from support import save_fixtures
 
 
 def _record(dataset, task, paradigm, instance_id, extracted, gold):
@@ -375,25 +375,25 @@ _RECORD_TEXT = (
     '"completion": "c", "extracted": "yes", "gold": "yes", "correct": true, "latency_ms": 1.5}'
 )
 
-# A valid line of each field table, the keys it may hold beside its settings, and the
-# fields that read_config is given.
+# A valid line of each field table, and the keys it may hold beside its settings.
 _VALID_LINES = [
     (TaskInstance, {"id": "cf-1", "task": "CF", "question": "q", "options": ["a", "b"],
-                    "answer": "yes", "meta": "m"}, (), {}),
+                    "answer": "yes", "meta": "m"}, ()),
     (Demonstration, {"question": "q", "rationale": "r", "answer": "a", "mode": "cross-serial",
-                     "n_substeps": 2}, (), {}),
-    (_Fixture, {"prompt_sha256": "d", "completion": "c"}, (), {}),
+                     "n_substeps": 2}, ()),
+    (_Fixture, {"prompt_sha256": "d", "completion": "c"}, ()),
+    # A stored verdict is accepted but not read: the record makes its own.
     (EvalRecord, {"instance_id": "cf-1", "dataset": "cf", "task": "CF", "paradigm": "zero-shot",
                   "prompt_sha256": "0" * 64, "completion": "So the answer is Yes.",
-                  "extracted": "yes", "gold": "yes", "correct": False, "latency_ms": 1.5}, (), {}),
-    (DatasetSpec, {"name": "cf", "path": "cf.jsonl"}, (), {}),
-    (DemoSpec, {"path": "cf-demos.jsonl", "k": 2}, (), {}),
+                  "extracted": "yes", "gold": "yes", "correct": False, "latency_ms": 1.5}, ("correct",)),
+    (DatasetSpec, {"name": "cf", "path": "cf.jsonl"}, ()),
+    (DemoSpec, {"path": "cf-demos.jsonl", "k": 2}, ()),
     (HttpBackend, {"kind": "http", "endpoint_url": "http://127.0.0.1:1", "model_name": "m",
                    "auth_token_env_var": "TOKEN", "temperature": 0.5, "max_tokens": 8,
-                   "timeout": 1.5, "max_retries": 2, "parallelism": 2}, ("kind",), {}),
-    (ReplayBackend, {"fixture_path": "f.jsonl"}, (), {}),
-    (GenConfig, {"count": 3, "seed": 1, "n_swaps": 2, "chain_len": 3, "n_people": 2,
-                 "n_words": 2, "n_ops": 2}, (), {"task": Task.CF}),
+                   "timeout": 1.5, "max_retries": 2, "parallelism": 2}, ("kind",)),
+    (ReplayBackend, {"fixture_path": "f.jsonl"}, ()),
+    (GenConfig, {"task": "CF", "count": 3, "seed": 1, "n_swaps": 2, "chain_len": 3, "n_people": 2,
+                 "n_words": 2, "n_ops": 2}, ()),
 ]
 
 
@@ -425,8 +425,7 @@ class TestInputLines:
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(
         case=st.sampled_from([
-            (cls, key, line, extra, given)
-            for cls, line, extra, given in _VALID_LINES for key in [*line, "glod"]
+            (cls, key, line, extra) for cls, line, extra in _VALID_LINES for key in [*line, "glod"]
         ]),
         value=st.sampled_from([
             None, True, 5, 2.5, -0.0, float("nan"), float("inf"), float("-inf"), 10**400, "x", "",
@@ -437,7 +436,7 @@ class TestInputLines:
     def test_each_reader_reads_what_its_rules_read(self, case, value, name):
         """Each field table's reader, with one field of a valid line set to ``value`` or left
         out, returns what calling each field's rule returns, or raises the same message."""
-        cls, key, line, extra, given = case
+        cls, key, line, extra = case
         line = dict(line)
         if value is _DROPPED:
             line.pop(key, None)
@@ -448,22 +447,25 @@ class TestInputLines:
         except FieldError as exc:
             expected, refused = None, str(exc)
 
-        def read_object():
-            obj = read_config(cls, line, name, extra, **given)
-            values = {spec.name: getattr(obj, spec.name) for spec in fields(obj)}
-            if cls is EvalRecord:  # the record makes its verdict again
-                assert values["correct"] is is_correct(values["task"], values["extracted"], values["gold"])
-                values["correct"] = None
-            return {field: values[field] for field in expected}
+        if refused is not None:
+            with pytest.raises(FieldError, match="^" + re.escape(refused) + "$"):
+                config_reader(cls, extra)(line, name)
+            return
+        obj = config_reader(cls, extra)(line, name)
+        if cls is EvalRecord:  # the record makes its verdict again
+            assert obj.correct is is_correct(obj.task, obj.extracted, obj.gold)
+        # the same values, of the same kinds
+        assert [(type(getattr(obj, field)), repr(getattr(obj, field))) for field in expected] == [
+            (type(v), repr(v)) for v in expected.values()
+        ]
 
-        for read in (lambda: read_fields(cls, line, name, extra), read_object):
-            if refused is not None:
-                with pytest.raises(FieldError, match="^" + re.escape(refused) + "$"):
-                    read()
-            else:  # the same values, of the same kinds
-                assert [(type(v), repr(v)) for v in read().values()] == [
-                    (type(v), repr(v)) for v in expected.values()
-                ]
+    @pytest.mark.parametrize("cls, line, extra", _VALID_LINES, ids=[row[0].__name__ for row in _VALID_LINES])
+    def test_what_json_fields_writes_reads_back_equal(self, cls, line, extra):
+        """``json_fields`` is its class's reader reversed: the object read from a valid line,
+        written through ``json.dumps`` and read again, is equal to itself."""
+        read = config_reader(cls, extra)
+        obj = read(line)
+        assert read(json.loads(json.dumps(json_fields(obj)))) == obj
 
     @pytest.mark.parametrize("load", [load_instances, load_demonstrations, load_fixtures])
     def test_a_line_that_is_not_utf8_names_its_file_and_line(self, tmp_path, load):

@@ -25,8 +25,8 @@ from metareason.resolution import (
     UnsupportedTaskError,
     ValueOutOfOptionRangeError,
     allocate_symbols,
+    config_reader,
     load_instances,
-    read_config,
     resolve,
     resolve_any,
     solve_surface,
@@ -282,9 +282,10 @@ class TestInstanceLines:
             load_instances(path)
 
     def test_strings_stay_and_ints_become_text(self):
-        inst = read_config(TaskInstance, {"id": 7, "task": "MA", "question": "q", "answer": 18})
+        read = config_reader(TaskInstance)
+        inst = read({"id": 7, "task": "MA", "question": "q", "answer": 18})
         assert (inst.id, inst.gold) == ("7", "18")
-        inst = read_config(TaskInstance, {"id": "7", "task": "CF", "question": "q", "answer": "no"})
+        inst = read({"id": "7", "task": "CF", "question": "q", "answer": "no"})
         assert (inst.id, inst.gold) == ("7", "no")
 
 
