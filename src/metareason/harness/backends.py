@@ -8,7 +8,6 @@ import json
 import logging
 import os
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ from ..meta_lang.ast import frozen
 from ..meta_lang.interpreter import eval_program
 from ..resolution import FieldError, TaskInstance, TemplateMismatchError, config_number
 from ..resolution import config_reader, config_string, config_text, read_jsonl, resolve_any, setting
-from .prompts import COT_TRIGGER, HarnessError
+from .prompts import HarnessError
 
 
 log = logging.getLogger(__name__)
@@ -149,9 +148,9 @@ _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
 
 def load_transport() -> None:
-    """Import the modules of the transport below into this module. Call it on the thread that
-    starts the requests, before the first: an oracle or replay run, and an HTTP run with
-    nothing left to send, never pay for http.client and the ssl and email modules it loads."""
+    """Import the modules of the transport below into this module. ``runner._run_http``, the one
+    sender of requests, calls it on its own thread before the first: an oracle or replay run, and
+    an HTTP run with nothing left to send, never pay for http.client and the ssl and email modules."""
     global http, select, urllib, weakref
     import http.client
     import select
@@ -241,7 +240,7 @@ def request_headers(backend: HttpBackend) -> dict[str, str]:
 
 class _HttpRequest:
     """One prompt's completion request, sent one attempt at a time: the body
-    is built once, and the caller waits out each backoff."""
+    is built once, and the run's scheduler, ``runner._run_http``, waits out each backoff."""
 
     def __init__(self, backend: HttpBackend, prompt: str, headers: dict[str, str]):
         self.backend, self.headers = backend, headers
@@ -279,14 +278,6 @@ class _HttpRequest:
         return backoff_s
 
 
-def _http_complete(backend: HttpBackend, prompt: str) -> str:
-    load_transport()
-    request = _HttpRequest(backend, prompt, request_headers(backend))
-    while not isinstance(result := request.attempt(), str):
-        time.sleep(result)
-    return result
-
-
 def _completion_text(data: bytes) -> str:
     try:
         body = json.loads(data)
@@ -313,8 +304,6 @@ def _target_question(prompt: str) -> tuple[str, tuple[str, ...] | None]:
     if block.startswith("Q: "):
         block = block[len("Q: "):]
     body = block.rsplit("\nA:", 1)[0]
-    if body.endswith(COT_TRIGGER):
-        body = body[: -len(COT_TRIGGER)].rstrip()
     if "\nOptions:\n" in body:
         question, options_text = body.split("\nOptions:\n", 1)
         options = tuple(
@@ -345,12 +334,11 @@ def _oracle_solve(question: str, options: tuple[str, ...] | None) -> str:
 
 
 def complete(backend: BackendSpec, prompt: str, digest: str) -> str:
-    """Dispatch one prompt to the backend and return the completion text.
-    ``digest`` is the prompt's ``prompt_sha256``, which replay looks up."""
-    if isinstance(backend, HttpBackend):
-        return _http_complete(backend, prompt)
+    """The completion text of one prompt from a replay or oracle backend; ``digest`` is the
+    prompt's ``prompt_sha256``, which replay looks up. Only ``runner._run_http`` sends HTTP,
+    so an ``HttpBackend``, like any other, is a ``ConfigError`` here."""
     if isinstance(backend, ReplayBackend):
         return _replay_complete(backend, digest)
     if isinstance(backend, OracleBackend):
         return _oracle_complete(backend, prompt)
-    raise ConfigError(f"unknown backend {backend!r}")
+    raise ConfigError(f"complete() answers a replay or oracle backend, not {backend!r}; run_eval sends HTTP")

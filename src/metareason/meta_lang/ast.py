@@ -12,6 +12,7 @@ from .errors import (
     DuplicateSymbolError,
     EvalTypeError,
     InvalidProgramError,
+    MetaLangError,
     UndefinedSymbolError,
 )
 
@@ -57,8 +58,12 @@ def quote_string(text: str) -> str:
 
 
 def format_value(value: Value) -> str:
-    """Render a value the way the canonical grammar spells it."""
-    return quote_string(value) if isinstance(value, str) else str(value)
+    """Render a value the way the canonical grammar spells it. A number with more digits than
+    Python's limit on int-to-text conversion (4,300 by default) is a ``MetaLangError``."""
+    try:
+        return quote_string(value) if isinstance(value, str) else str(value)
+    except ValueError as exc:  # str() past the digit limit; the message names it
+        raise MetaLangError(f"cannot write a number: {exc}") from None
 
 
 @frozen

@@ -39,6 +39,7 @@ from .meta_lang.ast import (
     Swap,
     Trace,
     ValueOf,
+    format_value,
     frozen,
 )
 from .meta_lang.interpreter import eval_program
@@ -329,19 +330,22 @@ def json_line(text: str, length: int):
 def read_jsonl(path, parse: Callable[[dict], object]) -> Iterator:
     """Yield ``parse(fields)`` for the JSON value on each non-blank line, stripped of the
     whitespace around it (``str.strip``'s, which counts ``\\x1c`` and ``\\u2028``) and read by
-    ``json_line``. A line that is not UTF-8 or not JSON, or that ``parse`` refuses with a
-    ValueError, raises MalformedLineError."""
+    ``json_line``. A line that is not UTF-8 or not JSON (as the records reader labels them, json's
+    digit limit included), or that ``parse`` refuses with a ValueError, raises MalformedLineError."""
     with open(path, "rb") as handle:
         for number, line in enumerate(handle, 1):
             try:
                 line = line.decode("utf-8").strip()
                 if not line:
                     continue
-                item = parse(json_line(line, len(line)))
+                fields = json_line(line, len(line))
             except UnicodeDecodeError as exc:
                 raise MalformedLineError(path, number, f"not UTF-8 ({exc})") from None
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(path, number, f"not JSON: {exc.msg}") from None
+            except ValueError as exc:  # a JSONDecodeError, or json's digit limit
+                cause = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise MalformedLineError(path, number, f"not JSON: {cause}") from None
+            try:
+                item = parse(fields)
             except ValueError as exc:
                 raise MalformedLineError(path, number, str(exc)) from None
             yield item
@@ -703,7 +707,8 @@ def resolve_any(question: str, options: tuple[str, ...] | None = None) -> tuple[
 
 
 def surface_answer(mq: MetaQuestion, trace: Trace) -> str:
-    """Map a trace's symbolic answer back to the surface answer string."""
+    """Map a trace's symbolic answer back to the surface answer string; a number is written by
+    ``format_value``, so one past Python's digit limit is a ``MetaLangError``."""
     query = mq.program.query
     if isinstance(query, OptionOf):
         letters = mq.option_letters
@@ -714,7 +719,7 @@ def surface_answer(mq: MetaQuestion, trace: Trace) -> str:
             raise ValueOutOfOptionRangeError(f"answer {value!r} indexes no option")
         return letters[value - 1]
     # IsEqual and ConcatOf answer a string; ValueOf an exact number ("7/2")
-    return str(trace.answer)
+    return answer if isinstance(answer := trace.answer, str) else format_value(answer)
 
 
 def solve_surface(inst: TaskInstance) -> str:

@@ -208,7 +208,7 @@ _BUILDERS = {
 def generate(cfg: GenConfig) -> list[TaskInstance]:
     """Deterministically generate ``cfg.count`` instances with oracle gold."""
     try:
-        config_reader(GenConfig)(json_fields(cfg))
+        cfg = config_reader(GenConfig)(json_fields(cfg))  # a task name read as its Task
     except FieldError as exc:
         raise InvalidParamsError(str(exc)) from None
     builder = _BUILDERS[cfg.task]

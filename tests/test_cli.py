@@ -35,6 +35,14 @@ class TestSolve:
         assert main(["solve", "--meta", "gibberish here"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_a_value_past_the_digit_limit_is_a_runtime_error(self, capsys):
+        nines = "9" * 3000
+        meta = f"It is known that A = {nines}. Multiply A by {nines}. What is the value of A?"
+        assert main(["solve", "--meta", meta]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write a number: Exceeds the limit (4300 digits)")
+        assert "Traceback" not in err
+
     def test_needs_exactly_one_input(self, capsys):
         assert main(["solve"]) == 1
         assert main(["solve", "--meta", "x", "--in", "y"]) == 1
@@ -232,6 +240,14 @@ class TestBuildDemos:
         capsys.readouterr()
         assert main(["build-demos", "--in", str(raw), "--k", k, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: --k must be an integer >= 1, got {k}\n"
+        assert not out.exists()
+
+    def test_an_empty_file_is_validation_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        out = tmp_path / "demos.jsonl"
+        raw.write_text("")
+        assert main(["build-demos", "--in", str(raw), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: no instances in {raw}\n"
         assert not out.exists()
 
 

@@ -37,10 +37,14 @@ from metareason.harness.backends import (
     TransportError,
     _completion_text,
     _Fixture,
+    _HttpRequest,
+    _target_question,
     backend_from_config,
     complete,
     load_fixtures,
+    load_transport,
     prompt_sha256,
+    request_headers,
 )
 from metareason.harness.extraction import is_correct
 from metareason.harness.prompts import (
@@ -152,6 +156,12 @@ class TestOracleBackend:
         prompt = assemble_prompt(Paradigm.ZERO_SHOT_COT, [], truth_chain_instance)
         completion = complete(OracleBackend(), prompt, prompt_sha256(prompt))
         assert completion.endswith("the answer is: no.")
+
+    @pytest.mark.parametrize("paradigm", [Paradigm.ZERO_SHOT, Paradigm.ZERO_SHOT_COT])
+    def test_a_question_that_ends_in_the_trigger_is_read_whole(self, truth_chain_instance, paradigm):
+        # The paradigm's trigger follows the answer cue; one before it is the question's own.
+        inst = replace(truth_chain_instance, question=f"{truth_chain_instance.question} {COT_TRIGGER}")
+        assert _target_question(assemble_prompt(paradigm, [], inst)) == (inst.question, None)
 
     def test_unresolvable_prompt(self):
         backend = OracleBackend()
@@ -337,7 +347,7 @@ class _CompletionHandler(BaseHTTPRequestHandler):
             server.inflight += 1
             server.arrivals.append((body["prompt"], server.inflight))
             status = 503 if len(server.requests) <= server.failures else server.status
-        if server.delay:  # no sleep() call for the sleeps fixture to record
+        if server.delay:
             time.sleep(server.delay)
         with server.lock:  # before the reply, which lets the client send its next request
             server.inflight -= 1
@@ -360,12 +370,11 @@ def no_proxy_env(monkeypatch):
     return monkeypatch
 
 
-@pytest.fixture
-def sleeps(monkeypatch):
-    """Backoff sleeps, recorded instead of slept."""
-    calls = []
-    monkeypatch.setattr("time.sleep", calls.append)
-    return calls
+def _request(backend, prompt):
+    """``prompt``'s request to ``backend`` as ``runner._run_http`` builds it. Each ``attempt()``
+    sends it once on this thread and returns the completion or the backoff it asks for."""
+    load_transport()
+    return _HttpRequest(backend, prompt, request_headers(backend))
 
 
 _DROPPED = object()  # the key left out of the line
@@ -511,7 +520,7 @@ class TestInputLines:
             assert outcomes[0] == outcomes[1], (module.__name__, text)
 
 class TestHttpBackend:
-    def test_retries_then_transport_error(self, no_proxy_env, sleeps):
+    def test_retries_then_transport_error(self, no_proxy_env):
         dials = []
         create_connection = socket.create_connection
 
@@ -528,10 +537,27 @@ class TestHttpBackend:
                 model_name="m",
                 max_retries=2,
             )
+            request = _request(backend, "prompt")
+            assert request.attempt() == 0.5
+            assert request.attempt() == 1.0
             with pytest.raises(TransportError, match="after 3 attempts"):
-                complete(backend, "prompt", prompt_sha256("prompt"))
+                request.attempt()
         assert dials == [("127.0.0.1", port)] * 3  # initial attempt + two retries
-        assert sleeps == [0.5, 1.0]
+
+    def test_complete_refuses_an_http_backend(self, no_proxy_env):
+        with _CompletionServer() as server:
+            backend = HttpBackend(endpoint_url=server.url, model_name="m")
+            with pytest.raises(ConfigError, match=r"^complete\(\) answers a replay or oracle backend, not HttpBackend\("):
+                complete(backend, "p", prompt_sha256("p"))
+        assert server.requests == []
+
+    @pytest.mark.parametrize("url", [
+        "ftp://127.0.0.1/v1/completions", "http://127.0.0.1:99999/v1/completions", "http:///v1/completions",
+    ], ids=["scheme", "port", "no-host"])
+    def test_an_endpoint_url_it_cannot_dial_is_a_transport_error(self, no_proxy_env, url):
+        request = _request(HttpBackend(endpoint_url=url, model_name="m"), "p")
+        with pytest.raises(TransportError, match="^" + re.escape(f"unsupported endpoint URL {url!r}") + "$"):
+            request.attempt()
 
     def test_success_parses_completion_text(self, no_proxy_env):
         no_proxy_env.setenv("FAKE_TOKEN", "secret")
@@ -539,7 +565,7 @@ class TestHttpBackend:
             backend = HttpBackend(
                 endpoint_url=server.url, model_name="m", auth_token_env_var="FAKE_TOKEN"
             )
-            assert complete(backend, "2+2?", prompt_sha256("2+2?")) == " the answer is 4"
+            assert _request(backend, "2+2?").attempt() == " the answer is 4"
         [(request_line, headers, payload)] = server.requests
         assert request_line == "POST /v1/completions HTTP/1.1"
         assert payload["prompt"] == "2+2?"
@@ -547,13 +573,12 @@ class TestHttpBackend:
         assert headers["Authorization"] == "Bearer secret"
         assert headers["Content-Type"] == "application/json"
 
-    def test_non_retryable_status_fails_fast(self, no_proxy_env, sleeps):
+    def test_non_retryable_status_fails_fast(self, no_proxy_env):
         with _CompletionServer(status=401) as server:
             backend = HttpBackend(endpoint_url=server.url, model_name="m", max_retries=5)
-            with pytest.raises(TransportError, match="HTTP 401"):
-                complete(backend, "p", prompt_sha256("p"))
+            with pytest.raises(TransportError, match="HTTP 401"):  # the first attempt, not a backoff
+                _request(backend, "p").attempt()
         assert len(server.requests) == 1
-        assert sleeps == []
 
     @pytest.mark.parametrize(
         ("body", "problem"),
@@ -714,24 +739,24 @@ class TestHttpBackend:
                 run_eval(EvalConfig.from_json_dict(config))
         assert not (tmp_path / "out" / "records.jsonl").exists()
 
-    def test_connection_closed_while_idle_is_redialed(self, no_proxy_env, sleeps):
+    def test_connection_closed_while_idle_is_redialed(self, no_proxy_env):
+        # Each first attempt returns the completion: the dropped connection costs no retry.
         with _CompletionServer(requests_per_connection=2) as server:
             backend = HttpBackend(endpoint_url=server.url, model_name="m")
-            assert complete(backend, "one", prompt_sha256("one")) == " the answer is 4"
-            assert complete(backend, "two", prompt_sha256("two")) == " the answer is 4"
+            assert _request(backend, "one").attempt() == " the answer is 4"
+            assert _request(backend, "two").attempt() == " the answer is 4"
             assert server.connections == 1
             assert server.closed.wait(timeout=5)
-            assert complete(backend, "three", prompt_sha256("three")) == " the answer is 4"
+            assert _request(backend, "three").attempt() == " the answer is 4"
         assert server.connections == 2
         assert [payload["prompt"] for _, _, payload in server.requests] == ["one", "two", "three"]
-        assert sleeps == []  # the dropped connection cost no retry
 
     def test_http_proxy_gets_the_absolute_uri(self, no_proxy_env):
         endpoint = "http://completions.example:8080/v1/completions?x=1"
         with _CompletionServer() as proxy:
             no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_port}")
             backend = HttpBackend(endpoint_url=endpoint, model_name="m")
-            assert complete(backend, "p", prompt_sha256("p")) == " the answer is 4"
+            assert _request(backend, "p").attempt() == " the answer is 4"
         [(request_line, headers, _)] = proxy.requests
         assert request_line == f"POST {endpoint} HTTP/1.1"
         assert headers["Host"] == "completions.example:8080"
@@ -742,7 +767,7 @@ class TestHttpBackend:
             no_proxy_env.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_port}")
             no_proxy_env.setenv("NO_PROXY", "localhost,127.0.0.1")
             backend = HttpBackend(endpoint_url=server.url, model_name="m")
-            assert complete(backend, "p", prompt_sha256("p")) == " the answer is 4"
+            assert _request(backend, "p").attempt() == " the answer is 4"
         assert proxy.requests == []
         [(request_line, _, _)] = server.requests
         assert request_line == "POST /v1/completions HTTP/1.1"
@@ -781,9 +806,10 @@ class TestHttpBackend:
                 max_retries=2,
                 timeout=5.0,
             )
+            request = _request(backend, "Q: 3+4?\nA:")
             with caplog.at_level(logging.WARNING, logger="metareason.harness.backends"):
-                completion = complete(backend, "Q: 3+4?\nA:", prompt_sha256("Q: 3+4?\nA:"))
-            assert completion == "echo:test-model:the answer is 7"
+                assert request.attempt() == 0.5
+                assert request.attempt() == "echo:test-model:the answer is 7"
             assert Handler.hits == 2
         finally:
             server.shutdown()
@@ -1294,13 +1320,16 @@ class TestRunEval:
         assert len(load_records(records_path)) == 3  # as the last line, it is torn
 
     def test_a_middle_line_is_labelled_by_its_cause(self, tmp_path):
-        records_path = tmp_path / "records.jsonl"
-        records_path.write_bytes(b'{"latency_ms": ' + b"9" * 5000 + b'}\n{"task": "CF"}\n')
-        with pytest.raises(RecordLineError, match=re.escape(f"{records_path}: line 1: not JSON: Exceeds the limit")):
-            load_records(records_path)
-        records_path.write_bytes(b'{"task": "\xff"}\n{"task": "CF"}\n')
-        with pytest.raises(RecordLineError, match=re.escape(f"{records_path}: line 1: not UTF-8 (")):
-            load_records(records_path)
+        """The records reader and the three ``read_jsonl`` loaders label a line alike."""
+        path = tmp_path / "lines.jsonl"
+        for load, error in [(load_records, RecordLineError), (load_instances, MalformedLineError),
+                            (load_demonstrations, MalformedLineError), (load_fixtures, MalformedLineError)]:
+            path.write_bytes(b'{"latency_ms": ' + b"9" * 5000 + b'}\n{"task": "CF"}\n')
+            with pytest.raises(error, match=re.escape(f"{path}: line 1: not JSON: Exceeds the limit")):
+                load(path)
+            path.write_bytes(b'{"task": "\xff"}\n{"task": "CF"}\n')
+            with pytest.raises(error, match=re.escape(f"{path}: line 1: not UTF-8 (")):
+                load(path)
 
     def test_a_run_opens_its_records_file_for_append_once(self, tmp_path, monkeypatch):
         import builtins
@@ -1934,12 +1963,14 @@ def restore_logging():
 class TestJsonLogs:
     """``--log-json`` prints the ``extra=`` fields of library warnings."""
 
-    def test_http_retry_prints_its_fields(self, no_proxy_env, sleeps, capsys, restore_logging):
+    def test_http_retry_prints_its_fields(self, no_proxy_env, capsys, restore_logging):
         _configure_logging(False, True)
         with _CompletionServer(status=503) as server:
             backend = HttpBackend(endpoint_url=server.url, model_name="m", max_retries=1)
+            request = _request(backend, "p")
+            assert request.attempt() == 0.5
             with pytest.raises(TransportError, match="after 2 attempts"):
-                complete(backend, "p", prompt_sha256("p"))
+                request.attempt()
         [retry] = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert (retry["level"], retry["name"]) == ("warning", "metareason.harness.backends")
         assert (retry["attempt"], retry["status"], retry["backoff_s"]) == (1, 503, 0.5)

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import MISSING
@@ -132,6 +133,15 @@ class TestParse:
     def test_missing_query(self):
         with pytest.raises(ParseError):
             parse_meta("It is known A = 1. Add 3 to A.")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "sentence 1: empty input (expected an init sentence or a query)"),
+        (" . ", "sentence 1: empty input (expected an init sentence or a query)"),
+        ("It is known A = 1.", "sentence 1: missing query sentence (expected a query sentence ending with '?')"),
+    ])
+    def test_a_text_without_a_query_is_refused_at_sentence_one(self, text, message):
+        with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+            parse_meta(text)
 
     def test_query_must_be_last(self):
         with pytest.raises(ParseError):

@@ -95,6 +95,47 @@ def test_resolver_leniency(task, question, options, meta):
     assert render_meta(resolve(inst).program) == meta
 
 
+# Questions each family's resolver refuses, with the reason it gives.
+@pytest.mark.parametrize(
+    "task, question, options, message",
+    [
+        (
+            Task.TSO3,
+            _BALLS_INTRO.replace("Bob is holding", "Alice is holding")
+            + "Alice and Bob trade balls. At the end of the game, Alice is holding",
+            _BALLS,
+            "repeated person or object in assignment: 'Alice is holding a red ball, Alice is "
+            "holding a blue ball, and Claire is holding a green ball'",
+        ),
+        (
+            Task.TSO3,
+            "Alice is holding a red ball. At the end of the game, Alice is holding",
+            _BALLS,
+            "too few sentences: 'Alice is holding a red ball. At the end of the game, Alice is holding'",
+        ),
+        (
+            Task.WOL,
+            "Sherrie tells the truth. Ryan says Sherrie lies. Ryan says Sherrie tells the truth. "
+            "Does Ryan tell the truth?",
+            None,
+            "speaker already introduced: 'Ryan says Sherrie tells the truth.'",
+        ),
+        (Task.CF, "Is the coin still heads up?", None, "too few sentences: 'Is the coin still heads up?'"),
+        (
+            Task.LLC,
+            'Take the last letters of the words in "   " and concatenate them.',
+            None,
+            'empty name: \'Take the last letters of the words in "   " and concatenate them.\'',
+        ),
+    ],
+    ids=["tso-repeated-person", "tso-too-few", "wol-repeated-speaker", "chain-too-few", "llc-empty-name"],
+)
+def test_a_question_off_its_template_is_refused_with_its_reason(task, question, options, message):
+    inst = TaskInstance(id="off", task=task, question=question, options=options, gold="")
+    with pytest.raises(TemplateMismatchError, match="^" + re.escape(message) + "$"):
+        resolve(inst)
+
+
 def _assert_whole_word_entity_spans(question, mq):
     for span, _ in mq.table.entries:
         assert question[span.start : span.end] == span.text
@@ -244,6 +285,14 @@ class TestArithmetic:
             ),
         )
         assert solve_surface(inst) == "18"
+
+
+    def test_an_attached_option_query_gets_a_letter_per_option(self):
+        inst = TaskInstance(id="tso-1", task=Task.TSO3, question="Who holds what?",
+                            options=("x", "y", "z"), gold="B", meta=_ONE_SWAP)
+        mq = resolve(inst)
+        assert mq.option_letters == ("A", "B", "C")
+        assert surface_answer(mq, eval_program(mq.program)) == "B"
 
 
 class TestAllocateSymbols:

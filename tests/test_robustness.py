@@ -4,7 +4,8 @@ Random edits of canonical meta texts either parse to a program that
 round-trips through its canonical text, or raise a MetaLangError. Random
 edits of generated questions, in all eight families, either resolve and
 evaluate, or raise a ResolutionError or a MetaLangError. A numeral past
-Python's digit limit on reading an int is a classified error as well. Random
+Python's digit limit on reading an int, and a number past it on writing, is a
+classified error as well. Random
 mutations of a valid evaluation config, and of a valid line of each field
 table, are read or raise a ConfigError or a FieldError.
 """
@@ -19,6 +20,7 @@ import pytest
 from metareason import taskgen
 from metareason.harness.backends import ConfigError
 from metareason.harness.runner import EvalConfig
+from metareason.meta_lang.ast import MetaProgram, ValueOf
 from metareason.meta_lang.errors import MetaLangError, ParseError
 from metareason.meta_lang.interpreter import eval_program
 from metareason.meta_lang.parser import parse_meta
@@ -33,6 +35,7 @@ from metareason.resolution import (
     config_reader,
     resolve,
     resolve_any,
+    solve_surface,
 )
 from support import random_program
 from test_harness import _VALID_LINES
@@ -94,6 +97,13 @@ def _resolve_ma(question: str):
     return resolve(TaskInstance(id="ma-1", task=Task.MA, question=question, gold="1"))
 
 
+def _solve_ma(meta: str):
+    return solve_surface(TaskInstance(id="ma-1", task=Task.MA, question="?", gold="1", meta=meta))
+
+
+_NINES = "9" * 3000  # within the limit, but its square is not
+
+
 @pytest.mark.parametrize(
     ("read", "text", "error", "message"),
     [
@@ -111,9 +121,14 @@ def _resolve_ma(question: str):
          "amount of 5000 digits is too long: 'Alice has 777"),
         (resolve_any, _ARITH.format(5, _LONG), TemplateMismatchError,
          "amount of 5000 digits is too long: 'Alice finds 777"),
+        # Writing such a number: a program's init, and a surface answer the program computes.
+        (render_meta, MetaProgram((("A", 10**5000),), (), ValueOf("A")), MetaLangError,
+         "cannot write a number: Exceeds the limit (4300 digits)"),
+        (_solve_ma, f"It is known that A = {_NINES}. Multiply A by {_NINES}. What is the value of A?",
+         MetaLangError, "cannot write a number: Exceeds the limit (4300 digits)"),
     ],
     ids=["init", "operand", "numerator", "denominator", "resolve-opening", "resolve-operation",
-         "resolve_any-opening", "resolve_any-operation"],
+         "resolve_any-opening", "resolve_any-operation", "render", "surface-answer"],
 )
 def test_a_numeral_past_the_digit_limit_is_a_classified_error(read, text, error, message):
     with pytest.raises(error) as caught:

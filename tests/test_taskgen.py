@@ -210,6 +210,10 @@ class TestErrors:
         with pytest.raises(InvalidParamsError):
             generate(GenConfig(task=Task.MA, count=0, seed=15))
 
+    @pytest.mark.parametrize("task, name", [(Task.CF, "cf"), (Task.CF, "CF"), (Task.WOL, "WoL")])
+    def test_a_task_name_generates_what_its_task_generates(self, task, name):
+        assert generate(GenConfig(task=name, count=3, seed=1)) == generate(GenConfig(task=task, count=3, seed=1))
+
     # Each parameter with its least allowed value (None: no bound), then values its rule
     # refuses: one below the bound, a bool and a fraction. Every rule is checked whatever
     # the task, so a coin-flip config is refused a tracking or truth-chain parameter too.
